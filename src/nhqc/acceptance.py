@@ -10,34 +10,27 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import (
-    analytic_energies,
-    build_frame,
-    hellmann_feynman_force,
-    nonadiabatic_coupling,
-)
+from .adiabatic import slot_coupling, slot_frames
 from .model import (
     PHI,
     PSI,
-    BathParams,
+    REFERENCE_BP,
+    REFERENCE_SP,
     SimConfig,
-    SpinChainParams,
     decay_operator,
     subsystem_hamiltonian,
 )
 from .observables import write_csv
-from .oracle import solve_quantum, trace_law_identity, trace_law_projector
+from .oracle import analytic_energies, solve_quantum, trace_law_projector
 from .propagator import simulate
-from .sampler import bath_sigmas, sample_bath_point, trajectory_stream
+from .sampler import bath_sigmas, initial_subsystem, sample_bath_point, trajectory_stream
 
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{k}" for k in range(1, 8)]
 
-REFERENCE_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
-REFERENCE_BP = BathParams(c=0.24, beta=0.1)
 ACCEPT_SEED = 20160914
 
 _CACHE: dict = {}
@@ -54,7 +47,7 @@ class CriterionResult:
 def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24, threads=1):
     key = (kind, gamma, state, samples, steps, stride, c)
     if key not in _CACHE:
-        bp = BathParams(c=c, beta=0.1)
+        bp = replace(REFERENCE_BP, c=c)
         config = SimConfig(
             n_steps=steps,
             seed=ACCEPT_SEED,
@@ -129,8 +122,6 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         for state in (PHI, PSI):
             series, _, _ = _cached_run(kind, gamma, state, samples, stride=10, c=0.0)
             decay = decay_operator(kind, gamma)
-            from .sampler import initial_subsystem
-
             states = solve_quantum(initial_subsystem(state), h_s, decay.matrix, 0.01, 1000)
             for row, k in zip(series.rows, range(0, 1001, 10)):
                 dev = np.max(np.abs(row.density.elements - states[k].rho))
@@ -145,58 +136,39 @@ def criterion_3(quick: bool = False) -> CriterionResult:
 
 
 def criterion_4(quick: bool = False) -> CriterionResult:
-    """Frame energies, forces and couplings against independent oracles."""
+    """The engine's closed-form frame energies, forces and couplings against
+    independent oracles."""
+    sp, bp = REFERENCE_SP, REFERENCE_BP
     rng = np.random.default_rng(ACCEPT_SEED)
     n_energy = 200 if quick else 1000
-    worst_e = 0.0
-    for _ in range(n_energy):
-        R = rng.uniform(-10, 10, 2)
-        frame = build_frame(REFERENCE_SP, REFERENCE_BP, R)
-        worst_e = max(
-            worst_e,
-            float(np.max(np.abs(frame.energies - analytic_energies(REFERENCE_SP, REFERENCE_BP, R)))),
-        )
+    R = rng.uniform(-10, 10, (2, n_energy))
+    levels = np.sort(slot_frames(sp, bp, R).energies, axis=0)
+    worst_e = max(
+        float(np.max(np.abs(levels[:, i] - analytic_energies(sp, bp, R[:, i]))))
+        for i in range(n_energy)
+    )
 
+    # Hellmann-Feynman force of every slot, c <sz_k> - M omega^2 R_k,
+    # against central differences of that slot's energy
     h = 1e-5
+    R = rng.uniform(-4, 4, (2, 20 if quick else 100))
+    frames = slot_frames(sp, bp, R)
+    force = bp.c * frames.z - bp.mass * bp.omega**2 * R[:, None, :]
     worst_f = 0.0
-    checked = 0
-    target_checks = 20 if quick else 100
-    while checked < target_checks:
-        R = rng.uniform(-4, 4, 2)
-        if abs(R[0] + R[1]) < 1e-3:
-            continue
-        frame = build_frame(REFERENCE_SP, REFERENCE_BP, R)
-        for alpha in range(4):
-            force = hellmann_feynman_force(REFERENCE_SP, REFERENCE_BP, frame, alpha)
-            for k in range(2):
-                dR = np.zeros(2)
-                dR[k] = h
-                up = build_frame(REFERENCE_SP, REFERENCE_BP, R + dR).energies[alpha]
-                dn = build_frame(REFERENCE_SP, REFERENCE_BP, R - dR).energies[alpha]
-                worst_f = max(worst_f, abs(force[k] + (up - dn) / (2 * h)))
-        checked += 1
+    for k in range(2):
+        dR = np.zeros((2, 1))
+        dR[k] = h
+        up = slot_frames(sp, bp, R + dR).energies
+        dn = slot_frames(sp, bp, R - dR).energies
+        worst_f = max(worst_f, float(np.max(np.abs(force[k] + (up - dn) / (2 * h)))))
 
-    frame0 = build_frame(REFERENCE_SP, REFERENCE_BP, np.zeros(2))
-    d = nonadiabatic_coupling(REFERENCE_SP, REFERENCE_BP, frame0, 3, 0)
+    d = slot_coupling(bp, slot_frames(sp, bp, np.zeros((2, 1))))[(3, 2)][0]
     dev_d = float(np.max(np.abs(d - np.array([0.06, -0.06]))))
 
-    worst_block = 0.0
-    for _ in range(100):
-        R = rng.uniform(-3, 3, 2)
-        if abs(R[0] + R[1]) < 0.05:
-            continue
-        frame = build_frame(REFERENCE_SP, REFERENCE_BP, R)
-        ee = int(np.argmax(np.abs(frame.vectors[0, :])))
-        gg = int(np.argmax(np.abs(frame.vectors[3, :])))
-        for special in (ee, gg):
-            for other in range(4):
-                if other == special:
-                    continue
-                gap = abs(frame.energies[special] - frame.energies[other])
-                if gap < 1e-6:
-                    continue
-                dv = nonadiabatic_coupling(REFERENCE_SP, REFERENCE_BP, frame, special, other)
-                worst_block = max(worst_block, float(np.max(np.abs(dv))))
+    # for jx = jy the |ee>, |gg> slots (block A) carry no coupling channel
+    couplings = slot_coupling(bp, slot_frames(sp, bp, rng.uniform(-3, 3, (2, 100))))
+    block_a = [np.max(np.abs(dv)) for (a, b), dv in couplings.items() if min(a, b) < 2]
+    worst_block = float(max(block_a, default=0.0))
 
     passed = worst_e < 1e-12 and worst_f < 1e-6 and dev_d < 1e-10 and worst_block < 1e-12
     return CriterionResult(

@@ -1,320 +1,33 @@
-"""Adiabatic-basis machinery: frames, forces, couplings, decay-rate matrices.
+"""Closed-form adiabatic frames of the ensemble engine, vectorized over
+bath configurations.
 
 The dressed Hamiltonian h(R) = H_spin + H_coupling(R) + V_bath(R) I of this
 model couples only |ee><gg| and |eg><ge|, so it splits into two real
-symmetric 2x2 blocks at every bath configuration.  Two independent routes
-exploit or ignore that fact:
+symmetric 2x2 blocks at every bath configuration.  ``slot_frames`` evaluates
+both blocks in closed form for whole batches of configurations at once.
+Slots are labeled per block, not by energy order, which makes them
+continuous along any bath path (no relabeling at surface crossings).
 
-* ``build_frame`` diagonalizes the full 4x4 numerically (LAPACK), sorts
-  energies ascending and fixes the eigenvector gauge.  This is the general
-  route used by the single-trajectory operations.
-* ``slot_frames`` evaluates the 2x2 blocks in closed form for whole batches
-  of configurations at once.  Slots are labeled per block, not by energy
-  order, which makes them continuous along any bath path (no relabeling at
-  surface crossings).  The ensemble engine runs on this route.
-
-The two routes are cross-checked against each other in the test suite.
+The generic eigensolver route (``nhqc.oracle.build_frame``) cross-checks
+these frames in the test suite and the acceptance criteria.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    SZ1_DIAG,
-    SZ2_DIAG,
-    AdiabaticFrame,
-    BathParams,
-    DecaySpec,
-    PhasePoint,
-    SpinChainParams,
-    bath_potential,
-    coupling_hamiltonian,
-    subsystem_hamiltonian,
-)
+from .model import BathParams, DecaySpec, SpinChainParams
 
 __all__ = [
-    "DEGENERACY_TOL",
-    "DegeneratePairError",
-    "DegeneratePairWarning",
-    "GammaAdiabatic",
     "SlotFrames",
-    "TransitionTable",
-    "analytic_energies",
-    "bohr_frequency",
-    "build_frame",
-    "dressed_hamiltonian",
-    "frame_permutation",
-    "gamma_in_adiabatic",
-    "gamma_rate",
-    "hamiltonian_gradient",
-    "hellmann_feynman_force",
-    "nonadiabatic_coupling",
+    "slot_coupling",
     "slot_frames",
     "slot_gamma_diag",
     "slot_vectors",
-    "transition_amplitudes",
 ]
 
-DEGENERACY_TOL = 1e-9
-
-# Row indices of the two 2x2 blocks of h(R).
-BLOCK_A = (0, 3)  # |ee>, |gg>; coupled by -(jx - jy)
-BLOCK_B = (1, 2)  # |eg>, |ge>; coupled by -(jx + jy)
-
-
-class DegeneratePairError(Exception):
-    """Raised when a nonadiabatic coupling is requested across a degeneracy."""
-
-
-class DegeneratePairWarning(UserWarning):
-    """Emitted when a Hellmann-Feynman force touches a degenerate level."""
-
-
-def dressed_hamiltonian(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.ndarray:
-    """h(R): subsystem plus coupling plus the scalar bath potential."""
-    R = np.asarray(R, dtype=float)
-    return (
-        subsystem_hamiltonian(sp)
-        + coupling_hamiltonian(bp, R)
-        + bath_potential(bp, R) * np.eye(4)
-    )
-
-
-def hamiltonian_gradient(bp: BathParams, R: np.ndarray) -> np.ndarray:
-    """dh/dR_k, analytic: diagonal -c sz^(k) + M omega^2 R_k I, shape (2, 4, 4)."""
-    R = np.asarray(R, dtype=float)
-    grad = np.zeros((2, 4, 4), dtype=complex)
-    restore = bp.mass * bp.omega**2
-    grad[0] = np.diag(-bp.c * SZ1_DIAG + restore * R[0])
-    grad[1] = np.diag(-bp.c * SZ2_DIAG + restore * R[1])
-    return grad
-
-
-def _resolve_degeneracies(energies: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate eigenvectors inside degenerate groups onto the coupling axes.
-
-    Within each group the vectors are chosen to diagonalize the projection of
-    sz^(1) (then sz^(2) for any remaining tie), ordered by descending
-    expectation value.  For this model that yields exactly |ee>, |gg> at the
-    crossing of block A.
-    """
-    i = 0
-    while i < 4:
-        j = i + 1
-        while j < 4 and energies[j] - energies[i] < DEGENERACY_TOL:
-            j += 1
-        if j - i > 1:
-            sub = vectors[:, i:j]
-            # tiny symmetry-breaking sz2 admixture resolves ties deterministically
-            op = np.diag(SZ1_DIAG + 1e-4 * SZ2_DIAG).astype(complex)
-            proj = sub.conj().T @ op @ sub
-            vals, rot = np.linalg.eigh(proj)
-            order = np.argsort(vals)[::-1]
-            vectors[:, i:j] = sub @ rot[:, order]
-        i = j
-    return energies, vectors
-
-
-def _canonical_gauge(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    lead = np.argmax(np.abs(vectors), axis=0)
-    for col in range(vectors.shape[1]):
-        pivot = vectors[lead[col], col]
-        if abs(pivot) > 0:
-            vectors[:, col] *= np.conj(pivot) / abs(pivot)
-    return vectors
-
-
-def build_frame(
-    sp: SpinChainParams,
-    bp: BathParams,
-    R: np.ndarray,
-    previous: AdiabaticFrame | None = None,
-) -> AdiabaticFrame:
-    """Diagonalize h(R); energies ascending, gauge fixed, optionally phase-
-    aligned against a previous frame for continuity along a trajectory.
-
-    With ``previous`` given, each column is phase-rotated so its overlap with
-    the same column of the previous frame is real positive; columns whose
-    same-index overlap is small (a surface crossing happened in between) keep
-    the canonical gauge, and ``frame_permutation`` recovers the relabeling.
-    """
-    R = np.asarray(R, dtype=float)
-    h = dressed_hamiltonian(sp, bp, R)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("non-finite Hamiltonian; cannot diagonalize")
-    energies, vectors = np.linalg.eigh(h)
-    energies, vectors = _resolve_degeneracies(energies, vectors)
-    vectors = _canonical_gauge(vectors)
-    tag = "argmax-positive"
-    if previous is not None:
-        overlaps = np.einsum("ia,ia->a", previous.vectors.conj(), vectors)
-        for col in range(4):
-            if abs(overlaps[col]) > 0.1:
-                vectors[:, col] *= np.conj(overlaps[col]) / abs(overlaps[col])
-        tag = "aligned-to-previous"
-    return AdiabaticFrame(R_at=R, energies=energies, vectors=vectors, gauge_tag=tag)
-
-
-def frame_permutation(previous: AdiabaticFrame, current: AdiabaticFrame) -> np.ndarray:
-    """Column of ``current`` continuing each labeled state of ``previous``.
-
-    Returns perm with perm[i] = j such that |<i;R_prev | j;R_now>| is maximal.
-    Raises if the assignment is not a bijection (frames too far apart).
-    """
-    overlap = np.abs(previous.vectors.conj().T @ current.vectors)
-    perm = np.argmax(overlap, axis=1)
-    if len(set(perm.tolist())) != 4:
-        raise ValueError("frames too far apart to track state labels")
-    return perm
-
-
-def analytic_energies(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.ndarray:
-    """Closed-form spectrum of h(R) for jx = jy, sorted ascending.
-
-    In that regime |ee> and |gg> are exact eigenstates while |eg>, |ge> mix
-    inside their own block; used as an independent oracle for ``build_frame``.
-    """
-    if sp.jx != sp.jy:
-        raise ValueError("closed form stated for jx = jy only")
-    R = np.asarray(R, dtype=float)
-    vb = bath_potential(bp, R)
-    total = bp.c * (R[0] + R[1])
-    diff = bp.c * (R[0] - R[1])
-    wb = -(sp.jx + sp.jy)
-    gap = np.hypot(wb, diff)
-    levels = np.array(
-        [-sp.jz - total, -sp.jz + total, sp.jz - gap, sp.jz + gap]
-    )
-    return np.sort(levels + vb)
-
-
-def bohr_frequency(frame: AdiabaticFrame, alpha: int, alpha_prime: int) -> float:
-    """Level spacing (E_alpha - E_alpha') in units of the bath frequency."""
-    return float(frame.energies[alpha] - frame.energies[alpha_prime])
-
-
-def hellmann_feynman_force(
-    sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int
-) -> np.ndarray:
-    """Force on surface alpha: -<alpha| dh/dR |alpha>.
-
-    Warns (but still answers) when alpha sits within DEGENERACY_TOL of
-    another level, where the adiabatic surface is not differentiable in
-    general.
-    """
-    gaps = np.abs(frame.energies - frame.energies[alpha])
-    gaps[alpha] = np.inf
-    if np.min(gaps) < DEGENERACY_TOL:
-        warnings.warn(
-            f"force on level {alpha} within {DEGENERACY_TOL} of a degeneracy",
-            DegeneratePairWarning,
-            stacklevel=2,
-        )
-    grad = hamiltonian_gradient(bp, frame.R_at)
-    vec = frame.vectors[:, alpha]
-    return -np.real(np.einsum("i,kij,j->k", vec.conj(), grad, vec))
-
-
-def _coupling_vector(bp: BathParams, frame: AdiabaticFrame, alpha: int, beta: int) -> np.ndarray:
-    gap = frame.energies[beta] - frame.energies[alpha]
-    if abs(gap) < DEGENERACY_TOL:
-        raise DegeneratePairError(
-            f"levels {alpha}, {beta} degenerate within {DEGENERACY_TOL}"
-        )
-    grad = hamiltonian_gradient(bp, frame.R_at)
-    element = np.einsum("i,kij,j->k", frame.vectors[:, alpha].conj(), grad, frame.vectors[:, beta])
-    return element / gap
-
-
-def nonadiabatic_coupling(
-    sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int, beta: int
-) -> np.ndarray:
-    """Derivative coupling d_ab = <a| dh/dR |b> / (E_b - E_a), length 2."""
-    if alpha == beta:
-        raise ValueError("coupling defined between distinct states")
-    return _coupling_vector(bp, frame, alpha, beta)
-
-
-@dataclass(frozen=True)
-class GammaAdiabatic:
-    """Decay operator in the adiabatic basis, split diagonal/off-diagonal."""
-
-    full: np.ndarray
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-
-def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabatic:
-    """Rotate the decay operator into the frame and split it."""
-    full = frame.vectors.conj().T @ decay.matrix @ frame.vectors
-    diag = np.real(np.diag(full)).copy()
-    offdiag = full - np.diag(np.diag(full))
-    return GammaAdiabatic(full=full, diag=diag, offdiag=offdiag)
-
-
-def gamma_rate(gadiab: GammaAdiabatic, alpha: int, alpha_prime: int) -> float:
-    """Damping frequency of element (alpha, alpha'): sum of the two diagonal
-    decay expectations (hbar = 1); symmetric in its indices."""
-    return float(gadiab.diag[alpha] + gadiab.diag[alpha_prime])
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """Per-pair transition data at one phase-space point.
-
-    ``d[a, b]`` is the coupling vector, ``hop_weight[a, b] = (P/M) . d_ab``
-    the transition frequency, ``shift[a, b]`` the momentum-shift vector used
-    by the momentum-jump rule (undefined where ``singular``), and ``tgamma``
-    the off-diagonal decay transition tensor indexed [a, a', b, b'].
-    """
-
-    d: np.ndarray
-    shift: np.ndarray
-    hop_weight: np.ndarray
-    singular: np.ndarray
-    tgamma: np.ndarray
-
-
-def transition_amplitudes(
-    bp: BathParams, frame: AdiabaticFrame, point: PhasePoint, gadiab: GammaAdiabatic
-) -> TransitionTable:
-    """Tabulate everything the stochastic transition sampling needs."""
-    velocity = point.P / bp.mass
-    d = np.zeros((4, 4, 2), dtype=complex)
-    shift = np.full((4, 4, 2), np.nan, dtype=complex)
-    hop = np.zeros((4, 4))
-    singular = np.zeros((4, 4), dtype=bool)
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            gap = frame.energies[b] - frame.energies[a]
-            if abs(gap) < DEGENERACY_TOL:
-                singular[a, b] = True  # no channel across an exact degeneracy
-                continue
-            d_ab = _coupling_vector(bp, frame, a, b)
-            d[a, b] = d_ab
-            w = float(np.real(velocity @ d_ab))
-            hop[a, b] = w
-            if abs(w) > 1e-14:
-                shift[a, b] = -gap * d_ab / w  # hbar omega_ab = E_a - E_b
-            else:
-                singular[a, b] = True
-    tg = np.zeros((4, 4, 4, 4), dtype=complex)
-    eye = np.eye(4)
-    tg += np.einsum("ab,xy->axby", gadiab.offdiag, eye)
-    tg += np.einsum("yx,ab->axby", gadiab.offdiag, eye)
-    return TransitionTable(d=d, shift=shift, hop_weight=hop, singular=singular, tgamma=tg)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form block route (vectorized over bath configurations).
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SlotFrames:
@@ -329,13 +42,12 @@ class SlotFrames:
 
     ``x*, y*`` are the in-block components of the first slot of each block
     ((n,) arrays, or the scalars 1/0 for an uncoupled block); the second
-    slot is (-y, x).  ``z1, z2`` are per-slot Pauli-z expectations of the
-    two spins, from which Hellmann-Feynman forces follow directly.
+    slot is (-y, x).  ``z[k]`` holds the per-slot Pauli-z expectations of
+    spin k + 1, from which Hellmann-Feynman forces follow directly.
     """
 
     energies: np.ndarray  # (4, n)
-    z1: np.ndarray        # (4, n)
-    z2: np.ndarray        # (4, n)
+    z: np.ndarray         # (2, 4, n)
     xA: np.ndarray | float
     yA: np.ndarray | float
     xB: np.ndarray | float
@@ -347,25 +59,21 @@ class SlotFrames:
 
 
 def slot_frames(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> SlotFrames:
-    """Closed-form frames at configurations R of shape (n, 2)."""
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    return slot_frames_cols(sp, bp, np.ascontiguousarray(R[:, 0]), np.ascontiguousarray(R[:, 1]))
-
-
-def slot_frames_cols(sp: SpinChainParams, bp: BathParams, r1: np.ndarray, r2: np.ndarray) -> SlotFrames:
-    """slot_frames on separate contiguous coordinate arrays (the hot path).
+    """Closed-form frames at configurations R of shape (2, n), one row per
+    oscillator.
 
     Uncoupled blocks carry scalar 1/0 vector components (they broadcast
     wherever the arrays would); their half gap is not needed and stays None.
     """
+    r1, r2 = R
     n = r1.shape[0]
     total = r1 + r2
     diff = r1 - r2
     vb = 0.5 * bp.mass * bp.omega**2 * (r1 * r1 + r2 * r2)
 
     energies = np.empty((4, n))
-    z1 = np.empty((4, n))
-    z2 = np.empty((4, n))
+    z = np.empty((2, 4, n))
+    z1, z2 = z
 
     def block(w: float, d1: np.ndarray, d2: np.ndarray) -> tuple:
         coupled = abs(w) > 1e-300
@@ -407,7 +115,7 @@ def slot_frames_cols(sp: SpinChainParams, bp: BathParams, r1: np.ndarray, r2: np
     z1[3] = z2[2]
     z2[3] = z1[2]
     return SlotFrames(
-        energies=energies, z1=z1, z2=z2,
+        energies=energies, z=z,
         xA=xA, yA=yA, xB=xB, yB=yB,
         coupled_A=cA, coupled_B=cB, half_gap_A=rA, half_gap_B=rB,
     )

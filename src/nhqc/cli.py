@@ -5,21 +5,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
+    REFERENCE_BP,
+    REFERENCE_SP,
     BathParams,
-    DecayKind,
     DecaySpec,
     SimConfig,
     SpinChainParams,
     decay_operator,
 )
 from .observables import TimeSeries, emit_plot_script, write_csv
-from .propagator import RunSummary, simulate
+from .propagator import simulate
 
 __all__ = ["ConfigError", "main", "parse_config", "preset", "run"]
 
@@ -111,9 +112,10 @@ def _apply_seed_override(config: SimConfig) -> SimConfig:
         seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"NHQC_SEED must be an integer, got {env!r}") from exc
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
+    try:
+        return replace(config, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"NHQC_SEED: {exc}") from exc
 
 
 def check_run_invariants(series: TimeSeries, decay: DecaySpec) -> None:
@@ -146,7 +148,7 @@ def run(config_path, out_dir, threads: int = 1) -> int:
     print(f"wrote {target}")
     print(
         f"final trace {np.real(last.density.trace):.6f} +- {last.trace_stderr:.2e} at t={last.t:g}; "
-        f"{summary.n_members} members, {summary.n_excluded} excluded, "
+        f"{summary.n_members} members, "
         f"{summary.n_hops} hops ({summary.n_frustrated} frustrated), "
         f"wall time {summary.wall_time:.1f} s"
     )
@@ -173,21 +175,24 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
         print(f"error: unknown preset {name!r}", file=sys.stderr)
         return 2
     kind, state, gammas = PRESETS[name]
-    seed = PRESET_SEED if seed is None else seed
-    env = os.environ.get("NHQC_SEED")
-    if env is not None:
-        seed = int(env)
+    try:
+        config = SimConfig(
+            n_steps=1000,
+            seed=PRESET_SEED if seed is None else seed,
+            dt=0.01,
+            n_samples=samples,
+            initial_state=state,
+        )
+        config = _apply_seed_override(config)
+    except ValueError as exc:  # ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sp = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
-    bp = BathParams(c=0.24, beta=0.1)
     files, labels = [], []
     for g in gammas:
         decay = decay_operator(kind, g)
-        config = SimConfig(
-            n_steps=1000, seed=seed, dt=0.01, n_samples=samples, initial_state=state
-        )
-        series, summary = simulate(sp, bp, decay, config, threads=threads)
+        series, summary = simulate(REFERENCE_SP, REFERENCE_BP, decay, config, threads=threads)
         check_run_invariants(series, decay)
         path = out / f"{name}_gamma{g:g}.csv"
         write_csv(series, path)

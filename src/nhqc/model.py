@@ -18,6 +18,8 @@ import numpy as np
 
 __all__ = [
     "HERMITICITY_TOL",
+    "REFERENCE_BP",
+    "REFERENCE_SP",
     "AdiabaticFrame",
     "BathParams",
     "DecayKind",
@@ -140,7 +142,6 @@ class AdiabaticFrame:
     R_at: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
-    gauge_tag: str = "argmax-positive"
 
 
 @dataclass
@@ -187,6 +188,10 @@ class ReducedDensity:
 
 PHI = "phi"
 PSI = "psi"
+
+# The reference couplings of the figure sweeps and the acceptance criteria.
+REFERENCE_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
+REFERENCE_BP = BathParams(c=0.24, beta=0.1)
 
 _MODES = ("adiabatic", "nonadiabatic")
 

@@ -9,45 +9,22 @@ nonadiabatic mode a single stochastic transition per member per step is
 sampled from the derivative-coupling and off-diagonal-decay channels, with
 importance reweighting and the momentum-jump rule.
 
-The vectorized engine below propagates all members of a sample block at
-once using the closed-form block frames; the single-member functions
-(`classical_step`, `sstp_step`, `momentum_jump`) are the plain re-statement
-of the same algorithm on the generic eigensolver route and serve as its
-cross-check.
+``EnsembleState`` propagates all members of a sample block at once on the
+closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
+time series.  The same step restated for a single member on the generic
+eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import (
-    SlotFrames,
-    build_frame,
-    frame_permutation,
-    gamma_in_adiabatic,
-    hellmann_feynman_force,
-    slot_coupling,
-    slot_frames,
-    slot_frames_cols,
-    slot_gamma_diag,
-    slot_vectors,
-    transition_amplitudes,
-)
-from .model import (
-    AdiabaticFrame,
-    BathParams,
-    DecayKind,
-    DecaySpec,
-    PairTrajectory,
-    PhasePoint,
-    SimConfig,
-    SpinChainParams,
-)
+from .adiabatic import SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from .model import BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import MomentAccumulator, TimeRecord, TimeSeries
 from .sampler import initial_subsystem, sample_bath_point, trajectory_stream
 
@@ -56,11 +33,7 @@ __all__ = [
     "EnsembleSnapshot",
     "EnsembleState",
     "RunSummary",
-    "classical_step",
-    "momentum_jump",
-    "run_ensemble",
     "simulate",
-    "sstp_step",
 ]
 
 # Samples per work chunk.  Fixed (never derived from the worker count) so
@@ -78,159 +51,17 @@ SLOT_ROWS = ((0, 3), (0, 3), (1, 2), (1, 2))
 UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
 
 
-def classical_step(point: PhasePoint, force_pair, bp: BathParams, dt: float, force_fn=None) -> PhasePoint:
-    """One velocity-Verlet step on the mean of two adiabatic surfaces.
-
-    ``force_pair`` holds the two surface forces at the current position; the
-    closing half-kick re-evaluates the mean force at the new position via
-    ``force_fn(R)`` when given (a constant-force leapfrog otherwise).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    f0 = 0.5 * (np.asarray(force_pair[0], dtype=float) + np.asarray(force_pair[1], dtype=float))
-    p_half = point.P + 0.5 * dt * f0
-    r_new = point.R + dt * p_half / bp.mass
-    f1 = f0 if force_fn is None else np.asarray(force_fn(r_new), dtype=float)
-    return PhasePoint(R=r_new, P=p_half + 0.5 * dt * f1)
-
-
-def momentum_jump(point: PhasePoint, d, delta_e: float, mass: float) -> PhasePoint | None:
-    """Shift the momentum along the coupling direction to absorb delta_e.
-
-    Returns the shifted point, or None for a frustrated hop (not enough
-    kinetic energy along the coupling direction for an uphill transition).
-    The coupling vector must be real up to gauge (true for this model).
-    """
-    direction = np.real(np.asarray(d))
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ValueError("coupling direction must be nonzero")
-    dhat = direction / norm
-    pdot = float(point.P @ dhat)
-    radicand = pdot * pdot - 2.0 * mass * delta_e
-    if radicand < 0.0:
-        return None
-    shifted = math.copysign(math.sqrt(radicand), pdot)
-    return PhasePoint(R=point.R, P=point.P + (shifted - pdot) * dhat)
-
-
-def _channel_ids(table) -> list[tuple[int, int, str]]:
-    """Static transition-channel order shared by member and mirror."""
-    ids = []
-    for s in range(4):
-        for t in range(4):
-            if s != t and table.hop_weight[s, t] != 0.0:
-                ids.append((s, t, "d"))
-    for s in range(4):
-        for t in range(4):
-            if s != t and abs(table.tgamma[s, 0, t, 0]) > 0.0:
-                ids.append((s, t, "gamma"))
-    return ids
-
-
-def sstp_step(
-    member: PairTrajectory,
-    frame: AdiabaticFrame,
-    sp: SpinChainParams,
-    bp: BathParams,
-    decay: DecaySpec,
-    dt: float,
-    mode: str = "adiabatic",
-    rng: np.random.Generator | None = None,
-) -> tuple[PairTrajectory, AdiabaticFrame]:
-    """Advance one member one step on the generic eigensolver route.
-
-    Reference implementation of the engine step: velocity Verlet on the mean
-    surface, trapezoidal phase and decay accumulation over the endpoint
-    frames, state labels tracked through crossings by frame overlap, and (in
-    nonadiabatic mode) one sampled transition with momentum jump.
-    """
-    alpha, alpha_p = member.alpha, member.alpha_prime
-    store: dict = {}
-
-    def mean_force(r_new):
-        nxt = build_frame(sp, bp, r_new, previous=frame)
-        perm = frame_permutation(frame, nxt)
-        store["frame"] = nxt
-        store["perm"] = perm
-        fa = hellmann_feynman_force(sp, bp, nxt, int(perm[alpha]))
-        fb = hellmann_feynman_force(sp, bp, nxt, int(perm[alpha_p]))
-        return 0.5 * (fa + fb)
-
-    f_a = hellmann_feynman_force(sp, bp, frame, alpha)
-    f_b = hellmann_feynman_force(sp, bp, frame, alpha_p)
-    point = classical_step(member.point, (f_a, f_b), bp, dt, mean_force)
-    nxt: AdiabaticFrame = store["frame"]
-    a1 = int(store["perm"][alpha])
-    b1 = int(store["perm"][alpha_p])
-
-    gad0 = gamma_in_adiabatic(decay, frame)
-    gad1 = gamma_in_adiabatic(decay, nxt)
-    omega0 = frame.energies[alpha] - frame.energies[alpha_p]
-    omega1 = nxt.energies[a1] - nxt.energies[b1]
-    gamma0 = gad0.diag[alpha] + gad0.diag[alpha_p]
-    gamma1 = gad1.diag[a1] + gad1.diag[b1]
-    out = PairTrajectory(
-        alpha=a1,
-        alpha_prime=b1,
-        point=point,
-        phase=member.phase + 0.5 * dt * (omega0 + omega1),
-        decay=member.decay + 0.5 * dt * (gamma0 + gamma1),
-        weight=member.weight,
-    )
-    if mode != "nonadiabatic":
-        return out, nxt
-
-    if rng is None:
-        raise ValueError("nonadiabatic mode needs a random stream")
-    table = transition_amplitudes(bp, nxt, point, gad1)
-    entries = []  # (amplitude, side, source, target, kind)
-    for s, t, kind in _channel_ids(table):
-        if kind == "d":
-            amp = dt * table.hop_weight[s, t]
-        else:
-            amp = dt * table.tgamma[s, 0, t, 0]  # off-diagonal decay element
-        if out.alpha == s:
-            entries.append((amp, "ket", s, t, kind))
-        if out.alpha_prime == s:
-            bra = dt * np.conj(table.hop_weight[s, t]) if kind == "d" else dt * np.conj(amp / dt)
-            entries.append((bra, "bra", s, t, kind))
-    total = sum(abs(a) for a, *_ in entries)
-    u = rng.random() * (1.0 + total)
-    cum = 0.0
-    for amp, side, s, t, kind in entries:
-        if u < cum + abs(amp):
-            factor = -(1.0 + total) * amp / abs(amp)
-            if kind == "d":
-                delta_e = nxt.energies[t] - nxt.energies[s]
-                jumped = momentum_jump(point, table.d[s, t], delta_e, bp.mass)
-                if jumped is None:  # frustrated: fall through as a no-hop
-                    break
-                out = replace(out, point=jumped)
-            if side == "ket":
-                out = replace(out, alpha=t, weight=out.weight * factor)
-            else:
-                out = replace(out, alpha_prime=t, weight=out.weight * factor)
-            return out, nxt
-        cum += abs(amp)
-    return replace(out, weight=out.weight * (1.0 + total)), nxt
-
-
 @dataclass
 class RunSummary:
     """Bookkeeping attached to every run."""
 
     n_members: int = 0
-    n_excluded: int = 0
-    excluded_weight: float = 0.0
     n_hops: int = 0
     n_frustrated: int = 0
     wall_time: float = 0.0
 
     def merge(self, other: "RunSummary") -> None:
         self.n_members += other.n_members
-        self.n_excluded += other.n_excluded
-        self.excluded_weight += other.excluded_weight
         self.n_hops += other.n_hops
         self.n_frustrated += other.n_frustrated
 
@@ -247,27 +78,23 @@ def _column_pieces(codes: np.ndarray, values: np.ndarray) -> list[tuple[int, np.
 
 @dataclass
 class EnsembleSnapshot:
-    """Raw member state at one output time for a block of samples.
+    """Member state at one output time for a block of samples.
 
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
-    sample s.
+    sample s.  The arrays are views of the engine's own, which later steps
+    overwrite in place.
     """
 
     t: float
-    sample_start: int
     n_samples: int
-    sample_index: np.ndarray    # (n,) global sample of each member
     alpha: np.ndarray
     alpha_prime: np.ndarray
     weight: np.ndarray
     phase: np.ndarray
     decay: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
     frames: SlotFrames
     mirrored: np.ndarray
-    mode: str
 
     def sample_matrices(self) -> np.ndarray:
         """Per-sample subsystem density matrices, shape (n_samples, 4, 4).
@@ -309,35 +136,6 @@ class EnsembleSnapshot:
             out[dest] += np.conj(val)
         return np.ascontiguousarray(out.T).reshape(n, 4, 4)
 
-    @property
-    def members(self) -> list[PairTrajectory]:
-        """Materialize every pair member (mirrors included) for inspection."""
-        out = []
-        for m in range(len(self.weight)):
-            pt = PhasePoint(R=self.R[m], P=self.P[m])
-            out.append(
-                PairTrajectory(
-                    alpha=int(self.alpha[m]),
-                    alpha_prime=int(self.alpha_prime[m]),
-                    point=pt,
-                    phase=float(self.phase[m]),
-                    decay=float(self.decay[m]),
-                    weight=complex(self.weight[m]),
-                )
-            )
-            if self.mirrored[m]:
-                out.append(
-                    PairTrajectory(
-                        alpha=int(self.alpha_prime[m]),
-                        alpha_prime=int(self.alpha[m]),
-                        point=pt,
-                        phase=-float(self.phase[m]),
-                        decay=float(self.decay[m]),
-                        weight=complex(np.conj(self.weight[m])),
-                    )
-                )
-        return out
-
 
 class EnsembleState:
     """Vectorized ensemble over samples [sample_start, sample_start + n).
@@ -363,19 +161,18 @@ class EnsembleState:
         if bp.n_osc != 2:
             raise ValueError("the ensemble engine is built for the two-oscillator bath")
         self.sp, self.bp, self.decay, self.config = sp, bp, decay, config
-        self.sample_start = sample_start
         self.n_local = config.n_samples if n_samples is None else n_samples
         self.mode = config.mode
         self.t = 0.0
         self._step_index = 0
         self.summary = RunSummary()
 
-        r0 = np.empty((self.n_local, 2))
-        p0 = np.empty((self.n_local, 2))
+        r0 = np.empty((2, self.n_local))
+        p0 = np.empty((2, self.n_local))
         for i in range(self.n_local):
             pt = sample_bath_point(bp, trajectory_stream(config.seed, sample_start + i))
-            r0[i] = pt.R
-            p0[i] = pt.P
+            r0[:, i] = pt.R
+            p0[:, i] = pt.P
         frames0 = slot_frames(sp, bp, r0)
         u0 = slot_vectors(frames0)
         rho0 = initial_subsystem(config.initial_state)
@@ -393,23 +190,22 @@ class EnsembleState:
         ]
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
-        self.samp_local = np.tile(np.arange(self.n_local), len(pairs))
+        samp_local = np.tile(np.arange(self.n_local), len(pairs))
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
         self.weight = elements0[:, al, ap].T.ravel().astype(complex)
         self.mirrored = np.repeat(canonical & (al < ap), self.n_local)
-        n = self.samp_local.size
-        self.r1 = np.ascontiguousarray(r0[self.samp_local, 0])
-        self.r2 = np.ascontiguousarray(r0[self.samp_local, 1])
-        self.p1 = np.ascontiguousarray(p0[self.samp_local, 0])
-        self.p2 = np.ascontiguousarray(p0[self.samp_local, 1])
+        n = samp_local.size
+        # bath coordinates and momenta of every member, one row per oscillator
+        self.R = r0.take(samp_local, axis=1)
+        self.P = p0.take(samp_local, axis=1)
         self.phase = np.zeros(n)
         self.decay_acc = np.zeros(n)
         self._ar = np.arange(n)
         self.summary.n_members = int(n + np.count_nonzero(self.mirrored))
 
         if self.mode == "nonadiabatic":
-            sample_global = self.samp_local + sample_start
+            sample_global = samp_local + sample_start
             upair = UPAIR[self.alpha, self.alpha_prime]
             self._hop_chunk = sample_global // CHUNK_SAMPLES
             self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + upair
@@ -431,7 +227,7 @@ class EnsembleState:
     # -- frame-dependent caches ------------------------------------------
 
     def _refresh_frames(self) -> None:
-        self._frames = slot_frames_cols(self.sp, self.bp, self.r1, self.r2)
+        self._frames = slot_frames(self.sp, self.bp, self.R)
         if not self._gdiag_constant:
             self._gdiag = slot_gamma_diag(self.decay, self._frames)
         if self.mode == "nonadiabatic":
@@ -458,14 +254,12 @@ class EnsembleState:
             self._gamma = self._gamma_const
         else:
             self._gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
-        self._zmean1 = 0.5 * (fr.z1.ravel().take(ia) + fr.z1.ravel().take(ib))
-        self._zmean2 = 0.5 * (fr.z2.ravel().take(ia) + fr.z2.ravel().take(ib))
+        z = fr.z.reshape(2, -1)
+        self._zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
 
-    def _mean_force(self) -> tuple[np.ndarray, np.ndarray]:
+    def _mean_force(self) -> np.ndarray:
         restore = self.bp.mass * self.bp.omega**2
-        f1 = self.bp.c * self._zmean1 - restore * self.r1
-        f2 = self.bp.c * self._zmean2 - restore * self.r2
-        return f1, f2
+        return self.bp.c * self._zmean - restore * self.R
 
     # -- time stepping ----------------------------------------------------
 
@@ -474,18 +268,13 @@ class EnsembleState:
         over_mass = dt / self.bp.mass
         half_dt = 0.5 * dt
         for _ in range(n_steps):
-            f1, f2 = self._mean_force()
-            ph1 = self.p1 + half_dt * f1
-            ph2 = self.p2 + half_dt * f2
-            self.r1 += over_mass * ph1
-            self.r2 += over_mass * ph2
+            p_half = self.P + half_dt * self._mean_force()
+            self.R += over_mass * p_half
             omega_old = self._omega
             gamma_old = self._gamma
             self._refresh_frames()
             self._refresh_pair_caches()
-            g1, g2 = self._mean_force()
-            self.p1 = ph1 + half_dt * g1
-            self.p2 = ph2 + half_dt * g2
+            self.P = p_half + half_dt * self._mean_force()
             self.phase += half_dt * (omega_old + self._omega)
             if self._gamma is gamma_old:  # configuration-independent rates
                 self.decay_acc += dt * self._gamma
@@ -502,7 +291,7 @@ class EnsembleState:
         """One shared uniform per (sample, unordered pair) for this step,
         drawn from streams keyed by fixed sample blocks so the values do not
         depend on how samples were chunked across workers."""
-        u = np.empty(self.samp_local.size)
+        u = np.empty(self.weight.size)
         for chunk in np.unique(self._hop_chunk):
             seq = np.random.SeedSequence(
                 [self.config.seed, HOP_STREAM_TAG, self._step_index, int(chunk)]
@@ -517,9 +306,8 @@ class EnsembleState:
         return np.einsum("nip,ij,njq->npq", u, self.decay.matrix, u)
 
     def _hop_stage(self, dt: float) -> None:
-        n = self.samp_local.size
-        v1 = self.p1 / self.bp.mass
-        v2 = self.p2 / self.bp.mass
+        n = self.weight.size
+        v1, v2 = self.P / self.bp.mass
         entries = []  # (amplitude (n,), side, source, target, kind)
         for (s, t), dvec in sorted(self._couplings.items()):
             amp = dt * (v1 * dvec[:, 0] + v2 * dvec[:, 1])
@@ -560,7 +348,7 @@ class EnsembleState:
                 norm = np.sqrt(dvec[:, 0] ** 2 + dvec[:, 1] ** 2)
                 d1 = dvec[:, 0] / norm
                 d2 = dvec[:, 1] / norm
-                pdot = self.p1[hit] * d1 + self.p2[hit] * d2
+                pdot = self.P[0, hit] * d1 + self.P[1, hit] * d2
                 delta_e = energies[t][hit] - energies[s][hit]
                 radicand = pdot**2 - 2.0 * self.bp.mass * delta_e
                 ok = radicand >= 0.0
@@ -569,8 +357,8 @@ class EnsembleState:
                 nohop_factor[idx[~ok]] = True
                 accepted = idx[ok]
                 shifted = np.copysign(np.sqrt(radicand[ok]), pdot[ok])
-                self.p1[accepted] += (shifted - pdot[ok]) * d1[ok]
-                self.p2[accepted] += (shifted - pdot[ok]) * d2[ok]
+                self.P[0, accepted] += (shifted - pdot[ok]) * d1[ok]
+                self.P[1, accepted] += (shifted - pdot[ok]) * d2[ok]
                 self.weight[accepted] *= factor[ok]
                 if side == "ket":
                     self.alpha[accepted] = t
@@ -593,39 +381,19 @@ class EnsembleState:
 
     # -- views -------------------------------------------------------------
 
-    def snapshot(self, copy: bool = True) -> EnsembleSnapshot:
-        def arr(a):
-            return a.copy() if copy else a
-
+    def snapshot(self) -> EnsembleSnapshot:
+        """The current member state, as views of the engine's arrays."""
         return EnsembleSnapshot(
             t=self.t,
-            sample_start=self.sample_start,
             n_samples=self.n_local,
-            sample_index=self.samp_local + self.sample_start,
-            alpha=arr(self.alpha),
-            alpha_prime=arr(self.alpha_prime),
-            weight=arr(self.weight),
-            phase=arr(self.phase),
-            decay=arr(self.decay_acc),
-            R=np.column_stack([self.r1, self.r2]),
-            P=np.column_stack([self.p1, self.p2]),
+            alpha=self.alpha,
+            alpha_prime=self.alpha_prime,
+            weight=self.weight,
+            phase=self.phase,
+            decay=self.decay_acc,
             frames=self._frames,
-            mirrored=arr(self.mirrored),
-            mode=self.mode,
+            mirrored=self.mirrored,
         )
-
-    @property
-    def members(self) -> list[PairTrajectory]:
-        return self.snapshot().members
-
-
-def run_ensemble(sp: SpinChainParams, bp: BathParams, decay: DecaySpec, config: SimConfig):
-    """Run the full ensemble, yielding (t, snapshot) every output stride."""
-    engine = EnsembleState(sp, bp, decay, config)
-    yield engine.t, engine.snapshot()
-    for _ in range(config.n_steps // config.output_stride):
-        engine.advance(config.output_stride)
-        yield engine.t, engine.snapshot()
 
 
 def _run_metadata(sp, bp, decay, config) -> dict:
@@ -653,10 +421,10 @@ def _run_metadata(sp, bp, decay, config) -> dict:
 def _chunk_accumulate(sp, bp, decay, config, bounds) -> tuple[list[MomentAccumulator], RunSummary]:
     start, stop = bounds
     engine = EnsembleState(sp, bp, decay, config, sample_start=start, n_samples=stop - start)
-    accs = [MomentAccumulator.from_samples(engine.snapshot(copy=False).sample_matrices())]
+    accs = [MomentAccumulator.from_samples(engine.snapshot().sample_matrices())]
     for _ in range(config.n_steps // config.output_stride):
         engine.advance(config.output_stride)
-        accs.append(MomentAccumulator.from_samples(engine.snapshot(copy=False).sample_matrices()))
+        accs.append(MomentAccumulator.from_samples(engine.snapshot().sample_matrices()))
     return accs, engine.summary
 
 

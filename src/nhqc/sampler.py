@@ -7,18 +7,13 @@ points no matter how the work is split across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import PHI, PSI, AdiabaticFrame, BathParams, PhasePoint, SpinChainParams
-from .adiabatic import build_frame
+from .model import PHI, PSI, BathParams, PhasePoint
 
 __all__ = [
-    "InitialCondition",
     "bath_sigmas",
     "initial_subsystem",
-    "make_initial_condition",
     "sample_bath_point",
     "trajectory_stream",
 ]
@@ -83,23 +78,3 @@ def initial_subsystem(state) -> np.ndarray:
             raise ValueError("custom ket must be normalized")
     return np.outer(ket, ket.conj())
 
-
-@dataclass(frozen=True)
-class InitialCondition:
-    """A sampled bath point with the initial subsystem matrix projected into
-    the adiabatic frame built at that point."""
-
-    point: PhasePoint
-    adiabatic_elements: np.ndarray
-    frame0: AdiabaticFrame
-
-
-def make_initial_condition(
-    sp: SpinChainParams, bp: BathParams, state, rng: np.random.Generator
-) -> InitialCondition:
-    """Sample a bath point and express the initial state in its frame."""
-    point = sample_bath_point(bp, rng)
-    frame0 = build_frame(sp, bp, point.R)
-    rho = initial_subsystem(state)
-    elements = frame0.vectors.conj().T @ rho @ frame0.vectors
-    return InitialCondition(point=point, adiabatic_elements=elements, frame0=frame0)

@@ -144,6 +144,27 @@ def test_run_command_bad_config_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_command_bad_env_seed_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NHQC_SEED", "-1")
+    code, outputs = run_cli(tmp_path, small_run_lines(), "neg")
+    assert code == 2 and outputs == []
+    assert "error:" in capsys.readouterr().err
+
+
+def test_preset_non_integer_env_seed_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NHQC_SEED", "abc")
+    code = main(["preset", "fig1", "--out", str(tmp_path / "p"), "--samples", "6"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_preset_zero_samples_exit_code(tmp_path, capsys):
+    code = main(["preset", "fig1", "--out", str(tmp_path / "p"), "--samples", "0"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_preset_writes_curves_and_script(tmp_path, capsys):
     out = tmp_path / "fig3"
     code = main(["preset", "fig3", "--out", str(out), "--samples", "12", "--seed", "3"])

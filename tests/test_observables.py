@@ -19,7 +19,7 @@ from nhqc.observables import (
     reduce_snapshot,
     write_csv,
 )
-from nhqc.propagator import EnsembleState, run_ensemble, simulate
+from nhqc.propagator import EnsembleState, simulate
 from nhqc.sampler import initial_subsystem
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import build_frame, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
@@ -13,15 +12,10 @@ from nhqc.model import (
     SpinChainParams,
     decay_operator,
 )
-from nhqc.propagator import (
-    EnsembleState,
-    classical_step,
-    momentum_jump,
-    run_ensemble,
-    simulate,
-    sstp_step,
-)
-from nhqc.sampler import sample_bath_point, trajectory_stream
+from nhqc.observables import reduce_snapshot
+from nhqc.oracle import build_frame, classical_step, momentum_jump, sstp_step
+from nhqc.propagator import EnsembleState, simulate
+from nhqc.sampler import initial_subsystem, sample_bath_point, trajectory_stream
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -94,8 +88,6 @@ def reference_evolution(sp, bp, decay, config, n_steps):
     reference step and reconstruct the sample density matrix."""
     point = sample_bath_point(bp, trajectory_stream(config.seed, 0))
     frame0 = build_frame(sp, bp, point.R)
-    from nhqc.sampler import initial_subsystem
-
     rho0 = initial_subsystem(config.initial_state)
     elements = frame0.vectors.conj().T @ rho0 @ frame0.vectors
     members = []
@@ -116,7 +108,7 @@ def reference_evolution(sp, bp, decay, config, n_steps):
     return members, total
 
 
-@pytest.mark.filterwarnings("ignore::nhqc.adiabatic.DegeneratePairWarning")
+@pytest.mark.filterwarnings("ignore::nhqc.oracle.DegeneratePairWarning")
 @pytest.mark.parametrize("state,decay_kind,g", [(PHI, DecayKind.IDENTITY_UNIFORM, 0.5), (PSI, DecayKind.PROJECTOR_EE, 0.1)])
 def test_engine_matches_reference_route(state, decay_kind, g):
     # closed-form block engine vs generic eigensolver route, 50 steps
@@ -155,40 +147,46 @@ def test_engine_diagonal_member_conserves_energy():
     snap0 = engine.snapshot()
     diag = np.nonzero(snap0.alpha == snap0.alpha_prime)[0][0]
     a = int(snap0.alpha[diag])
-    e0 = snap0.frames.energies[a, diag] + 0.5 * np.sum(snap0.P[diag] ** 2)
+    e0 = snap0.frames.energies[a, diag] + 0.5 * np.sum(engine.P[:, diag] ** 2)
     engine.advance(1000)
     snap1 = engine.snapshot()
-    e1 = snap1.frames.energies[a, diag] + 0.5 * np.sum(snap1.P[diag] ** 2)
+    e1 = snap1.frames.energies[a, diag] + 0.5 * np.sum(engine.P[:, diag] ** 2)
     assert e1 == pytest.approx(e0, abs=2e-3)  # O(dt^2) drift over t = 10
 
 
-def test_run_ensemble_deterministic():
+def test_engine_deterministic():
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.1)
     config = paper_config(n_steps=20, n_samples=5, output_stride=10)
     runs = []
     for _ in range(2):
-        out = list(run_ensemble(PAPER_SP, PAPER_BP, decay, config))
-        runs.append(out)
-    assert [t for t, _ in runs[0]] == [t for t, _ in runs[1]]
-    for (_, s1), (_, s2) in zip(runs[0], runs[1]):
-        assert np.array_equal(s1.weight, s2.weight)
-        assert np.array_equal(s1.phase, s2.phase)
-        assert np.array_equal(s1.R, s2.R)
-        m1 = s1.sample_matrices()
-        m2 = s2.sample_matrices()
-        assert np.array_equal(m1, m2)
+        engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+        outputs = []
+        for k in range(3):
+            if k:
+                engine.advance(config.output_stride)
+            snap = engine.snapshot()
+            outputs.append(
+                (engine.t, snap.weight.copy(), snap.phase.copy(), engine.R.copy(), snap.sample_matrices())
+            )
+        runs.append(outputs)
+    for out1, out2 in zip(*runs):
+        assert out1[0] == out2[0]
+        for a, b in zip(out1[1:], out2[1:]):
+            assert np.array_equal(a, b)
 
 
-def test_member_count_constant_and_member_view():
+def test_member_count_constant():
     config = paper_config(n_samples=3, initial_state=PSI)
     engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
-    n0 = len(engine.members)
+    n0 = engine.summary.n_members
     assert n0 == 3 * 9  # three slots populated -> nine ordered pairs per sample
     engine.advance(10)
-    assert len(engine.members) == n0
-    for m in engine.members:
-        assert 0 <= m.alpha <= 3 and 0 <= m.alpha_prime <= 3
-        assert np.isfinite(m.phase) and m.decay >= 0
+    snap = engine.snapshot()
+    # stored members plus their implicit mirrors
+    assert snap.weight.size + np.count_nonzero(snap.mirrored) == n0
+    assert np.all((0 <= snap.alpha) & (snap.alpha <= 3))
+    assert np.all((0 <= snap.alpha_prime) & (snap.alpha_prime <= 3))
+    assert np.all(np.isfinite(snap.phase)) and np.all(snap.decay >= 0)
 
 
 def test_snapshot_matrices_hermitian_adiabatic():
@@ -240,33 +238,29 @@ def test_nonadiabatic_mirror_pairs_stay_conjugate():
     snap = engine.snapshot()
     # find explicit mirror partners: same sample, swapped labels at t=0 means
     # their full histories are conjugate, so phases are opposite and weights conjugate
-    seen = {}
-    for m in range(len(snap.weight)):
-        key = (int(snap.sample_index[m]),)
-        seen.setdefault(key, []).append(m)
+    n = snap.n_samples  # member k * n + s belongs to sample s
     checked = 0
-    for _, idx in seen.items():
-        for i in idx:
-            for j in idx:
-                if i < j and snap.alpha[i] == snap.alpha_prime[j] and snap.alpha_prime[i] == snap.alpha[j] and snap.alpha[i] != snap.alpha[j]:
-                    if np.array_equal(snap.R[i], snap.R[j]):
-                        assert snap.phase[i] == pytest.approx(-snap.phase[j], abs=1e-12)
-                        assert snap.weight[i] == pytest.approx(np.conj(snap.weight[j]), abs=1e-12)
-                        checked += 1
+    for i in range(snap.weight.size):
+        for j in range(i + n, snap.weight.size, n):
+            if snap.alpha[i] == snap.alpha_prime[j] and snap.alpha_prime[i] == snap.alpha[j] and snap.alpha[i] != snap.alpha[j]:
+                if np.array_equal(engine.R[:, i], engine.R[:, j]):
+                    assert snap.phase[i] == pytest.approx(-snap.phase[j], abs=1e-12)
+                    assert snap.weight[i] == pytest.approx(np.conj(snap.weight[j]), abs=1e-12)
+                    checked += 1
     assert checked > 0
 
 
-def test_simulate_matches_run_ensemble_reduction():
-    from nhqc.observables import reduce_snapshot
-
+def test_simulate_matches_engine_reduction():
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.2)
     config = paper_config(n_samples=10, n_steps=20, output_stride=10)
     series, summary = simulate(PAPER_SP, PAPER_BP, decay, config)
-    outputs = list(run_ensemble(PAPER_SP, PAPER_BP, decay, config))
-    assert len(series.rows) == len(outputs) == 3
-    for row, (t, snap) in zip(series.rows, outputs):
-        assert row.t == pytest.approx(t, abs=1e-12)
-        direct = reduce_snapshot(snap)
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+    assert len(series.rows) == 3
+    for k, row in enumerate(series.rows):
+        if k:
+            engine.advance(config.output_stride)
+        assert row.t == pytest.approx(engine.t, abs=1e-12)
+        direct = reduce_snapshot(engine.snapshot())
         assert np.max(np.abs(row.density.elements - direct.elements)) < 1e-15
     assert summary.n_members == 4 * 10
 
@@ -275,10 +269,11 @@ def test_decay_integral_monotone_for_psd_operator():
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.3)
     config = paper_config(n_samples=12, n_steps=60, initial_state=PSI)
     engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
-    previous = engine.snapshot().decay
+    # snapshots are views of the engine's arrays: keep copies to compare
+    previous = engine.snapshot().decay.copy()
     for _ in range(6):
         engine.advance(10)
-        current = engine.snapshot().decay
+        current = engine.snapshot().decay.copy()
         assert np.all(current >= previous - 1e-14)
         previous = current
 
@@ -288,8 +283,6 @@ def test_custom_ket_initial_state_runs():
     config = SimConfig(n_steps=40, seed=13, n_samples=6, dt=0.01, initial_state=ket)
     engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
     engine.advance(40)
-    from nhqc.observables import reduce_snapshot
-
     red = reduce_snapshot(engine.snapshot())
     assert np.real(red.trace) == pytest.approx(1.0, abs=1e-10)
     red.validate()

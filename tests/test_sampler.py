@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from nhqc.model import PHI, PSI, BathParams, SpinChainParams
-from nhqc.sampler import (
-    bath_sigmas,
-    initial_subsystem,
-    make_initial_condition,
-    sample_bath_point,
-    trajectory_stream,
-)
+from nhqc.model import PHI, PSI, BathParams, SimConfig, SpinChainParams, decay_operator
+from nhqc.propagator import EnsembleState
+from nhqc.sampler import bath_sigmas, initial_subsystem, sample_bath_point, trajectory_stream
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -88,22 +83,31 @@ def test_initial_subsystem_custom_ket():
         initial_subsystem(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+def initial_members(bp, state, seed, n):
+    """The engine's members at t = 0: the initial state projected into the
+    slot frame of each sampled bath point, as (K, n) arrays of labels and
+    weights (row k holds the k-th pair of every sample)."""
+    config = SimConfig(n_steps=1, seed=seed, n_samples=n, initial_state=state)
+    snap = EnsembleState(PAPER_SP, bp, decay_operator("identity", 0.0), config).snapshot()
+    return snap.alpha.reshape(-1, n), snap.alpha_prime.reshape(-1, n), snap.weight.reshape(-1, n)
+
+
 def test_initial_condition_trace_preserved():
-    for i in range(200):
-        ic = make_initial_condition(PAPER_SP, PAPER_BP, PSI, trajectory_stream(9, i))
-        assert np.trace(ic.adiabatic_elements) == pytest.approx(1.0, abs=1e-12)
+    alpha, alpha_prime, weight = initial_members(PAPER_BP, PSI, 9, 200)
+    diagonal = alpha[:, 0] == alpha_prime[:, 0]
+    assert np.allclose(weight[diagonal].sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_initial_condition_psi_ee_population():
-    # |ee> is an exact adiabatic state, so its initial population is 1/2 at any R
-    for i in range(50):
-        ic = make_initial_condition(PAPER_SP, PAPER_BP, PSI, trajectory_stream(31, i))
-        slot = int(np.argmax(np.abs(ic.frame0.vectors[0, :])))
-        assert np.real(ic.adiabatic_elements[slot, slot]) == pytest.approx(0.5, abs=1e-12)
+    # |ee> is an exact adiabatic state (slot 0 for jx = jy), so its initial
+    # population is 1/2 at any R
+    alpha, alpha_prime, weight = initial_members(PAPER_BP, PSI, 31, 50)
+    ee = (alpha[:, 0] == 0) & (alpha_prime[:, 0] == 0)
+    assert np.count_nonzero(ee) == 1
+    assert np.allclose(np.real(weight[ee]), 0.5, atol=1e-12)
 
 
 def test_initial_condition_decoupled_is_configuration_independent():
     bp0 = BathParams(c=0.0, beta=0.1)
-    ics = [make_initial_condition(PAPER_SP, bp0, PHI, trajectory_stream(4, i)) for i in range(10)]
-    for ic in ics[1:]:
-        assert np.allclose(ic.adiabatic_elements, ics[0].adiabatic_elements, atol=1e-12)
+    _, _, weight = initial_members(bp0, PHI, 4, 10)
+    assert np.allclose(weight, weight[:, :1], atol=1e-12)
