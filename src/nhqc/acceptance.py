@@ -27,7 +27,7 @@ from .model import (
 from .observables import write_csv
 from .oracle import analytic_energies, solve_quantum, trace_law_projector
 from .propagator import simulate
-from .sampler import bath_sigmas, initial_subsystem, sample_bath_point, trajectory_stream
+from .sampler import bath_sigmas, initial_subsystem, sample_bath_point
 
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{k}" for k in range(1, 8)]
 
@@ -185,14 +185,8 @@ def criterion_5(quick: bool = False) -> CriterionResult:
     """Bath-sampling variance and 1/sqrt(N) scaling of the stderr."""
     n_draws = 100_000 if quick else 1_000_000
     target = bath_sigmas(REFERENCE_BP)[0] ** 2
-    acc = np.zeros((4, 2))  # running sum and sum of squares per coordinate
-    for i in range(n_draws):
-        pt = sample_bath_point(REFERENCE_BP, trajectory_stream(ACCEPT_SEED + 1, i))
-        coords = (pt.R[0], pt.R[1], pt.P[0], pt.P[1])
-        for k, x in enumerate(coords):
-            acc[k, 0] += x
-            acc[k, 1] += x * x
-    variances = acc[:, 1] / n_draws - (acc[:, 0] / n_draws) ** 2
+    R, P = sample_bath_point(REFERENCE_BP, ACCEPT_SEED + 1, 0, n_draws)
+    variances = np.concatenate([R, P]).var(axis=1)
     var_dev = float(np.max(np.abs(variances / target - 1.0)))
 
     big_samples = 2000 if quick else 50_000

@@ -131,11 +131,14 @@ def run(config_path, out_dir, threads: int = 1) -> int:
     try:
         sp, bp, decay, config = parse_config(config_path)
         config = _apply_seed_override(config)
-    except ConfigError as exc:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if config.mode == "nonadiabatic":
+        warning = "mode = nonadiabatic is unvalidated and biased: its trace rises above the exact law"
+        print(f"warning: {warning}", file=sys.stderr)
     series, summary = simulate(sp, bp, decay, config, threads=threads)
     try:
         check_run_invariants(series, decay)
@@ -184,11 +187,11 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
             initial_state=state,
         )
         config = _apply_seed_override(config)
-    except ValueError as exc:  # ConfigError included
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     files, labels = [], []
     for g in gammas:
         decay = decay_operator(kind, g)

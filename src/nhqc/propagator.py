@@ -26,7 +26,7 @@ import numpy as np
 from .adiabatic import SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
 from .model import BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import MomentAccumulator, TimeRecord, TimeSeries
-from .sampler import initial_subsystem, sample_bath_point, trajectory_stream
+from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -35,11 +35,6 @@ __all__ = [
     "RunSummary",
     "simulate",
 ]
-
-# Samples per work chunk.  Fixed (never derived from the worker count) so
-# that chunk boundaries, and therefore all floating-point reduction orders
-# and stochastic streams, are identical for any number of threads.
-CHUNK_SAMPLES = 8192
 
 SPAWN_TOL = 1e-14
 HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
@@ -167,12 +162,7 @@ class EnsembleState:
         self._step_index = 0
         self.summary = RunSummary()
 
-        r0 = np.empty((2, self.n_local))
-        p0 = np.empty((2, self.n_local))
-        for i in range(self.n_local):
-            pt = sample_bath_point(bp, trajectory_stream(config.seed, sample_start + i))
-            r0[:, i] = pt.R
-            p0[:, i] = pt.P
+        r0, p0 = sample_bath_point(bp, config.seed, sample_start, self.n_local)
         frames0 = slot_frames(sp, bp, r0)
         u0 = slot_vectors(frames0)
         rho0 = initial_subsystem(config.initial_state)
@@ -290,15 +280,14 @@ class EnsembleState:
     def _hop_uniforms(self) -> np.ndarray:
         """One shared uniform per (sample, unordered pair) for this step,
         drawn from streams keyed by fixed sample blocks so the values do not
-        depend on how samples were chunked across workers."""
+        depend on how samples were chunked across workers.  Each block's
+        stream is drawn only up to the last offset read from it."""
         u = np.empty(self.weight.size)
         for chunk in np.unique(self._hop_chunk):
-            seq = np.random.SeedSequence(
-                [self.config.seed, HOP_STREAM_TAG, self._step_index, int(chunk)]
-            )
-            block = np.random.Generator(np.random.Philox(seq)).random(CHUNK_SAMPLES * 16)
             mask = self._hop_chunk == chunk
-            u[mask] = block[self._hop_offset[mask]]
+            offsets = self._hop_offset[mask]
+            stream = block_stream(self.config.seed, HOP_STREAM_TAG, self._step_index, chunk)
+            u[mask] = stream.random(int(offsets.max()) + 1)[offsets]
         return u
 
     def _slot_gamma_matrix(self) -> np.ndarray:

@@ -1,27 +1,34 @@
 """Initial-condition sampling: thermal Wigner bath points and subsystem states.
 
-Each trajectory index owns a counter-based random stream derived from
-(master seed, index), so resampling with the same seed reproduces identical
-points no matter how the work is split across workers.
+Random numbers come from counter-based Philox streams, one per fixed block
+of CHUNK_SAMPLES consecutive samples, so a sample's draws depend only on the
+seed and its index, never on how the work is split across chunks or workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import PHI, PSI, BathParams, PhasePoint
+from .model import PHI, PSI, BathParams
 
 __all__ = [
+    "CHUNK_SAMPLES",
     "bath_sigmas",
+    "block_stream",
     "initial_subsystem",
     "sample_bath_point",
-    "trajectory_stream",
 ]
 
+# Samples per stream block and per work chunk.  Fixed (never derived from the
+# worker count) so that chunk boundaries, and therefore all reduction orders
+# and random streams, are identical for any number of threads.
+CHUNK_SAMPLES = 8192
+SAMPLE_TAG = 0x534D50  # distinguishes bath-sampling streams from hop streams
 
-def trajectory_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trajectory."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(index)])))
+
+def block_stream(seed: int, tag: int, *counters: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, tag, *counters)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag, *counters])))
 
 
 def bath_sigmas(bp: BathParams) -> tuple[float, float]:
@@ -37,23 +44,25 @@ def bath_sigmas(bp: BathParams) -> tuple[float, float]:
     return float(sigma_r), float(sigma_p)
 
 
-def _box_muller_pair(rng: np.random.Generator) -> tuple[float, float]:
-    u1 = 1.0 - rng.random()  # (0, 1]: keeps the log finite
-    u2 = rng.random()
-    radius = np.sqrt(-2.0 * np.log(u1))
-    return radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)
+def sample_bath_point(bp: BathParams, seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal Wigner points of samples [start, start + n) as (n_osc, n)
+    arrays R and P.
 
-
-def sample_bath_point(bp: BathParams, rng: np.random.Generator) -> PhasePoint:
-    """Draw one phase-space point from the bath thermal Wigner distribution."""
+    Sample i's coordinates (R_1..R_n_osc, P_1..P_n_osc), in units of
+    ``bath_sigmas``, are row i % CHUNK_SAMPLES of the standard normals of the
+    stream keyed (seed, SAMPLE_TAG, i // CHUNK_SAMPLES).  A shorter draw from
+    a stream is a prefix of a longer one, so each block draws only the rows
+    up to the last one it needs.
+    """
     sigma_r, sigma_p = bath_sigmas(bp)
-    R = np.empty(bp.n_osc)
-    P = np.empty(bp.n_osc)
-    for k in range(bp.n_osc):
-        z_r, z_p = _box_muller_pair(rng)
-        R[k] = sigma_r * z_r
-        P[k] = sigma_p * z_p
-    return PhasePoint(R=R, P=P)
+    z = np.empty((n, 2 * bp.n_osc))
+    stop = start + n
+    for block in range(start // CHUNK_SAMPLES, (stop - 1) // CHUNK_SAMPLES + 1):
+        first = block * CHUNK_SAMPLES
+        lo, hi = max(start, first), min(stop, first + CHUNK_SAMPLES)
+        draws = block_stream(seed, SAMPLE_TAG, block).standard_normal((hi - first, z.shape[1]))
+        z[lo - start : hi - start] = draws[lo - first :]
+    return sigma_r * z[:, : bp.n_osc].T, sigma_p * z[:, bp.n_osc :].T
 
 
 def initial_subsystem(state) -> np.ndarray:

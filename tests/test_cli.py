@@ -108,8 +108,9 @@ def test_run_command_writes_csv_and_conserves_trace(tmp_path, capsys):
     series = read_csv(outputs[0])
     assert len(series.rows) == 6
     assert abs(series.traces()[-1] - 1.0) < 1e-10  # Hermitian run conserves trace
-    printed = capsys.readouterr().out
-    assert "final trace" in printed and "wall time" in printed
+    printed = capsys.readouterr()
+    assert "final trace" in printed.out and "wall time" in printed.out
+    assert printed.err == ""  # the adiabatic mode prints no warning
 
 
 def test_run_command_is_deterministic(tmp_path):
@@ -149,6 +150,42 @@ def test_run_command_bad_env_seed_exit_code(tmp_path, monkeypatch, capsys):
     code, outputs = run_cli(tmp_path, small_run_lines(), "neg")
     assert code == 2 and outputs == []
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_command_out_names_a_file_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_run_lines())
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    code = main(["run", "--config", str(cfg), "--out", str(target)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert target.read_text() == "not a directory"
+
+
+def test_run_command_warns_on_nonadiabatic_mode(tmp_path, capsys):
+    # at c = 0 no transition channel is open, so the run passes its invariants
+    lines = small_run_lines(mode="nonadiabatic", c=0)
+    code, warned = run_cli(tmp_path, lines, "na")
+    err = capsys.readouterr().err
+    assert code == 0
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning:") and "nonadiabatic" in err and "unvalidated" in err
+    # the warning changes nothing else: same bytes as a direct simulate + write
+    from nhqc.observables import write_csv
+    from nhqc.propagator import simulate
+
+    series, _ = simulate(*parse_config(lines))
+    write_csv(series, tmp_path / "direct.csv")
+    assert warned[0].read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_preset_out_names_a_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    code = main(["preset", "fig1", "--out", str(target), "--samples", "6"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert target.read_text() == "not a directory"
 
 
 def test_preset_non_integer_env_seed_exit_code(tmp_path, monkeypatch, capsys):

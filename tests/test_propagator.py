@@ -14,8 +14,8 @@ from nhqc.model import (
 )
 from nhqc.observables import reduce_snapshot
 from nhqc.oracle import build_frame, classical_step, momentum_jump, sstp_step
-from nhqc.propagator import EnsembleState, simulate
-from nhqc.sampler import initial_subsystem, sample_bath_point, trajectory_stream
+from nhqc.propagator import CHUNK_SAMPLES, HOP_STREAM_TAG, EnsembleState, simulate
+from nhqc.sampler import initial_subsystem, sample_bath_point
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -86,7 +86,8 @@ def paper_config(**kw):
 def reference_evolution(sp, bp, decay, config, n_steps):
     """Evolve every nonzero ordered pair of sample 0 with the single-member
     reference step and reconstruct the sample density matrix."""
-    point = sample_bath_point(bp, trajectory_stream(config.seed, 0))
+    R, P = sample_bath_point(bp, config.seed, 0, 1)
+    point = PhasePoint(R=R[:, 0], P=P[:, 0])
     frame0 = build_frame(sp, bp, point.R)
     rho0 = initial_subsystem(config.initial_state)
     elements = frame0.vectors.conj().T @ rho0 @ frame0.vectors
@@ -226,6 +227,28 @@ def test_nonadiabatic_hops_occur_and_stay_finite():
     assert np.all(np.isfinite(snap.weight.view(float)))
     mats = snap.sample_matrices()
     assert np.all(np.isfinite(mats.view(float)))
+
+
+def full_block_hop_uniforms(engine):
+    """Reference for the hop uniforms: every block's stream drawn in full
+    (CHUNK_SAMPLES * 16 uniforms), then read at the members' offsets."""
+    u = np.empty(engine.weight.size)
+    for chunk in np.unique(engine._hop_chunk):
+        seq = np.random.SeedSequence([engine.config.seed, HOP_STREAM_TAG, engine._step_index, int(chunk)])
+        block = np.random.Generator(np.random.Philox(seq)).random(CHUNK_SAMPLES * 16)
+        mask = engine._hop_chunk == chunk
+        u[mask] = block[engine._hop_offset[mask]]
+    return u
+
+
+def test_hop_uniforms_equal_the_full_block_draw():
+    # 200 samples from 8100 straddle the first block boundary
+    strong = BathParams(c=1.5, beta=0.1)
+    config = SimConfig(n_steps=3, seed=5, n_samples=16_384, initial_state=PSI, mode="nonadiabatic")
+    engine = EnsembleState(PAPER_SP, strong, GAMMA0, config, sample_start=8100, n_samples=200)
+    for _ in range(3):
+        assert np.array_equal(engine._hop_uniforms(), full_block_hop_uniforms(engine))
+        engine.advance(1)
 
 
 def test_nonadiabatic_mirror_pairs_stay_conjugate():

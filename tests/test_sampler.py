@@ -3,20 +3,10 @@ import pytest
 
 from nhqc.model import PHI, PSI, BathParams, SimConfig, SpinChainParams, decay_operator
 from nhqc.propagator import EnsembleState
-from nhqc.sampler import bath_sigmas, initial_subsystem, sample_bath_point, trajectory_stream
+from nhqc.sampler import bath_sigmas, initial_subsystem, sample_bath_point
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
-
-
-def draw_many(bp, seed, n):
-    R = np.empty((n, 2))
-    P = np.empty((n, 2))
-    for i in range(n):
-        pt = sample_bath_point(bp, trajectory_stream(seed, i))
-        R[i] = pt.R
-        P[i] = pt.P
-    return R, P
 
 
 def test_bath_sigma_values():
@@ -29,28 +19,50 @@ def test_bath_sigma_values():
 
 def test_sample_variance_matches_distribution():
     n = 200_000
-    R, P = draw_many(PAPER_BP, seed=2024, n=n)
+    R, P = sample_bath_point(PAPER_BP, 2024, 0, n)
+    assert R.shape == P.shape == (2, n)
     target = 1.0 / (2.0 * np.tanh(0.05))
-    for data in (R[:, 0], R[:, 1], P[:, 0], P[:, 1]):
+    for data in (*R, *P):
         assert np.var(data) == pytest.approx(target, rel=0.02)
         assert abs(np.mean(data)) < 4 * np.sqrt(target / n)
 
 
 def test_sample_cross_covariances_vanish():
     n = 100_000
-    R, P = draw_many(PAPER_BP, seed=77, n=n)
-    cols = np.column_stack([R, P])
-    cov = np.cov(cols.T)
+    R, P = sample_bath_point(PAPER_BP, 77, 0, n)
+    cov = np.cov(np.concatenate([R, P]))
     off = cov - np.diag(np.diag(cov))
     assert np.max(np.abs(off)) < 5 * np.max(np.diag(cov)) / np.sqrt(n)
 
 
 def test_streams_are_reproducible_and_decorrelated():
-    a1 = sample_bath_point(PAPER_BP, trajectory_stream(123, 5))
-    a2 = sample_bath_point(PAPER_BP, trajectory_stream(123, 5))
-    b = sample_bath_point(PAPER_BP, trajectory_stream(123, 6))
-    assert np.array_equal(a1.R, a2.R) and np.array_equal(a1.P, a2.P)
-    assert not np.array_equal(a1.R, b.R)
+    R1, P1 = sample_bath_point(PAPER_BP, 123, 5, 2)
+    R2, P2 = sample_bath_point(PAPER_BP, 123, 5, 2)
+    assert np.array_equal(R1, R2) and np.array_equal(P1, P2)
+    assert not np.array_equal(R1[:, 0], R1[:, 1])  # samples 5 and 6
+
+
+def test_different_seeds_give_different_points():
+    R1, P1 = sample_bath_point(PAPER_BP, 123, 0, 100)
+    R2, P2 = sample_bath_point(PAPER_BP, 124, 0, 100)
+    assert not np.any(R1 == R2) and not np.any(P1 == P2)
+
+
+@pytest.mark.parametrize("start,n", [(8000, 400), (0, 100), (8192, 1), (16_383, 1)])
+def test_points_do_not_depend_on_the_block_split(start, n):
+    R_all, P_all = sample_bath_point(PAPER_BP, 5, 0, 16_384)
+    R, P = sample_bath_point(PAPER_BP, 5, start, n)
+    assert np.array_equal(R, R_all[:, start : start + n])
+    assert np.array_equal(P, P_all[:, start : start + n])
+
+
+def test_engine_starts_from_the_same_points_at_any_chunk_offset():
+    R_all, P_all = sample_bath_point(PAPER_BP, 5, 0, 16_384)
+    config = SimConfig(n_steps=1, seed=5, n_samples=16_384, initial_state=PHI)
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.0), config, 8000, 400)
+    # member column 0 holds the first pair of every local sample, in order
+    assert np.array_equal(engine.R[:, :400], R_all[:, 8000:8400])
+    assert np.array_equal(engine.P[:, :400], P_all[:, 8000:8400])
 
 
 def test_initial_subsystem_phi():
