@@ -126,9 +126,15 @@ def check_run_invariants(series: TimeSeries, decay: DecaySpec) -> None:
         raise ValueError("trace increased under a positive semidefinite decay operator")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
+
+
 def run(config_path, out_dir, threads: int = 1) -> int:
     """Execute one configured run and write its time series as CSV."""
     try:
+        _check_threads(threads)
         sp, bp, decay, config = parse_config(config_path)
         config = _apply_seed_override(config)
         out = Path(out_dir)
@@ -179,6 +185,7 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
         return 2
     kind, state, gammas = PRESETS[name]
     try:
+        _check_threads(threads)
         config = SimConfig(
             n_steps=1000,
             seed=PRESET_SEED if seed is None else seed,
@@ -196,7 +203,11 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
     for g in gammas:
         decay = decay_operator(kind, g)
         series, summary = simulate(REFERENCE_SP, REFERENCE_BP, decay, config, threads=threads)
-        check_run_invariants(series, decay)
+        try:
+            check_run_invariants(series, decay)
+        except ValueError as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            return 1
         path = out / f"{name}_gamma{g:g}.csv"
         write_csv(series, path)
         files.append(str(path))

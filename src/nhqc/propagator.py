@@ -61,6 +61,54 @@ class RunSummary:
         self.n_frustrated += other.n_frustrated
 
 
+def _slot_sandwich(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u^T m u for slot vectors u of shape (n, 4, 4), shape (n, 4, 4).
+
+    Slot s's vector has nonzero rows only in ``SLOT_ROWS[s]``, so entry
+    (s, t) sums just the terms with i in ``SLOT_ROWS[s]``, j in
+    ``SLOT_ROWS[t]`` and m[i, j] != 0, each as (u[:, i, s] * m[i, j]) *
+    u[:, j, t], in (i, j) order into zeros.  These are the terms of numpy's
+    unoptimized einsum "nip,ij,njq->npq" in its order, less the vanishing
+    ones, so the result is the same bit for bit.  Each (s, t) entry is a
+    contiguous row of the underlying (4, 4, n) array.
+    """
+    out = np.zeros((4, 4, u.shape[0]), dtype=np.result_type(u, m))
+    for s in range(4):
+        for t in range(4):
+            for i in SLOT_ROWS[s]:
+                for j in SLOT_ROWS[t]:
+                    if m[i, j] != 0:
+                        out[s, t] += (u[:, i, s] * m[i, j]) * u[:, j, t]
+    return out.transpose(2, 0, 1)
+
+
+def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str, int, int]]:
+    """Off-diagonal decay channels (side, s, t) that can be nonzero, in
+    hop-stage order; the s -> t transition reads entry (s, t) of u^T Gamma u
+    on the ket side and (t, s) on the bra side.  An uncoupled block's slots
+    are bare basis states, so an entry opens only where Gamma[i, j] != 0 for
+    rows i, j the two slots span; the identity operator, diagonal in every
+    orthonormal frame, opens none."""
+    if decay.kind is DecayKind.IDENTITY_UNIFORM:
+        return []
+    spans_a = SLOT_ROWS[:2] if frames.coupled_A else ((0,), (3,))
+    spans_b = SLOT_ROWS[2:] if frames.coupled_B else ((1,), (2,))
+    spans = spans_a + spans_b
+    m = decay.matrix
+
+    def opens(p: int, q: int) -> bool:
+        return p != q and any(m[i, j] != 0 for i in spans[p] for j in spans[q])
+
+    channels = []
+    for s in range(4):
+        for t in range(4):
+            if opens(s, t):
+                channels.append(("ket", s, t))
+            if opens(t, s):
+                channels.append(("bra", s, t))
+    return channels
+
+
 def _column_pieces(codes: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Split one member column into (label code, values) pieces, one per
     distinct code, each zero where a member holds another code.  Adiabatic
@@ -166,7 +214,7 @@ class EnsembleState:
         frames0 = slot_frames(sp, bp, r0)
         u0 = slot_vectors(frames0)
         rho0 = initial_subsystem(config.initial_state)
-        elements0 = np.einsum("nip,ij,njq->npq", u0, rho0, u0)
+        elements0 = _slot_sandwich(u0, rho0)
 
         # a pair is carried by every sample of the block once its element
         # exceeds SPAWN_TOL in any of them, so each sample holds the same K
@@ -199,11 +247,13 @@ class EnsembleState:
             upair = UPAIR[self.alpha, self.alpha_prime]
             self._hop_chunk = sample_global // CHUNK_SAMPLES
             self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + upair
-            # off-diagonal decay channels exist only if the decay operator has
-            # off-diagonal elements in the slot basis somewhere
-            self._gamma_channels = decay.kind is DecayKind.CUSTOM or (
-                decay.kind is DecayKind.PROJECTOR_EE and sp.jx != sp.jy
-            )
+            # (block, members, their offsets, draw length) for each hop stream
+            self._hop_blocks = []
+            for chunk in np.unique(self._hop_chunk):
+                mask = self._hop_chunk == chunk
+                offsets = self._hop_offset[mask]
+                self._hop_blocks.append((int(chunk), mask, offsets, int(offsets.max()) + 1))
+            self._gamma_channels = _open_gamma_channels(decay, frames0)
         # decay expectations are configuration-independent unless a coupled
         # block mixes states that the operator distinguishes
         g = np.real(decay.matrix)
@@ -283,16 +333,10 @@ class EnsembleState:
         depend on how samples were chunked across workers.  Each block's
         stream is drawn only up to the last offset read from it."""
         u = np.empty(self.weight.size)
-        for chunk in np.unique(self._hop_chunk):
-            mask = self._hop_chunk == chunk
-            offsets = self._hop_offset[mask]
+        for chunk, mask, offsets, n_draw in self._hop_blocks:
             stream = block_stream(self.config.seed, HOP_STREAM_TAG, self._step_index, chunk)
-            u[mask] = stream.random(int(offsets.max()) + 1)[offsets]
+            u[mask] = stream.random(n_draw)[offsets]
         return u
-
-    def _slot_gamma_matrix(self) -> np.ndarray:
-        u = slot_vectors(self._frames)
-        return np.einsum("nip,ij,njq->npq", u, self.decay.matrix, u)
 
     def _hop_stage(self, dt: float) -> None:
         n = self.weight.size
@@ -303,17 +347,13 @@ class EnsembleState:
             entries.append((np.where(self.alpha == s, amp, 0.0), "ket", s, t, "d"))
             entries.append((np.where(self.alpha_prime == s, amp, 0.0), "bra", s, t, "d"))
         if self._gamma_channels:
-            gs = self._slot_gamma_matrix()
-            for s in range(4):
-                for t in range(4):
-                    if s == t:
-                        continue
-                    ket = np.where(self.alpha == s, dt * gs[:, s, t], 0.0)
-                    bra = np.where(self.alpha_prime == s, dt * gs[:, t, s], 0.0)
-                    if np.any(ket):
-                        entries.append((ket, "ket", s, t, "gamma"))
-                    if np.any(bra):
-                        entries.append((bra, "bra", s, t, "gamma"))
+            gs = _slot_sandwich(slot_vectors(self._frames), self.decay.matrix)
+            for side, s, t in self._gamma_channels:
+                if side == "ket":
+                    amp = np.where(self.alpha == s, dt * gs[:, s, t], 0.0)
+                else:
+                    amp = np.where(self.alpha_prime == s, dt * gs[:, t, s], 0.0)
+                entries.append((amp, side, s, t, "gamma"))
         if not entries:
             return
         total = np.zeros(n)

@@ -202,6 +202,44 @@ def test_preset_zero_samples_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def refuse_to_simulate(*args, **kwargs):
+    raise AssertionError("simulate must not run")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_run_command_rejects_threads_below_one(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setattr("nhqc.cli.simulate", refuse_to_simulate)
+    cfg = write_config(tmp_path, small_run_lines())
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "t"), "--threads", threads])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--threads" in err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_preset_rejects_threads_below_one(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setattr("nhqc.cli.simulate", refuse_to_simulate)
+    code = main(["preset", "fig1", "--out", str(tmp_path / "p"), "--samples", "6", "--threads", threads])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--threads" in err
+    assert not (tmp_path / "p").exists()
+
+
+def test_preset_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
+    def violated(series, decay):
+        raise ValueError("trace increased under a positive semidefinite decay operator")
+
+    monkeypatch.setattr("nhqc.cli.check_run_invariants", violated)
+    out = tmp_path / "p"
+    code = main(["preset", "fig1", "--out", str(out), "--samples", "6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace increased")
+    assert list(out.glob("*")) == []  # nothing is written for a violated curve
+
+
 def test_preset_writes_curves_and_script(tmp_path, capsys):
     out = tmp_path / "fig3"
     code = main(["preset", "fig3", "--out", str(out), "--samples", "12", "--seed", "3"])

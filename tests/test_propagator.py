@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from nhqc.adiabatic import slot_frames, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
+    REFERENCE_BP,
+    REFERENCE_SP,
     BathParams,
     DecayKind,
+    DecaySpec,
     PairTrajectory,
     PhasePoint,
     SimConfig,
@@ -14,7 +18,7 @@ from nhqc.model import (
 )
 from nhqc.observables import reduce_snapshot
 from nhqc.oracle import build_frame, classical_step, momentum_jump, sstp_step
-from nhqc.propagator import CHUNK_SAMPLES, HOP_STREAM_TAG, EnsembleState, simulate
+from nhqc.propagator import CHUNK_SAMPLES, HOP_STREAM_TAG, EnsembleState, _slot_sandwich, simulate
 from nhqc.sampler import initial_subsystem, sample_bath_point
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
@@ -249,6 +253,49 @@ def test_hop_uniforms_equal_the_full_block_draw():
     for _ in range(3):
         assert np.array_equal(engine._hop_uniforms(), full_block_hop_uniforms(engine))
         engine.advance(1)
+
+
+def sandwich_operands():
+    """Densities and decay operators the slot sandwich must reproduce: the
+    two preparations, a complex custom ket, and identity, projector and a
+    complex Hermitian custom decay."""
+    rng = np.random.default_rng(8)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return {
+        "phi": initial_subsystem(PHI),
+        "psi": initial_subsystem(PSI),
+        "custom ket": initial_subsystem(ket / np.linalg.norm(ket)),
+        "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5).matrix,
+        "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.1).matrix,
+        "custom decay": DecaySpec(matrix=a @ a.conj().T, kind=DecayKind.CUSTOM).matrix,
+    }
+
+
+@pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
+def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
+    R, _ = sample_bath_point(PAPER_BP, 21, 0, 500)
+    u = slot_vectors(slot_frames(sp, PAPER_BP, R))
+    for name, m in sandwich_operands().items():
+        expected = np.einsum("nip,ij,njq->npq", u, m, u)
+        assert np.array_equal(_slot_sandwich(u, m), expected), name
+
+
+@pytest.mark.xfail(strict=True, reason="D3: the nonadiabatic trace rises above 1 at gamma = 0")
+def test_nonadiabatic_conserves_the_trace_at_zero_decay():
+    # identity decay at gamma = 0 conserves the trace exactly for any dynamics
+    gamma0 = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.0)
+    z = {}
+    for seed in range(11, 17):
+        config = SimConfig(
+            n_steps=200, seed=seed, n_samples=2000, initial_state=PHI, mode="nonadiabatic", output_stride=200
+        )
+        series, _ = simulate(REFERENCE_SP, REFERENCE_BP, gamma0, config)
+        last = series.rows[-1]
+        assert last.t == pytest.approx(2.0)
+        z[seed] = abs(np.real(last.density.trace) - 1.0) / last.trace_stderr
+    assert all(v < 4.0 for v in z.values()), z
 
 
 def test_nonadiabatic_mirror_pairs_stay_conjugate():
