@@ -4,12 +4,9 @@ in a classical harmonic bath."""
 from .model import (
     PHI,
     PSI,
-    AdiabaticFrame,
     BathParams,
     DecayKind,
     DecaySpec,
-    PairTrajectory,
-    PhasePoint,
     ReducedDensity,
     SimConfig,
     SpinChainParams,

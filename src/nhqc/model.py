@@ -20,12 +20,9 @@ __all__ = [
     "HERMITICITY_TOL",
     "REFERENCE_BP",
     "REFERENCE_SP",
-    "AdiabaticFrame",
     "BathParams",
     "DecayKind",
     "DecaySpec",
-    "PairTrajectory",
-    "PhasePoint",
     "ReducedDensity",
     "SimConfig",
     "SpinChainParams",
@@ -76,8 +73,10 @@ class BathParams:
     n_osc: int = 2
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.omega <= 0 or self.beta <= 0:
-            raise ValueError("mass, omega and beta must be strictly positive")
+        for name in ("mass", "omega", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if self.n_osc < 1:
             raise ValueError("n_osc must be >= 1")
         _require_finite("c", np.asarray(self.c))
@@ -103,6 +102,8 @@ class DecaySpec:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"decay matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("decay matrix must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("decay matrix must be Hermitian")
         object.__setattr__(self, "matrix", m)
@@ -111,54 +112,6 @@ class DecaySpec:
     def positive_semidefinite(self) -> bool:
         """True when all eigenvalues are >= -1e-12 (reported, never enforced)."""
         return bool(np.min(np.linalg.eigvalsh(self.matrix)) >= -1e-12)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Classical bath state X = (R, P)."""
-
-    R: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.atleast_1d(np.asarray(self.R, dtype=float))
-        p = np.atleast_1d(np.asarray(self.P, dtype=float))
-        if r.shape != p.shape:
-            raise ValueError("R and P must have the same length")
-        _require_finite("R", r)
-        _require_finite("P", p)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "P", p)
-
-
-@dataclass(frozen=True)
-class AdiabaticFrame:
-    """Eigen-decomposition of the dressed subsystem Hamiltonian at fixed R.
-
-    ``energies`` are ascending (stable tie order); column alpha of ``vectors``
-    is the adiabatic state |alpha;R> expressed in the subsystem basis.
-    """
-
-    R_at: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass
-class PairTrajectory:
-    """One (alpha, alpha') density-matrix element riding a classical trajectory.
-
-    ``phase`` and ``decay`` are the accumulated frequency and damping
-    integrals; ``weight`` starts from the initial adiabatic-basis element and
-    is only rescaled by transition sampling in nonadiabatic mode.
-    """
-
-    alpha: int
-    alpha_prime: int
-    point: PhasePoint
-    phase: float = 0.0
-    decay: float = 0.0
-    weight: complex = 0.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -209,8 +162,8 @@ class SimConfig:
     output_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("n_steps and n_samples must be >= 1")
         if self.output_stride < 1 or self.n_steps % self.output_stride != 0:
@@ -288,6 +241,8 @@ def decay_operator(kind: DecayKind | str, gamma: float = 0.0, matrix=None) -> De
     """
     if isinstance(kind, str):
         kind = DecayKind(kind)
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if kind is DecayKind.IDENTITY_UNIFORM:
         return DecaySpec(gamma * np.eye(4, dtype=complex), kind, gamma)
     if kind is DecayKind.PROJECTOR_EE:

@@ -117,9 +117,6 @@ class TimeSeries:
     def traces(self) -> np.ndarray:
         return np.array([np.real(row.density.trace) for row in self.rows])
 
-    def element(self, i: int, j: int) -> np.ndarray:
-        return np.array([row.density.elements[i, j] for row in self.rows])
-
     def validate(self) -> None:
         times = self.times()
         if len(times) > 1 and not np.all(np.diff(times) > 0):

@@ -7,8 +7,10 @@
   fixes the eigenvector gauge; Hellmann-Feynman forces, derivative
   couplings and decay matrices follow from its frames.
 * ``sstp_step``, the single-member short-time step on that route: a plain
-  restatement of the engine's step (the SSTP scheme of Mac Kernan, Ciccotti
-  and Kapral, JCP 116, 2346 (2002)).
+  restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
+  Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
+  engine's nonadiabatic transition stage is stated once, in
+  ``nhqc.propagator``.
 
 Nothing here shares code with the ensemble engine, which runs on the
 closed-form block frames of ``nhqc.adiabatic``.
@@ -16,20 +18,16 @@ closed-form block frames of ``nhqc.adiabatic``.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     SZ1_DIAG,
     SZ2_DIAG,
-    AdiabaticFrame,
     BathParams,
     DecaySpec,
-    PairTrajectory,
-    PhasePoint,
     SpinChainParams,
     bath_potential,
     coupling_hamiltonian,
@@ -38,11 +36,13 @@ from .model import (
 
 __all__ = [
     "DEGENERACY_TOL",
+    "AdiabaticFrame",
     "DegeneratePairError",
     "DegeneratePairWarning",
     "GammaAdiabatic",
+    "PairTrajectory",
+    "PhasePoint",
     "QuantumState",
-    "TransitionTable",
     "analytic_energies",
     "build_frame",
     "classical_step",
@@ -51,14 +51,12 @@ __all__ = [
     "gamma_in_adiabatic",
     "hamiltonian_gradient",
     "hellmann_feynman_force",
-    "momentum_jump",
     "nonadiabatic_coupling",
     "rk4_step",
     "solve_quantum",
     "sstp_step",
     "trace_law_identity",
     "trace_law_projector",
-    "transition_amplitudes",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -129,6 +127,19 @@ class DegeneratePairError(Exception):
 
 class DegeneratePairWarning(UserWarning):
     """Emitted when a Hellmann-Feynman force touches a degenerate level."""
+
+
+@dataclass(frozen=True)
+class AdiabaticFrame:
+    """Eigen-decomposition of the dressed subsystem Hamiltonian at fixed R.
+
+    ``energies`` are ascending (stable tie order); column alpha of ``vectors``
+    is the adiabatic state |alpha;R> expressed in the subsystem basis.
+    """
+
+    R_at: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
 
 
 def dressed_hamiltonian(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.ndarray:
@@ -248,8 +259,6 @@ def analytic_energies(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.
     return np.sort(levels + vb)
 
 
-
-
 def hellmann_feynman_force(
     sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int
 ) -> np.ndarray:
@@ -309,48 +318,43 @@ def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabati
     return GammaAdiabatic(full=full, diag=diag, offdiag=offdiag)
 
 
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """Per-pair transition data at one phase-space point.
-
-    ``d[a, b]`` is the coupling vector, ``hop_weight[a, b] = (P/M) . d_ab``
-    the transition frequency (both zero across an exact degeneracy), and
-    ``tgamma`` the off-diagonal decay transition tensor indexed [a, a', b, b'].
-    """
-
-    d: np.ndarray
-    hop_weight: np.ndarray
-    tgamma: np.ndarray
-
-
-def transition_amplitudes(
-    bp: BathParams, frame: AdiabaticFrame, point: PhasePoint, gadiab: GammaAdiabatic
-) -> TransitionTable:
-    """Tabulate everything the stochastic transition sampling needs."""
-    velocity = point.P / bp.mass
-    d = np.zeros((4, 4, 2), dtype=complex)
-    hop = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            if a == b:
-                continue
-            if abs(frame.energies[b] - frame.energies[a]) < DEGENERACY_TOL:
-                continue  # no channel across an exact degeneracy
-            d_ab = _coupling_vector(bp, frame, a, b)
-            d[a, b] = d_ab
-            hop[a, b] = float(np.real(velocity @ d_ab))
-    tg = np.zeros((4, 4, 4, 4), dtype=complex)
-    eye = np.eye(4)
-    tg += np.einsum("ab,xy->axby", gadiab.offdiag, eye)
-    tg += np.einsum("yx,ab->axby", gadiab.offdiag, eye)
-    return TransitionTable(d=d, hop_weight=hop, tgamma=tg)
-
-
 # ---------------------------------------------------------------------------
 # Single-member reference step on the eigensolver route.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """Classical bath state X = (R, P)."""
+
+    R: np.ndarray
+    P: np.ndarray
+
+    def __post_init__(self) -> None:
+        r = np.atleast_1d(np.asarray(self.R, dtype=float))
+        p = np.atleast_1d(np.asarray(self.P, dtype=float))
+        if r.shape != p.shape:
+            raise ValueError("R and P must have the same length")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
+            raise ValueError("R and P must be finite")
+        object.__setattr__(self, "R", r)
+        object.__setattr__(self, "P", p)
+
+
+@dataclass
+class PairTrajectory:
+    """One (alpha, alpha') density-matrix element riding a classical trajectory.
+
+    ``phase`` and ``decay`` are the accumulated frequency and damping
+    integrals; ``weight`` is the initial adiabatic-basis element.
+    """
+
+    alpha: int
+    alpha_prime: int
+    point: PhasePoint
+    phase: float = 0.0
+    decay: float = 0.0
+    weight: complex = 0.0 + 0.0j
+
 
 def classical_step(point: PhasePoint, force_pair, bp: BathParams, dt: float, force_fn=None) -> PhasePoint:
     """One velocity-Verlet step on the mean of two adiabatic surfaces.
@@ -368,40 +372,6 @@ def classical_step(point: PhasePoint, force_pair, bp: BathParams, dt: float, for
     return PhasePoint(R=r_new, P=p_half + 0.5 * dt * f1)
 
 
-def momentum_jump(point: PhasePoint, d, delta_e: float, mass: float) -> PhasePoint | None:
-    """Shift the momentum along the coupling direction to absorb delta_e.
-
-    Returns the shifted point, or None for a frustrated hop (not enough
-    kinetic energy along the coupling direction for an uphill transition).
-    The coupling vector must be real up to gauge (true for this model).
-    """
-    direction = np.real(np.asarray(d))
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ValueError("coupling direction must be nonzero")
-    dhat = direction / norm
-    pdot = float(point.P @ dhat)
-    radicand = pdot * pdot - 2.0 * mass * delta_e
-    if radicand < 0.0:
-        return None
-    shifted = math.copysign(math.sqrt(radicand), pdot)
-    return PhasePoint(R=point.R, P=point.P + (shifted - pdot) * dhat)
-
-
-def _channel_ids(table) -> list[tuple[int, int, str]]:
-    """Static transition-channel order shared by member and mirror."""
-    ids = []
-    for s in range(4):
-        for t in range(4):
-            if s != t and table.hop_weight[s, t] != 0.0:
-                ids.append((s, t, "d"))
-    for s in range(4):
-        for t in range(4):
-            if s != t and abs(table.tgamma[s, 0, t, 0]) > 0.0:
-                ids.append((s, t, "gamma"))
-    return ids
-
-
 def sstp_step(
     member: PairTrajectory,
     frame: AdiabaticFrame,
@@ -409,15 +379,13 @@ def sstp_step(
     bp: BathParams,
     decay: DecaySpec,
     dt: float,
-    mode: str = "adiabatic",
-    rng: np.random.Generator | None = None,
 ) -> tuple[PairTrajectory, AdiabaticFrame]:
-    """Advance one member one step on the generic eigensolver route.
+    """Advance one member one adiabatic step on the generic eigensolver route.
 
-    Reference implementation of the engine step: velocity Verlet on the mean
-    surface, trapezoidal phase and decay accumulation over the endpoint
-    frames, state labels tracked through crossings by frame overlap, and (in
-    nonadiabatic mode) one sampled transition with momentum jump.
+    Reference implementation of the engine's adiabatic step: velocity Verlet
+    on the mean surface, trapezoidal phase and decay accumulation over the
+    endpoint frames, and state labels tracked through crossings by frame
+    overlap.  The nonadiabatic transition stage has no restatement here.
     """
     alpha, alpha_p = member.alpha, member.alpha_prime
     store: dict = {}
@@ -452,39 +420,4 @@ def sstp_step(
         decay=member.decay + 0.5 * dt * (gamma0 + gamma1),
         weight=member.weight,
     )
-    if mode != "nonadiabatic":
-        return out, nxt
-
-    if rng is None:
-        raise ValueError("nonadiabatic mode needs a random stream")
-    table = transition_amplitudes(bp, nxt, point, gad1)
-    entries = []  # (amplitude, side, source, target, kind)
-    for s, t, kind in _channel_ids(table):
-        if kind == "d":
-            amp = dt * table.hop_weight[s, t]
-        else:
-            amp = dt * table.tgamma[s, 0, t, 0]  # off-diagonal decay element
-        if out.alpha == s:
-            entries.append((amp, "ket", s, t, kind))
-        if out.alpha_prime == s:
-            bra = dt * np.conj(table.hop_weight[s, t]) if kind == "d" else dt * np.conj(amp / dt)
-            entries.append((bra, "bra", s, t, kind))
-    total = sum(abs(a) for a, *_ in entries)
-    u = rng.random() * (1.0 + total)
-    cum = 0.0
-    for amp, side, s, t, kind in entries:
-        if u < cum + abs(amp):
-            factor = -(1.0 + total) * amp / abs(amp)
-            if kind == "d":
-                delta_e = nxt.energies[t] - nxt.energies[s]
-                jumped = momentum_jump(point, table.d[s, t], delta_e, bp.mass)
-                if jumped is None:  # frustrated: fall through as a no-hop
-                    break
-                out = replace(out, point=jumped)
-            if side == "ket":
-                out = replace(out, alpha=t, weight=out.weight * factor)
-            else:
-                out = replace(out, alpha_prime=t, weight=out.weight * factor)
-            return out, nxt
-        cum += abs(amp)
-    return replace(out, weight=out.weight * (1.0 + total)), nxt
+    return out, nxt

@@ -7,12 +7,14 @@ phase factor and the damping integral of its decay factor (trapezoid over
 each step, consistent with the second-order step splitting).  In
 nonadiabatic mode a single stochastic transition per member per step is
 sampled from the derivative-coupling and off-diagonal-decay channels, with
-importance reweighting and the momentum-jump rule.
+importance reweighting and the momentum-jump rule; that rule is stated
+only here, in ``EnsembleState._hop_stage``.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
 closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
-time series.  The same step restated for a single member on the generic
-eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check.
+time series.  The adiabatic step restated for a single member on the generic
+eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
+has no nonadiabatic counterpart.
 """
 
 from __future__ import annotations
@@ -107,6 +109,23 @@ def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str
             if opens(t, s):
                 channels.append(("bra", s, t))
     return channels
+
+
+def _momentum_jump(
+    P: np.ndarray, d: np.ndarray, delta_e: np.ndarray, mass: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift momenta P (2, k) along nonzero real coupling vectors d (k, 2) to
+    absorb the energy gaps delta_e (k,).  Returns the allowed mask and the
+    shifted momenta of the allowed members, shape (2, count); a frustrated
+    member lacks the kinetic energy along d for an uphill transition."""
+    norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    d1 = d[:, 0] / norm
+    d2 = d[:, 1] / norm
+    pdot = P[0] * d1 + P[1] * d2
+    radicand = pdot**2 - 2.0 * mass * delta_e
+    ok = radicand >= 0.0
+    shift = np.copysign(np.sqrt(radicand[ok]), pdot[ok]) - pdot[ok]
+    return ok, np.array([P[0, ok] + shift * d1[ok], P[1, ok] + shift * d2[ok]])
 
 
 def _column_pieces(codes: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -339,70 +358,53 @@ class EnsembleState:
         return u
 
     def _hop_stage(self, dt: float) -> None:
+        """Sample at most one transition per member: the derivative-coupling
+        channels (sorted, ket before bra) and then the open decay channels,
+        each a record (labels, source, target, amplitude, coupling vectors or
+        None), all masked by the labels as they stand when the stage starts."""
         n = self.weight.size
         v1, v2 = self.P / self.bp.mass
-        entries = []  # (amplitude (n,), side, source, target, kind)
+        channels = []
         for (s, t), dvec in sorted(self._couplings.items()):
             amp = dt * (v1 * dvec[:, 0] + v2 * dvec[:, 1])
-            entries.append((np.where(self.alpha == s, amp, 0.0), "ket", s, t, "d"))
-            entries.append((np.where(self.alpha_prime == s, amp, 0.0), "bra", s, t, "d"))
+            channels.append((self.alpha, s, t, amp, dvec))
+            channels.append((self.alpha_prime, s, t, amp, dvec))
         if self._gamma_channels:
             gs = _slot_sandwich(slot_vectors(self._frames), self.decay.matrix)
             for side, s, t in self._gamma_channels:
                 if side == "ket":
-                    amp = np.where(self.alpha == s, dt * gs[:, s, t], 0.0)
+                    channels.append((self.alpha, s, t, dt * gs[:, s, t], None))
                 else:
-                    amp = np.where(self.alpha_prime == s, dt * gs[:, t, s], 0.0)
-                entries.append((amp, side, s, t, "gamma"))
-        if not entries:
+                    channels.append((self.alpha_prime, s, t, dt * gs[:, t, s], None))
+        if not channels:
             return
+        mags = [np.where(labels == s, np.abs(amp), 0.0) for labels, s, _, amp, _ in channels]
         total = np.zeros(n)
-        for amp, *_ in entries:
-            total += np.abs(amp)
+        for mag in mags:
+            total += mag
         u = self._hop_uniforms() * (1.0 + total)
         decided = np.zeros(n, dtype=bool)
-        nohop_factor = np.zeros(n, dtype=bool)  # frustrated members
+        frustrated = np.zeros(n, dtype=bool)
         cum = np.zeros(n)
         energies = self._frames.energies
-        for amp, side, s, t, kind in entries:
-            mag = np.abs(amp)
-            hit = ~decided & (u >= cum) & (u < cum + mag)
+        for (labels, s, t, amp, dvec), mag in zip(channels, mags):
+            idx = np.flatnonzero(~decided & (u >= cum) & (u < cum + mag))
             cum += mag
-            if not np.any(hit):
+            if not idx.size:
                 continue
-            decided |= hit
-            factor = -(1.0 + total[hit]) * amp[hit] / mag[hit]
-            if kind == "d":
-                dvec = self._couplings[(s, t)][hit]
-                norm = np.sqrt(dvec[:, 0] ** 2 + dvec[:, 1] ** 2)
-                d1 = dvec[:, 0] / norm
-                d2 = dvec[:, 1] / norm
-                pdot = self.P[0, hit] * d1 + self.P[1, hit] * d2
-                delta_e = energies[t][hit] - energies[s][hit]
-                radicand = pdot**2 - 2.0 * self.bp.mass * delta_e
-                ok = radicand >= 0.0
-                self.summary.n_frustrated += int(np.count_nonzero(~ok))
-                idx = np.nonzero(hit)[0]
-                nohop_factor[idx[~ok]] = True
-                accepted = idx[ok]
-                shifted = np.copysign(np.sqrt(radicand[ok]), pdot[ok])
-                self.P[0, accepted] += (shifted - pdot[ok]) * d1[ok]
-                self.P[1, accepted] += (shifted - pdot[ok]) * d2[ok]
-                self.weight[accepted] *= factor[ok]
-                if side == "ket":
-                    self.alpha[accepted] = t
-                else:
-                    self.alpha_prime[accepted] = t
-                self.summary.n_hops += int(accepted.size)
-            else:
-                idx = np.nonzero(hit)[0]
-                self.weight[idx] *= factor
-                if side == "ket":
-                    self.alpha[idx] = t
-                else:
-                    self.alpha_prime[idx] = t
-                self.summary.n_hops += int(idx.size)
-        survivors = ~decided | nohop_factor
+            decided[idx] = True
+            factor = -(1.0 + total[idx]) * amp[idx] / mag[idx]
+            if dvec is not None:
+                delta_e = energies[t, idx] - energies[s, idx]
+                ok, p_new = _momentum_jump(self.P[:, idx], dvec[idx], delta_e, self.bp.mass)
+                frustrated[idx[~ok]] = True
+                idx, factor = idx[ok], factor[ok]
+                self.P[:, idx] = p_new
+            self.weight[idx] *= factor
+            labels[idx] = t
+            self.summary.n_hops += int(idx.size)
+        self.summary.n_frustrated += int(np.count_nonzero(frustrated))
+        survivors = ~decided | frustrated
         self.weight[survivors] *= 1.0 + total[survivors]
         if np.any(decided):
             self._slot_indices_dirty = True  # labels may have changed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhqc.adiabatic import slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
-from nhqc.model import BathParams, DecayKind, PhasePoint, SpinChainParams, decay_operator
+from nhqc.model import BathParams, DecayKind, SpinChainParams, decay_operator
 from nhqc.oracle import (
     DegeneratePairError,
     DegeneratePairWarning,
@@ -13,7 +13,6 @@ from nhqc.oracle import (
     gamma_in_adiabatic,
     hellmann_feynman_force,
     nonadiabatic_coupling,
-    transition_amplitudes,
 )
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
@@ -256,29 +255,6 @@ def test_gamma_rate_nonnegative_for_psd_operator():
         frame = build_frame(PAPER_SP, PAPER_BP, rng.uniform(-3, 3, 2))
         diag = gamma_in_adiabatic(spec, frame).diag
         assert np.all(diag[:, None] + diag[None, :] >= -1e-12)
-
-
-def test_transition_amplitudes_zero_momentum():
-    frame = build_frame(PAPER_SP, PAPER_BP, np.array([0.4, -0.2]))
-    gad = gamma_in_adiabatic(decay_operator(DecayKind.PROJECTOR_EE, 0.1), frame)
-    table = transition_amplitudes(PAPER_BP, frame, PhasePoint(R=frame.R_at, P=np.zeros(2)), gad)
-    assert np.max(np.abs(table.hop_weight)) == 0.0
-    assert np.max(np.abs(table.tgamma)) < 1e-12  # paper operators have no off-diagonal part
-
-
-def test_transition_amplitudes_channels():
-    frame = build_frame(PAPER_SP, PAPER_BP, np.array([0.4, -0.2]))
-    gad = gamma_in_adiabatic(decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), frame)
-    point = PhasePoint(R=frame.R_at, P=np.array([1.0, -0.7]))
-    table = transition_amplitudes(PAPER_BP, frame, point, gad)
-    ee = ee_slot(frame)
-    # the only open channel pair is inside the coupled block
-    open_pairs = {(a, b) for a in range(4) for b in range(4) if table.hop_weight[a, b] != 0}
-    for a, b in open_pairs:
-        assert ee not in (a, b)
-        d = table.d[a, b]
-        w = np.real(point.P @ d)
-        assert table.hop_weight[a, b] == pytest.approx(w)
 
 
 # ---------------------------------------------------------------------------

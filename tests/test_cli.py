@@ -227,6 +227,19 @@ def test_preset_rejects_threads_below_one(tmp_path, monkeypatch, capsys, threads
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value", [("mass", "nan"), ("omega", "inf"), ("beta", "nan"), ("beta", "inf"), ("dt", "nan"), ("gamma", "nan")]
+)
+def test_run_command_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr("nhqc.cli.simulate", refuse_to_simulate)
+    cfg = write_config(tmp_path, small_run_lines(**{key: value}))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "nf")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
+    assert not (tmp_path / "nf").exists()
+
+
 def test_preset_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     def violated(series, decay):
         raise ValueError("trace increased under a positive semidefinite decay operator")

@@ -4,7 +4,6 @@ import pytest
 from nhqc.model import (
     BathParams,
     DecayKind,
-    PhasePoint,
     ReducedDensity,
     SimConfig,
     SpinChainParams,
@@ -13,6 +12,7 @@ from nhqc.model import (
     decay_operator,
     subsystem_hamiltonian,
 )
+from nhqc.oracle import PhasePoint
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhqc.cli import parse_config
 from nhqc.model import (
     PHI,
     PSI,
@@ -150,6 +151,24 @@ def test_csv_comments_carry_config(tmp_path):
     text = path.read_text()
     for key in ("jx", "beta", "gamma_kind", "seed", "dt"):
         assert f"# {key}=" in text
+    # the comment lines, less the run id, are a configuration that rebuilds the run
+    runs = [
+        (PAPER_SP, PAPER_BP, decay_operator("identity", 0.4), small_config(n_steps=20, output_stride=10, n_samples=12)),
+        (
+            SpinChainParams(jx=-1.0, jy=-0.6, jz=0.3),
+            BathParams(mass=2.0, omega=0.7, c=1.5, beta=0.3),
+            decay_operator("projector_ee", 0.05),
+            SimConfig(n_steps=6, seed=9, dt=0.02, n_samples=5, mode="nonadiabatic", initial_state=PSI, output_stride=3),
+        ),
+    ]
+    for sp, bp, decay, config in runs:
+        series, _ = simulate(sp, bp, decay, config)
+        write_csv(series, path)
+        lines = [ln[1:] for ln in path.read_text().splitlines() if ln.startswith("#") and "run_id=" not in ln]
+        sp2, bp2, decay2, config2 = parse_config(lines)
+        assert (sp2, bp2, config2) == (sp, bp, config)
+        assert decay2.kind is decay.kind and decay2.strength == decay.strength
+        assert np.array_equal(decay2.matrix, decay.matrix)
 
 
 def test_plot_script_fig1(tmp_path):

@@ -10,15 +10,21 @@ from nhqc.model import (
     BathParams,
     DecayKind,
     DecaySpec,
-    PairTrajectory,
-    PhasePoint,
     SimConfig,
     SpinChainParams,
     decay_operator,
 )
 from nhqc.observables import reduce_snapshot
-from nhqc.oracle import build_frame, classical_step, momentum_jump, sstp_step
-from nhqc.propagator import CHUNK_SAMPLES, HOP_STREAM_TAG, EnsembleState, _slot_sandwich, simulate
+from nhqc.oracle import PairTrajectory, PhasePoint, build_frame, classical_step, sstp_step
+from nhqc.propagator import (
+    CHUNK_SAMPLES,
+    HOP_STREAM_TAG,
+    EnsembleState,
+    _momentum_jump,
+    _open_gamma_channels,
+    _slot_sandwich,
+    simulate,
+)
 from nhqc.sampler import initial_subsystem, sample_bath_point
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
@@ -56,29 +62,36 @@ def test_classical_step_rejects_bad_dt():
 
 
 def test_momentum_jump_zero_gap():
-    pt = PhasePoint(R=[0.0, 0.0], P=[0.3, -0.1])
-    out = momentum_jump(pt, np.array([1.0, 0.0]), 0.0, 1.0)
-    assert np.allclose(out.P, pt.P)
+    P = np.array([[0.3], [-0.1]])
+    ok, shifted = _momentum_jump(P, np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
+    assert ok.tolist() == [True]
+    assert np.allclose(shifted, P)
 
 
 def test_momentum_jump_frustrated():
-    pt = PhasePoint(R=[0.0, 0.0], P=[0.1, 0.0])
-    assert momentum_jump(pt, np.array([1.0, 0.0]), 1.0, 1.0) is None
+    # the first member lacks the kinetic energy along d; the second has it
+    P = np.array([[0.1, 2.0], [0.0, 0.0]])
+    d = np.array([[1.0, 0.0], [1.0, 0.0]])
+    ok, shifted = _momentum_jump(P, d, np.array([1.0, 1.0]), 1.0)
+    assert ok.tolist() == [False, True]
+    assert shifted.shape == (2, 1)
 
 
 def test_momentum_jump_downhill_conserves_energy():
-    pt = PhasePoint(R=[0.0, 0.0], P=[0.4, -0.2])
+    p0 = np.array([0.4, -0.2])
     d = np.array([0.06, -0.06])
     delta_e = -4.0  # downhill
-    out = momentum_jump(pt, d, delta_e, 1.0)
+    ok, shifted = _momentum_jump(p0[:, None], d[None, :], np.array([delta_e]), 1.0)
+    assert ok.tolist() == [True]
+    p1 = shifted[:, 0]
     dhat = d / np.linalg.norm(d)
-    assert abs(out.P @ dhat) > abs(pt.P @ dhat)
-    before = 0.5 * np.sum(pt.P**2)
-    after = 0.5 * np.sum(out.P**2) + delta_e
+    assert abs(p1 @ dhat) > abs(p0 @ dhat)
+    before = 0.5 * np.sum(p0**2)
+    after = 0.5 * np.sum(p1**2) + delta_e
     assert after == pytest.approx(before, abs=1e-12)
     # the perpendicular momentum component is untouched
     perp = np.array([dhat[1], -dhat[0]])
-    assert out.P @ perp == pytest.approx(pt.P @ perp, abs=1e-14)
+    assert p1 @ perp == pytest.approx(p0 @ perp, abs=1e-14)
 
 
 def paper_config(**kw):
@@ -103,9 +116,7 @@ def reference_evolution(sp, bp, decay, config, n_steps):
                     (PairTrajectory(a, b, point, weight=elements[a, b]), frame0)
                 )
     for _ in range(n_steps):
-        members = [
-            sstp_step(m, f, sp, bp, decay, config.dt, mode="adiabatic") for m, f in members
-        ]
+        members = [sstp_step(m, f, sp, bp, decay, config.dt) for m, f in members]
     total = np.zeros((4, 4), dtype=complex)
     for m, f in members:
         factor = m.weight * np.exp(-1j * m.phase - m.decay)
@@ -280,6 +291,22 @@ def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
     for name, m in sandwich_operands().items():
         expected = np.einsum("nip,ij,njq->npq", u, m, u)
         assert np.array_equal(_slot_sandwich(u, m), expected), name
+
+
+def test_open_gamma_channels():
+    R, _ = sample_bath_point(PAPER_BP, 21, 0, 50)
+    frames_ab = slot_frames(SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5), PAPER_BP, R)  # both blocks coupled
+    frames_b = slot_frames(PAPER_SP, PAPER_BP, R)  # block A uncoupled
+    identity = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    projector = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
+    assert _open_gamma_channels(identity, frames_ab) == []
+    assert _open_gamma_channels(projector, frames_b) == []
+    assert _open_gamma_channels(projector, frames_ab) == [
+        ("ket", 0, 1), ("bra", 0, 1), ("ket", 1, 0), ("bra", 1, 0)
+    ]
+    dense = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
+    every = [(side, s, t) for s in range(4) for t in range(4) if s != t for side in ("ket", "bra")]
+    assert _open_gamma_channels(dense, frames_ab) == every  # all 24, in hop-stage order
 
 
 @pytest.mark.xfail(strict=True, reason="D3: the nonadiabatic trace rises above 1 at gamma = 0")
