@@ -131,6 +131,9 @@ class ReducedDensity:
 
     def validate(self) -> None:
         """Raise if the statistical-consistency invariants are violated."""
+        # every comparison below is False for NaN, so non-finite values must be caught first
+        if not (np.all(np.isfinite(self.elements)) and np.all(np.isfinite(self.stderr))):
+            raise ValueError("density has non-finite elements or standard errors")
         tol = 3.0 * np.maximum(self.stderr, self.stderr.T) + 1e-10
         defect = np.abs(self.elements - self.elements.conj().T)
         if np.any(defect > tol):

@@ -2,7 +2,9 @@
 
 The reduced density matrix is the sample mean of per-sample 4x4 matrices;
 statistical errors are standard errors of the mean over the independent
-samples.  Moments are accumulated chunk by chunk with an exact pairwise
+samples.  Within a chunk the sums run along contiguous element rows, one
+row per matrix entry, with numpy's pairwise summation for the means.
+Moments are accumulated chunk by chunk with an exact pairwise
 combination rule, so results are bitwise reproducible for a fixed chunk
 layout no matter how many workers ran the chunks.
 """
@@ -42,20 +44,29 @@ class MomentAccumulator:
 
     @classmethod
     def from_samples(cls, matrices: np.ndarray) -> "MomentAccumulator":
+        """Moments of per-sample matrices, shape (n, 4, 4).
+
+        The sums run along the element rows of a C-contiguous (16, n) array.
+        The layout ``EnsembleSnapshot.sample_matrices`` returns is already a
+        view of such rows, so nothing is copied; any other layout is copied
+        into it once.  The scatter is taken one row at a time through one
+        reused n-long buffer: a (16, n) temporary is as large as the rows
+        themselves, and allocating and releasing it at every output costs
+        more than the arithmetic.
+        """
         n = matrices.shape[0]
-        # work on the contiguous float view (re, im interleaved) to keep the
-        # scatter pass cache-friendly
-        flat = np.ascontiguousarray(matrices.reshape(n, 16))
-        view = flat.view(np.float64)
-        vmean = view.mean(axis=0)
-        diff = view - vmean
-        m2 = np.einsum("ni,ni->i", diff, diff)
-        mean = np.ascontiguousarray(vmean).view(np.complex128).reshape(4, 4)
-        m2 = (m2[0::2] + m2[1::2]).reshape(4, 4)
-        traces = flat[:, 0].real + flat[:, 5].real + flat[:, 10].real + flat[:, 15].real
+        rows = np.ascontiguousarray(matrices.reshape(n, 16).T)
+        mean = rows.mean(axis=1)
+        diff = np.empty(n, dtype=complex)
+        flat = diff.view(np.float64)  # (re, im) interleaved: one product pass gives |x - mean|^2
+        m2 = np.empty(16)
+        for k in range(16):
+            np.subtract(rows[k], mean[k], out=diff)
+            m2[k] = np.einsum("i,i->", flat, flat)
+        traces = rows[0].real + rows[5].real + rows[10].real + rows[15].real
         tmean = float(traces.mean())
         tm2 = float(np.sum((traces - tmean) ** 2))
-        return cls(count=n, mean=mean, m2=m2.copy(), trace_mean=tmean, trace_m2=tm2)
+        return cls(count=n, mean=mean.reshape(4, 4), m2=m2.reshape(4, 4), trace_mean=tmean, trace_m2=tm2)
 
     def combine(self, other: "MomentAccumulator") -> "MomentAccumulator":
         """Exact pooled moments of two disjoint sample sets."""

@@ -166,7 +166,9 @@ class EnsembleSnapshot:
         also add the Hermitian-conjugate element of the implicit
         (alpha', alpha) partner.  The sum runs one member column at a time
         into the element rows of a (16, n_samples) array, direct terms in
-        column order and then the mirrored ones.
+        column order and then the mirrored ones.  The result is a view of
+        those rows, not a copy: ``m.reshape(n_samples, 16).T`` gives them
+        back C-contiguous, which is the layout ``MomentAccumulator`` sums.
         """
         n = self.n_samples
         factor = (self.weight * np.exp(-1j * self.phase - self.decay)).reshape(-1, n)
@@ -196,7 +198,7 @@ class EnsembleSnapshot:
                         mirror_terms.append((col * 4 + row, val))
         for dest, val in mirror_terms:
             out[dest] += np.conj(val)
-        return np.ascontiguousarray(out.T).reshape(n, 4, 4)
+        return out.T.reshape(n, 4, 4)
 
 
 class EnsembleState:

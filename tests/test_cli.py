@@ -307,3 +307,13 @@ def test_check_subcommand_reports_lines(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "[PASS] criterion 1" in out and "[FAIL] criterion 2" in out
+
+
+def test_run_command_rejects_a_non_finite_curve(tmp_path, capsys):
+    # c = 1e308 is finite, so the config passes, but the dynamics overflow to NaN
+    lines = small_run_lines(c=1e308, samples=10, steps=10, output_stride=1, initial_state="psi")
+    with np.errstate(all="ignore"):
+        code, outputs = run_cli(tmp_path, lines, "nan")
+    assert code == 1 and outputs == []
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:") and "non-finite" in err

@@ -78,6 +78,38 @@ def test_moment_accumulator_combine_matches_whole():
     assert np.max(np.abs(d1.stderr - d2.stderr)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_moment_accumulator_matches_plain_definitions(n):
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    acc = MomentAccumulator.from_samples(data)
+    mean = data.mean(axis=0)
+    m2 = np.sum(np.abs(data - mean) ** 2, axis=0)
+    traces = np.trace(data, axis1=1, axis2=2).real
+    tm2 = np.sum((traces - traces.mean()) ** 2)
+    assert acc.count == n
+    assert np.allclose(acc.mean, mean, rtol=1e-13, atol=0)
+    assert np.allclose(acc.m2, m2, rtol=1e-13, atol=0)
+    assert acc.trace_mean == pytest.approx(traces.mean(), rel=1e-13)
+    assert acc.trace_m2 == pytest.approx(tm2, rel=1e-13)
+
+
+def test_sample_matrices_are_element_rows_and_reduce_like_a_copy():
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=PSI))
+    engine.advance(20)
+    mats = engine.snapshot().sample_matrices()
+    n = mats.shape[0]
+    assert mats.shape == (64, 4, 4)
+    # a view of the (16, n) rows the member sum fills: no transpose copy
+    assert mats.reshape(n, 16).T.flags.c_contiguous
+    viewed = MomentAccumulator.from_samples(mats)
+    copied = MomentAccumulator.from_samples(np.ascontiguousarray(mats))
+    assert np.array_equal(viewed.mean, copied.mean)
+    assert np.array_equal(viewed.m2, copied.m2)
+    assert viewed.trace_mean == copied.trace_mean
+    assert viewed.trace_m2 == copied.trace_m2
+
+
 def test_decoupled_reconstruction_is_frame_independent():
     # at c = 0 the frame never moves, so rotating with U(R(t)) or U(R(0))
     # must give the same matrices
