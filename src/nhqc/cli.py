@@ -119,9 +119,16 @@ def _apply_seed_override(config: SimConfig) -> SimConfig:
 
 
 def check_run_invariants(series: TimeSeries, decay: DecaySpec) -> None:
-    """Verify the run-level guarantees instead of assuming them."""
+    """Verify the run-level guarantees instead of assuming them.
+
+    The initial state is normalized, so the trace starts at 1; an ensemble
+    that lost its members (overflowed initial frames) starts at 0 and would
+    pass every later check with a constant trace.
+    """
     series.validate()
     traces = series.traces()
+    if not abs(traces[0] - 1.0) <= 1e-12:
+        raise ValueError(f"trace at t = 0 is {traces[0]:.17g}, not 1 within 1e-12")
     if decay.positive_semidefinite and np.any(np.diff(traces) > 1e-12):
         raise ValueError("trace increased under a positive semidefinite decay operator")
 

@@ -8,7 +8,10 @@ each step, consistent with the second-order step splitting).  In
 nonadiabatic mode a single stochastic transition per member per step is
 sampled from the derivative-coupling and off-diagonal-decay channels, with
 importance reweighting and the momentum-jump rule; that rule is stated
-only here, in ``EnsembleState._hop_stage``.
+only here, in ``EnsembleState._hop_stage``.  The stage sums each channel's
+label-masked |amplitude| row once for the no-hop total, chooses a channel
+only for the members whose uniform falls below that total, and forms
+decay amplitudes only for the entries where a channel is open.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
 closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
@@ -82,6 +85,25 @@ def _slot_sandwich(u: np.ndarray, m: np.ndarray) -> np.ndarray:
                     if m[i, j] != 0:
                         out[s, t] += (u[:, i, s] * m[i, j]) * u[:, j, t]
     return out.transpose(2, 0, 1)
+
+
+def _slot_components(frames: SlotFrames) -> tuple:
+    """Components of each slot's frame vector on its two ``SLOT_ROWS``, the
+    nonzero entries of ``slot_vectors``' columns."""
+    xa, ya, xb, yb = frames.xA, frames.yA, frames.xB, frames.yB
+    return (xa, ya), (-ya, xa), (xb, yb), (-yb, xb)
+
+
+def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarray:
+    """Entry (s, t) of u^T m u for slot components ``comps``, shape (n,),
+    with the terms of ``_slot_sandwich``'s entry in its order, so equal to
+    it bit for bit."""
+    out = np.zeros(n, dtype=np.result_type(float, m))
+    for p, i in enumerate(SLOT_ROWS[s]):
+        for q, j in enumerate(SLOT_ROWS[t]):
+            if m[i, j] != 0:
+                out += (comps[s][p] * m[i, j]) * comps[t][q]
+    return out
 
 
 def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str, int, int]]:
@@ -360,56 +382,70 @@ class EnsembleState:
         return u
 
     def _hop_stage(self, dt: float) -> None:
-        """Sample at most one transition per member: the derivative-coupling
-        channels (sorted, ket before bra) and then the open decay channels,
-        each a record (labels, source, target, amplitude, coupling vectors or
-        None), all masked by the labels as they stand when the stage starts."""
+        """Sample at most one transition per member.
+
+        The channels, in order, are the derivative couplings (sorted, ket
+        before bra) and the open decay channels, whose amplitudes are formed
+        only for the open (s, t) entries.  Each is a record (side 0 = ket or
+        1 = bra, source, target, amplitude, |amplitude|, coupling vectors or
+        None); its row is |amplitude| where the side's label, as the stage
+        found it, equals the source, else 0.  One pass sums the rows in
+        channel order into ``total``.  Only a member whose uniform times
+        1 + total falls below ``total`` hops, on the first channel where the
+        running sum of its rows exceeds that product.  Every other member,
+        frustrated ones included, gets the no-hop factor 1 + total.
+        """
         n = self.weight.size
+        labels = (self.alpha, self.alpha_prime)
         v1, v2 = self.P / self.bp.mass
         channels = []
         for (s, t), dvec in sorted(self._couplings.items()):
             amp = dt * (v1 * dvec[:, 0] + v2 * dvec[:, 1])
-            channels.append((self.alpha, s, t, amp, dvec))
-            channels.append((self.alpha_prime, s, t, amp, dvec))
+            mag = np.abs(amp)
+            channels.append((0, s, t, amp, mag, dvec))
+            channels.append((1, s, t, amp, mag, dvec))
         if self._gamma_channels:
-            gs = _slot_sandwich(slot_vectors(self._frames), self.decay.matrix)
+            comps, entries = _slot_components(self._frames), {}
             for side, s, t in self._gamma_channels:
-                if side == "ket":
-                    channels.append((self.alpha, s, t, dt * gs[:, s, t], None))
-                else:
-                    channels.append((self.alpha_prime, s, t, dt * gs[:, t, s], None))
+                key = (s, t) if side == "ket" else (t, s)
+                if key not in entries:
+                    amp = dt * _slot_entry(comps, self.decay.matrix, *key, n)
+                    entries[key] = amp, np.abs(amp)
+                channels.append((0 if side == "ket" else 1, s, t, *entries[key], None))
         if not channels:
             return
-        mags = [np.where(labels == s, np.abs(amp), 0.0) for labels, s, _, amp, _ in channels]
+        masks = {}
         total = np.zeros(n)
-        for mag in mags:
-            total += mag
-        u = self._hop_uniforms() * (1.0 + total)
-        decided = np.zeros(n, dtype=bool)
-        frustrated = np.zeros(n, dtype=bool)
-        cum = np.zeros(n)
+        for side, s, _, _, mag, _ in channels:
+            if (side, s) not in masks:
+                masks[side, s] = labels[side] == s
+            total += np.where(masks[side, s], mag, 0.0)
+        scale = 1.0 + total
+        u = self._hop_uniforms() * scale
+        hit = np.flatnonzero(u < total)  # False for NaN: no hop
+        weight0 = self.weight[hit]
+        self.weight *= scale  # the no-hop factor; hops overwrite theirs below
+        if not hit.size:
+            return
+        rows = [np.where(masks[side, s][hit], mag[hit], 0.0) for side, s, _, _, mag, _ in channels]
+        choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)
         energies = self._frames.energies
-        for (labels, s, t, amp, dvec), mag in zip(channels, mags):
-            idx = np.flatnonzero(~decided & (u >= cum) & (u < cum + mag))
-            cum += mag
-            if not idx.size:
-                continue
-            decided[idx] = True
-            factor = -(1.0 + total[idx]) * amp[idx] / mag[idx]
+        for c in np.unique(choice):
+            side, s, t, amp, mag, dvec = channels[c]
+            sel = choice == c
+            idx, w = hit[sel], weight0[sel]
+            factor = -scale[idx] * amp[idx] / mag[idx]
             if dvec is not None:
                 delta_e = energies[t, idx] - energies[s, idx]
                 ok, p_new = _momentum_jump(self.P[:, idx], dvec[idx], delta_e, self.bp.mass)
-                frustrated[idx[~ok]] = True
-                idx, factor = idx[ok], factor[ok]
+                self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
+                idx, w, factor = idx[ok], w[ok], factor[ok]
                 self.P[:, idx] = p_new
-            self.weight[idx] *= factor
-            labels[idx] = t
+            w *= factor  # in place: numpy rounds a one-element complex product differently out of place
+            self.weight[idx] = w
+            labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
-        self.summary.n_frustrated += int(np.count_nonzero(frustrated))
-        survivors = ~decided | frustrated
-        self.weight[survivors] *= 1.0 + total[survivors]
-        if np.any(decided):
-            self._slot_indices_dirty = True  # labels may have changed
+        self._slot_indices_dirty = True  # labels may have changed
         self._refresh_pair_caches()
 
     # -- views -------------------------------------------------------------

@@ -317,3 +317,29 @@ def test_run_command_rejects_a_non_finite_curve(tmp_path, capsys):
     assert code == 1 and outputs == []
     err = capsys.readouterr().err
     assert err.startswith("invariant violation:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_run_command_rejects_an_empty_start(tmp_path, capsys, seed):
+    # c = 1e308 overflows the initial frames: no pair is spawned, and the
+    # trace reads 0 from t = 0 on, which no later check would catch
+    lines = small_run_lines(c=1e308, gamma=0.5, samples=10, steps=10, output_stride=1, seed=seed)
+    with np.errstate(all="ignore"):
+        code, outputs = run_cli(tmp_path, lines, "empty")
+    assert code == 1 and outputs == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace at t = 0")
+
+
+def test_preset_rejects_an_empty_start(tmp_path, monkeypatch, capsys):
+    import nhqc.cli as cli
+    from nhqc.model import BathParams
+
+    monkeypatch.setattr(cli, "REFERENCE_BP", BathParams(c=1e308, beta=0.1))
+    out = tmp_path / "p"
+    with np.errstate(all="ignore"):
+        code = main(["preset", "fig1", "--out", str(out), "--samples", "10", "--seed", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace at t = 0")
+    assert list(out.glob("*")) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import slot_frames, slot_vectors
+from nhqc.adiabatic import slot_coupling, slot_frames, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
@@ -309,6 +309,136 @@ def test_open_gamma_channels():
     assert _open_gamma_channels(dense, frames_ab) == every  # all 24, in hop-stage order
 
 
+def pinned_hop_step(monkeypatch, c, uniform):
+    """One nonadiabatic step of a jx = -1, jy = -0.6 engine under a dense
+    complex decay operator (all 8 coupling and 24 decay channels open), every
+    hop uniform pinned to ``uniform``; the labels, weights, momenta and
+    frames as the hop stage found them, and the engine after it."""
+    rng = np.random.default_rng(5)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    decay = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
+    config = SimConfig(
+        n_steps=1, seed=7, n_samples=40, initial_state=tuple(ket / np.linalg.norm(ket)), mode="nonadiabatic"
+    )
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    engine = EnsembleState(sp, BathParams(c=c, beta=0.1), decay, config)
+    assert len(engine._couplings) * 2 == 8 and len(engine._gamma_channels) == 24
+    monkeypatch.setattr(EnsembleState, "_hop_uniforms", lambda self: np.full(self.weight.size, uniform))
+    before = {}
+    hop_stage = engine._hop_stage
+
+    def recorded(dt):
+        before.update(
+            alpha=engine.alpha.copy(),
+            alpha_prime=engine.alpha_prime.copy(),
+            weight=engine.weight.copy(),
+            P=engine.P.copy(),
+            frames=engine._frames,
+        )
+        hop_stage(dt)
+
+    engine._hop_stage = recorded
+    engine.advance(1)
+    return before, engine
+
+
+def dense_decay_entries(before, decay):
+    """u^T Gamma u per member from the dense slot vectors, shape (n, 4, 4)."""
+    u = slot_vectors(before["frames"])
+    return np.einsum("nip,ij,njq->npq", u, decay.matrix, u)
+
+
+def no_hop_total(before, engine):
+    """Sum of |amplitude| over every channel open from each member's labels:
+    dt |v . d| for the coupling to the partner slot and dt |(u^T Gamma u)|
+    for each decay channel, ket side (s, t) and bra side (t, s)."""
+    dt = engine.config.dt
+    a, b = before["alpha"], before["alpha_prime"]
+    ar = np.arange(a.size)
+    gs = dense_decay_entries(before, engine.decay)
+    v = before["P"] / engine.bp.mass
+    total = np.zeros(a.size)
+    for (s, _), d in slot_coupling(engine.bp, before["frames"]).items():
+        rate = np.abs(dt * (v[0] * d[:, 0] + v[1] * d[:, 1]))
+        total += rate * ((a == s).astype(float) + (b == s))
+    for t in range(4):
+        total += np.where(a != t, np.abs(dt * gs[ar, a, t]), 0.0)
+        total += np.where(b != t, np.abs(dt * gs[ar, t, b]), 0.0)
+    return total
+
+
+PARTNER = np.array([1, 0, 3, 2])  # the other slot of the same block
+
+
+def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch):
+    # u = 0 hops every member on the first channel its labels open: the
+    # coupling from the lower label to its partner slot, ket side first on a
+    # tie; a frustrated member lacks the energy for it and keeps its labels
+    before, engine = pinned_hop_step(monkeypatch, 0.24, 0.0)
+    a, b = before["alpha"], before["alpha_prime"]
+    n = engine.weight.size
+    assert n == 16 * 40
+    summary = engine.summary
+    assert summary.n_hops > 0 and summary.n_frustrated > 0
+    assert summary.n_hops + summary.n_frustrated == n
+    hopped = (engine.alpha != a) | (engine.alpha_prime != b)
+    assert np.count_nonzero(hopped) == summary.n_hops
+    ket = a <= b
+    assert np.array_equal(engine.alpha[hopped], np.where(ket, PARTNER[a], a)[hopped])
+    assert np.array_equal(engine.alpha_prime[hopped], np.where(ket, b, PARTNER[b])[hopped])
+    # the jump conserves the energy on the hopping label's surfaces
+    source = np.minimum(a, b)
+    ar = np.arange(n)
+    energies = before["frames"].energies
+    kinetic = [0.5 * np.sum(p**2, axis=0) / engine.bp.mass for p in (before["P"], engine.P)]
+    e_old = kinetic[0] + energies[source, ar]
+    e_new = kinetic[1] + energies[PARTNER[source], ar]
+    assert np.allclose(e_new[hopped], e_old[hopped], rtol=0, atol=1e-12)
+    assert np.array_equal(engine.P[:, ~hopped], before["P"][:, ~hopped])
+    # real coupling amplitudes give real factors of modulus 1 + total; a
+    # frustrated member keeps the positive no-hop factor
+    ratio = engine.weight / before["weight"]
+    assert np.max(np.abs(ratio.imag)) < 1e-12
+    assert np.allclose(np.abs(ratio.real), 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
+    assert np.all(ratio.real[~hopped] > 1.0)
+
+
+def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channel(monkeypatch):
+    # at c = 0 every coupling amplitude vanishes, so u = 0 hops every member
+    # on the first decay channel its labels open: the lower label moves to
+    # the lowest other slot, ket side first on a tie
+    before, engine = pinned_hop_step(monkeypatch, 0.0, 0.0)
+    a, b = before["alpha"], before["alpha_prime"]
+    assert engine.summary.n_hops == engine.weight.size and engine.summary.n_frustrated == 0
+    source = np.minimum(a, b)
+    target = np.where(source == 0, 1, 0)
+    ket = a <= b
+    assert np.array_equal(engine.alpha, np.where(ket, target, a))
+    assert np.array_equal(engine.alpha_prime, np.where(ket, b, target))
+    assert np.array_equal(engine.P, before["P"])
+    # factor -(1 + total) a / |a|, with a = (u^T Gamma u)[s, t] on the ket
+    # side and [t, s] on the bra side
+    ar = np.arange(a.size)
+    gs = dense_decay_entries(before, engine.decay)
+    entry = np.where(ket, gs[ar, source, target], gs[ar, target, source])
+    expected = -(1.0 + no_hop_total(before, engine)) * entry / np.abs(entry)
+    assert np.allclose(engine.weight / before["weight"], expected, rtol=1e-12, atol=0)
+
+
+def test_hop_rule_below_one_never_hops(monkeypatch):
+    # u = 1 - 2**-53 lies above every channel: no hop, and every weight is
+    # scaled by its real no-hop factor 1 + total
+    before, engine = pinned_hop_step(monkeypatch, 0.24, 1.0 - 2.0**-53)
+    assert engine.summary.n_hops == 0 and engine.summary.n_frustrated == 0
+    assert np.array_equal(engine.alpha, before["alpha"])
+    assert np.array_equal(engine.alpha_prime, before["alpha_prime"])
+    assert np.array_equal(engine.P, before["P"])
+    ratio = engine.weight / before["weight"]
+    assert np.max(np.abs(ratio.imag)) < 1e-12
+    assert np.allclose(ratio.real, 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
+    assert np.all(ratio.real > 1.0)
+
+
 @pytest.mark.xfail(strict=True, reason="D3: the nonadiabatic trace rises above 1 at gamma = 0")
 def test_nonadiabatic_conserves_the_trace_at_zero_decay():
     # identity decay at gamma = 0 conserves the trace exactly for any dynamics
@@ -397,6 +527,25 @@ def test_simulate_thread_invariance(monkeypatch):
     for r1, r2 in zip(series1.rows, series2.rows):
         assert np.array_equal(r1.density.elements, r2.density.elements)
         assert np.array_equal(r1.density.stderr, r2.density.stderr)
+
+
+def test_simulate_thread_invariance_nonadiabatic(monkeypatch):
+    # hop draws are keyed by sample block, so hops do not depend on threads
+    import nhqc.propagator as prop
+
+    monkeypatch.setattr(prop, "CHUNK_SAMPLES", 8)
+    decay = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    config = SimConfig(
+        n_steps=30, seed=17, n_samples=40, dt=0.01, initial_state=PSI, mode="nonadiabatic", output_stride=15
+    )
+    series1, summary1 = simulate(sp, PAPER_BP, decay, config, threads=1)
+    series4, summary4 = simulate(sp, PAPER_BP, decay, config, threads=4)
+    assert summary1.n_hops > 0 and summary1.n_frustrated > 0
+    assert (summary1.n_hops, summary1.n_frustrated) == (summary4.n_hops, summary4.n_frustrated)
+    for r1, r4 in zip(series1.rows, series4.rows):
+        assert np.array_equal(r1.density.elements, r4.density.elements)
+        assert np.array_equal(r1.density.stderr, r4.density.stderr)
 
 
 def test_simulate_chunking_invariance(monkeypatch):
