@@ -44,7 +44,7 @@ class CriterionResult:
     detail: str
 
 
-def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24, threads=1):
+def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24):
     key = (kind, gamma, state, samples, steps, stride, c)
     if key not in _CACHE:
         bp = replace(REFERENCE_BP, c=c)
@@ -58,7 +58,7 @@ def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24, threa
         )
         decay = decay_operator(kind, gamma)
         started = time.perf_counter()
-        series, summary = simulate(REFERENCE_SP, bp, decay, config, threads=threads)
+        series, summary = simulate(REFERENCE_SP, bp, decay, config)
         _CACHE[key] = (series, summary, time.perf_counter() - started)
     return _CACHE[key]
 

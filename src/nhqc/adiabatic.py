@@ -7,6 +7,8 @@ symmetric 2x2 blocks at every bath configuration.  ``slot_frames`` evaluates
 both blocks in closed form for whole batches of configurations at once.
 Slots are labeled per block, not by energy order, which makes them
 continuous along any bath path (no relabeling at surface crossings).
+This module alone states the slot layout: slot s's frame vector has the two
+components ``slot_vectors(frames)[s]`` on the basis rows ``SLOT_ROWS[s]``.
 
 The generic eigensolver route (``nhqc.oracle.build_frame``) cross-checks
 these frames in the test suite and the acceptance criteria.
@@ -21,12 +23,17 @@ import numpy as np
 from .model import BathParams, DecaySpec, SpinChainParams
 
 __all__ = [
+    "SLOT_ROWS",
     "SlotFrames",
     "slot_coupling",
     "slot_frames",
     "slot_gamma_diag",
     "slot_vectors",
 ]
+
+# basis rows spanned by each slot's frame vector (block A: |ee>, |gg>;
+# block B: |eg>, |ge>)
+SLOT_ROWS = ((0, 3), (0, 3), (1, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,11 @@ class SlotFrames:
     smooth function of R, so slot labels track adiabatic states continuously
     without any reordering bookkeeping.
 
-    ``x*, y*`` are the in-block components of the first slot of each block
-    ((n,) arrays, or the scalars 1/0 for an uncoupled block); the second
-    slot is (-y, x).  ``z[k]`` holds the per-slot Pauli-z expectations of
-    spin k + 1, from which Hellmann-Feynman forces follow directly.
+    ``x*, y*`` are the components on ``SLOT_ROWS`` of the first slot of each
+    block ((n,) arrays, or the scalars 1/0 for an uncoupled block); the
+    second slot is (-y, x), as ``slot_vectors`` lists them.  ``z[k]`` holds
+    the per-slot Pauli-z expectations of spin k + 1, from which
+    Hellmann-Feynman forces follow directly.
     """
 
     energies: np.ndarray  # (4, n)
@@ -134,19 +142,12 @@ def slot_gamma_diag(decay: DecaySpec, frames: SlotFrames) -> np.ndarray:
     return out
 
 
-def slot_vectors(frames: SlotFrames) -> np.ndarray:
-    """Materialize the frame columns as dense matrices, shape (n, 4, 4)."""
-    n = frames.energies.shape[1]
-    u = np.zeros((n, 4, 4))
-    u[:, 0, 0] = frames.xA
-    u[:, 3, 0] = frames.yA
-    u[:, 0, 1] = -frames.yA
-    u[:, 3, 1] = frames.xA
-    u[:, 1, 2] = frames.xB
-    u[:, 2, 2] = frames.yB
-    u[:, 1, 3] = -frames.yB
-    u[:, 2, 3] = frames.xB
-    return u
+def slot_vectors(frames: SlotFrames) -> tuple:
+    """Each slot's frame-vector components on its two ``SLOT_ROWS``:
+    ((xA, yA), (-yA, xA), (xB, yB), (-yB, xB)), with an uncoupled block's
+    scalar 1/0 components left scalar."""
+    xa, ya, xb, yb = frames.xA, frames.yA, frames.xB, frames.yB
+    return (xa, ya), (-ya, xa), (xb, yb), (-yb, xb)
 
 
 def slot_coupling(bp: BathParams, frames: SlotFrames) -> dict[tuple[int, int], np.ndarray]:

@@ -183,9 +183,11 @@ class SimConfig:
             ket = np.asarray(state, dtype=complex)
             if ket.shape != (4,):
                 raise ValueError("custom ket must have 4 amplitudes")
-            if abs(np.linalg.norm(ket) - 1.0) > 1e-12:
+            norm = np.linalg.norm(ket)
+            if abs(norm - 1.0) > 1e-12:
                 raise ValueError("custom ket must be normalized to 1 within 1e-12")
-            object.__setattr__(self, "initial_state", tuple(ket))
+            # stored normalized, so the trace starts at 1 to rounding
+            object.__setattr__(self, "initial_state", tuple(ket / norm))
 
     @property
     def n_outputs(self) -> int:

@@ -6,6 +6,8 @@
   dressed Hamiltonian numerically (LAPACK), sorts energies ascending and
   fixes the eigenvector gauge; Hellmann-Feynman forces, derivative
   couplings and decay matrices follow from its frames.
+* ``frame_matrices``, the engine's closed-form block frames written out as
+  dense 4x4 column matrices, entry by entry.
 * ``sstp_step``, the single-member short-time step on that route: a plain
   restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
   Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
@@ -13,13 +15,15 @@
   ``nhqc.propagator``.
 
 Nothing here shares code with the ensemble engine, which runs on the
-closed-form block frames of ``nhqc.adiabatic``.
+closed-form block frames of ``nhqc.adiabatic`` and reads them only as each
+slot's two components.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +38,9 @@ from .model import (
     subsystem_hamiltonian,
 )
 
+if TYPE_CHECKING:
+    from .adiabatic import SlotFrames
+
 __all__ = [
     "DEGENERACY_TOL",
     "AdiabaticFrame",
@@ -47,6 +54,7 @@ __all__ = [
     "build_frame",
     "classical_step",
     "dressed_hamiltonian",
+    "frame_matrices",
     "frame_permutation",
     "gamma_in_adiabatic",
     "hamiltonian_gradient",
@@ -316,6 +324,23 @@ def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabati
     diag = np.real(np.diag(full)).copy()
     offdiag = full - np.diag(np.diag(full))
     return GammaAdiabatic(full=full, diag=diag, offdiag=offdiag)
+
+
+def frame_matrices(frames: SlotFrames) -> np.ndarray:
+    """The closed-form frames as dense matrices, shape (n, 4, 4): column s
+    is slot s's frame vector in the subsystem basis (block A on |ee>, |gg>,
+    block B on |eg>, |ge>), the second slot of a block being (-y, x)."""
+    n = frames.energies.shape[1]
+    u = np.zeros((n, 4, 4))
+    u[:, 0, 0] = frames.xA
+    u[:, 3, 0] = frames.yA
+    u[:, 0, 1] = -frames.yA
+    u[:, 3, 1] = frames.xA
+    u[:, 1, 2] = frames.xB
+    u[:, 2, 2] = frames.yB
+    u[:, 1, 3] = -frames.yB
+    u[:, 2, 3] = frames.xB
+    return u
 
 
 # ---------------------------------------------------------------------------

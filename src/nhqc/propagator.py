@@ -15,9 +15,11 @@ decay amplitudes only for the entries where a channel is open.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
 closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
-time series.  The adiabatic step restated for a single member on the generic
-eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
-has no nonadiabatic counterpart.
+time series.  Every slot-basis quantity here is built from the slot layout
+of ``nhqc.adiabatic`` (``slot_vectors`` on ``SLOT_ROWS``).  The adiabatic
+step restated for a single member on the generic eigensolver route is
+``nhqc.oracle.sstp_step``, its cross-check; the oracle has no nonadiabatic
+counterpart.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from .adiabatic import SLOT_ROWS, SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
 from .model import BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import MomentAccumulator, TimeRecord, TimeSeries
 from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
@@ -44,9 +46,6 @@ __all__ = [
 SPAWN_TOL = 1e-14
 HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 
-# basis rows spanned by each slot's frame vector (block A: |ee>, |gg>;
-# block B: |eg>, |ge>)
-SLOT_ROWS = ((0, 3), (0, 3), (1, 2), (1, 2))
 # unordered-pair rank of an ordered slot pair, used to key shared hop draws
 UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
 
@@ -66,38 +65,11 @@ class RunSummary:
         self.n_frustrated += other.n_frustrated
 
 
-def _slot_sandwich(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """u^T m u for slot vectors u of shape (n, 4, 4), shape (n, 4, 4).
-
-    Slot s's vector has nonzero rows only in ``SLOT_ROWS[s]``, so entry
-    (s, t) sums just the terms with i in ``SLOT_ROWS[s]``, j in
-    ``SLOT_ROWS[t]`` and m[i, j] != 0, each as (u[:, i, s] * m[i, j]) *
-    u[:, j, t], in (i, j) order into zeros.  These are the terms of numpy's
-    unoptimized einsum "nip,ij,njq->npq" in its order, less the vanishing
-    ones, so the result is the same bit for bit.  Each (s, t) entry is a
-    contiguous row of the underlying (4, 4, n) array.
-    """
-    out = np.zeros((4, 4, u.shape[0]), dtype=np.result_type(u, m))
-    for s in range(4):
-        for t in range(4):
-            for i in SLOT_ROWS[s]:
-                for j in SLOT_ROWS[t]:
-                    if m[i, j] != 0:
-                        out[s, t] += (u[:, i, s] * m[i, j]) * u[:, j, t]
-    return out.transpose(2, 0, 1)
-
-
-def _slot_components(frames: SlotFrames) -> tuple:
-    """Components of each slot's frame vector on its two ``SLOT_ROWS``, the
-    nonzero entries of ``slot_vectors``' columns."""
-    xa, ya, xb, yb = frames.xA, frames.yA, frames.xB, frames.yB
-    return (xa, ya), (-ya, xa), (xb, yb), (-yb, xb)
-
-
 def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarray:
-    """Entry (s, t) of u^T m u for slot components ``comps``, shape (n,),
-    with the terms of ``_slot_sandwich``'s entry in its order, so equal to
-    it bit for bit."""
+    """Entry (s, t) of u^T m u for slot components ``comps``, shape (n,):
+    the terms (u_is * m[i, j]) * u_jt of numpy's unoptimized einsum
+    "nip,ij,njq->npq" in its order, less those with m[i, j] == 0 or i, j off
+    ``SLOT_ROWS``, so equal to it bit for bit."""
     out = np.zeros(n, dtype=np.result_type(float, m))
     for p, i in enumerate(SLOT_ROWS[s]):
         for q, j in enumerate(SLOT_ROWS[t]):
@@ -109,15 +81,16 @@ def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarr
 def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str, int, int]]:
     """Off-diagonal decay channels (side, s, t) that can be nonzero, in
     hop-stage order; the s -> t transition reads entry (s, t) of u^T Gamma u
-    on the ket side and (t, s) on the bra side.  An uncoupled block's slots
-    are bare basis states, so an entry opens only where Gamma[i, j] != 0 for
-    rows i, j the two slots span; the identity operator, diagonal in every
-    orthonormal frame, opens none."""
+    on the ket side and (t, s) on the bra side.  A slot spans the rows of its
+    components other than a scalar 0.0, so an entry opens only where
+    Gamma[i, j] != 0 for rows i, j the two slots span; the identity
+    operator, diagonal in every orthonormal frame, opens none."""
     if decay.kind is DecayKind.IDENTITY_UNIFORM:
         return []
-    spans_a = SLOT_ROWS[:2] if frames.coupled_A else ((0,), (3,))
-    spans_b = SLOT_ROWS[2:] if frames.coupled_B else ((1,), (2,))
-    spans = spans_a + spans_b
+    spans = [
+        [i for i, c in zip(SLOT_ROWS[s], comp) if np.ndim(c) or c != 0.0]
+        for s, comp in enumerate(slot_vectors(frames))
+    ]
     m = decay.matrix
 
     def opens(p: int, q: int) -> bool:
@@ -195,13 +168,11 @@ class EnsembleSnapshot:
         n = self.n_samples
         factor = (self.weight * np.exp(-1j * self.phase - self.decay)).reshape(-1, n)
         codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
-        # frame-vector components of each slot on its two SLOT_ROWS, as
-        # member columns (scalars for an uncoupled block)
-        xa, ya, xb, yb = (
-            v.reshape(-1, n) if np.ndim(v) else v
-            for v in (self.frames.xA, self.frames.yA, self.frames.xB, self.frames.yB)
-        )
-        slots = ((xa, ya), (-ya, xa), (xb, yb), (-yb, xb))
+        # slot components as member columns (scalars for an uncoupled block)
+        slots = [
+            [c.reshape(-1, n) if np.ndim(c) else c for c in comp]
+            for comp in slot_vectors(self.frames)
+        ]
         out = np.zeros((16, n), dtype=complex)
         mirror_terms = []
         for k in range(factor.shape[0]):
@@ -255,9 +226,11 @@ class EnsembleState:
 
         r0, p0 = sample_bath_point(bp, config.seed, sample_start, self.n_local)
         frames0 = slot_frames(sp, bp, r0)
-        u0 = slot_vectors(frames0)
+        comps0 = slot_vectors(frames0)
         rho0 = initial_subsystem(config.initial_state)
-        elements0 = _slot_sandwich(u0, rho0)
+        elements0 = np.empty((4, 4, self.n_local), dtype=complex)
+        for p, q in np.ndindex(4, 4):
+            elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
 
         # a pair is carried by every sample of the block once its element
         # exceeds SPAWN_TOL in any of them, so each sample holds the same K
@@ -267,14 +240,14 @@ class EnsembleState:
             (p, q)
             for p in range(4)
             for q in range(4)
-            if (p <= q or not canonical) and np.any(np.abs(elements0[:, p, q]) > SPAWN_TOL)
+            if (p <= q or not canonical) and np.any(np.abs(elements0[p, q]) > SPAWN_TOL)
         ]
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         samp_local = np.tile(np.arange(self.n_local), len(pairs))
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
-        self.weight = elements0[:, al, ap].T.ravel().astype(complex)
+        self.weight = elements0[al, ap].ravel().astype(complex)
         self.mirrored = np.repeat(canonical & (al < ap), self.n_local)
         n = samp_local.size
         # bath coordinates and momenta of every member, one row per oscillator
@@ -300,11 +273,12 @@ class EnsembleState:
         # decay expectations are configuration-independent unless a coupled
         # block mixes states that the operator distinguishes
         g = np.real(decay.matrix)
-        varies_a = (sp.jx != sp.jy) and (g[0, 0] != g[3, 3] or g[0, 3] != 0.0)
-        varies_b = (sp.jx != -sp.jy) and (g[1, 1] != g[2, 2] or g[1, 2] != 0.0)
-        self._gdiag_constant = not (varies_a or varies_b)
-        self._slot_indices_dirty = True
+        self._gdiag_constant = not any(
+            coupled and (g[i, i] != g[j, j] or g[i, j] != 0.0)
+            for coupled, (i, j) in zip((frames0.coupled_A, frames0.coupled_B), SLOT_ROWS[::2])
+        )
         self._refresh_frames()
+        self._refresh_slot_indices()
         self._refresh_pair_caches()
 
     # -- frame-dependent caches ------------------------------------------
@@ -325,11 +299,8 @@ class EnsembleState:
         if self._gdiag_constant:
             gd = slot_gamma_diag(self.decay, self._frames)[:, :1].ravel()
             self._gamma_const = gd[self.alpha] + gd[self.alpha_prime]
-        self._slot_indices_dirty = False
 
     def _refresh_pair_caches(self) -> None:
-        if self._slot_indices_dirty:
-            self._refresh_slot_indices()
         fr = self._frames
         ia, ib = self._idx_a, self._idx_b
         self._omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
@@ -405,7 +376,7 @@ class EnsembleState:
             channels.append((0, s, t, amp, mag, dvec))
             channels.append((1, s, t, amp, mag, dvec))
         if self._gamma_channels:
-            comps, entries = _slot_components(self._frames), {}
+            comps, entries = slot_vectors(self._frames), {}
             for side, s, t in self._gamma_channels:
                 key = (s, t) if side == "ket" else (t, s)
                 if key not in entries:
@@ -445,7 +416,7 @@ class EnsembleState:
             self.weight[idx] = w
             labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
-        self._slot_indices_dirty = True  # labels may have changed
+        self._refresh_slot_indices()  # labels may have changed
         self._refresh_pair_caches()
 
     # -- views -------------------------------------------------------------

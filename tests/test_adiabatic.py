@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from nhqc.adiabatic import SLOT_ROWS, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
 from nhqc.model import BathParams, DecayKind, SpinChainParams, decay_operator
 from nhqc.oracle import (
     DegeneratePairError,
@@ -9,6 +9,7 @@ from nhqc.oracle import (
     analytic_energies,
     build_frame,
     dressed_hamiltonian,
+    frame_matrices,
     frame_permutation,
     gamma_in_adiabatic,
     hellmann_feynman_force,
@@ -262,12 +263,23 @@ def test_gamma_rate_nonnegative_for_psd_operator():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
+def test_slot_vectors_scatter_to_the_oracle_frame_matrices(jy):
+    rng = np.random.default_rng(29)
+    frames = slot_frames(SpinChainParams(jx=-1.0, jy=jy, jz=0.5), PAPER_BP, rng.uniform(-6, 6, (2, 300)))
+    u = np.zeros((300, 4, 4))
+    for s, comps in enumerate(slot_vectors(frames)):
+        for i, c in zip(SLOT_ROWS[s], comps):
+            u[:, i, s] = c
+    assert np.array_equal(u, frame_matrices(frames))
+
+
 @pytest.mark.parametrize("sp", [PAPER_SP, SpinChainParams(0.7, -0.4, 0.3)])
 def test_slot_frames_match_build_frame(sp):
     rng = np.random.default_rng(31)
     R = rng.uniform(-6, 6, (200, 2))
     frames = slot_frames(sp, PAPER_BP, R.T)
-    u = slot_vectors(frames)
+    u = frame_matrices(frames)
     for i in range(R.shape[0]):
         frame = build_frame(sp, PAPER_BP, R[i])
         assert np.max(np.abs(np.sort(frames.energies[:, i]) - frame.energies)) < 1e-12
@@ -284,7 +296,7 @@ def test_slot_gamma_diag_matches_generic():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     spec = decay_operator(DecayKind.CUSTOM, matrix=m + m.conj().T)
     gd = slot_gamma_diag(spec, frames)
-    u = slot_vectors(frames)
+    u = frame_matrices(frames)
     for i in range(R.shape[0]):
         direct = np.real(np.einsum("ia,ij,ja->a", u[i], spec.matrix, u[i]))
         assert np.max(np.abs(gd[:, i] - direct)) < 1e-12
@@ -296,7 +308,7 @@ def test_slot_coupling_matches_generic():
     frames = slot_frames(PAPER_SP, PAPER_BP, R.T)
     couplings = slot_coupling(PAPER_BP, frames)
     assert set(couplings) == {(2, 3), (3, 2)}  # block A is uncoupled for jx = jy
-    u = slot_vectors(frames)
+    u = frame_matrices(frames)
     for i in range(R.shape[0]):
         frame = build_frame(PAPER_SP, PAPER_BP, R[i])
         # identify the frame columns of slots 2 and 3 by overlap

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nhqc.cli import ConfigError, main, parse_config
-from nhqc.model import DecayKind
+from nhqc.cli import ConfigError, check_run_invariants, main, parse_config
+from nhqc.model import REFERENCE_BP, REFERENCE_SP, DecayKind, SimConfig, decay_operator
+from nhqc.propagator import simulate
 
 PAPER_LINES = [
     "# reference parameters",
@@ -172,7 +173,6 @@ def test_run_command_warns_on_nonadiabatic_mode(tmp_path, capsys):
     assert err.startswith("warning:") and "nonadiabatic" in err and "unvalidated" in err
     # the warning changes nothing else: same bytes as a direct simulate + write
     from nhqc.observables import write_csv
-    from nhqc.propagator import simulate
 
     series, _ = simulate(*parse_config(lines))
     write_csv(series, tmp_path / "direct.csv")
@@ -343,3 +343,14 @@ def test_preset_rejects_an_empty_start(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace at t = 0")
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("excess", [0.9e-12, -0.9e-12])
+def test_custom_ket_inside_the_norm_tolerance_starts_at_trace_one(excess):
+    # SimConfig accepts |norm - 1| <= 1e-12, so the norm squared may be off
+    # by 1.8e-12; the stored ket is normalized, and the run keeps the
+    # t = 0 invariant (trace 1 within 1e-12)
+    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    config = SimConfig(n_steps=2, seed=3, n_samples=20, initial_state=(1.0 + excess, 0.0, 0.0, 0.0))
+    series, _ = simulate(REFERENCE_SP, REFERENCE_BP, decay, config)
+    check_run_invariants(series, decay)

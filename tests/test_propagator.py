@@ -15,14 +15,14 @@ from nhqc.model import (
     decay_operator,
 )
 from nhqc.observables import reduce_snapshot
-from nhqc.oracle import PairTrajectory, PhasePoint, build_frame, classical_step, sstp_step
+from nhqc.oracle import PairTrajectory, PhasePoint, build_frame, classical_step, frame_matrices, sstp_step
 from nhqc.propagator import (
     CHUNK_SAMPLES,
     HOP_STREAM_TAG,
     EnsembleState,
     _momentum_jump,
     _open_gamma_channels,
-    _slot_sandwich,
+    _slot_entry,
     simulate,
 )
 from nhqc.sampler import initial_subsystem, sample_bath_point
@@ -287,10 +287,12 @@ def sandwich_operands():
 def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     R, _ = sample_bath_point(PAPER_BP, 21, 0, 500)
-    u = slot_vectors(slot_frames(sp, PAPER_BP, R))
+    frames = slot_frames(sp, PAPER_BP, R)
+    u, comps = frame_matrices(frames), slot_vectors(frames)
     for name, m in sandwich_operands().items():
         expected = np.einsum("nip,ij,njq->npq", u, m, u)
-        assert np.array_equal(_slot_sandwich(u, m), expected), name
+        entries = [[_slot_entry(comps, m, s, t, 500) for t in range(4)] for s in range(4)]
+        assert np.array_equal(np.transpose(entries, (2, 0, 1)), expected), name
 
 
 def test_open_gamma_channels():
@@ -343,8 +345,8 @@ def pinned_hop_step(monkeypatch, c, uniform):
 
 
 def dense_decay_entries(before, decay):
-    """u^T Gamma u per member from the dense slot vectors, shape (n, 4, 4)."""
-    u = slot_vectors(before["frames"])
+    """u^T Gamma u per member from the oracle's dense frame matrices, shape (n, 4, 4)."""
+    u = frame_matrices(before["frames"])
     return np.einsum("nip,ij,njq->npq", u, decay.matrix, u)
 
 
