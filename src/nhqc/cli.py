@@ -121,9 +121,10 @@ def _apply_seed_override(config: SimConfig) -> SimConfig:
 def check_run_invariants(series: TimeSeries, decay: DecaySpec) -> None:
     """Verify the run-level guarantees instead of assuming them.
 
-    The initial state is normalized, so the trace starts at 1; an ensemble
-    that lost its members (overflowed initial frames) starts at 0 and would
-    pass every later check with a constant trace.
+    The initial state is normalized, so the trace starts at 1.  A block that
+    spawns no member at all (overflowed initial frames) already raises in
+    ``simulate``; a start that lost only part of its weight would pass
+    every later check with a trace too low from t = 0 on.
     """
     series.validate()
     traces = series.traces()
@@ -152,8 +153,8 @@ def run(config_path, out_dir, threads: int = 1) -> int:
     if config.mode == "nonadiabatic":
         warning = "mode = nonadiabatic is unvalidated and biased: its trace rises above the exact law"
         print(f"warning: {warning}", file=sys.stderr)
-    series, summary = simulate(sp, bp, decay, config, threads=threads)
     try:
+        series, summary = simulate(sp, bp, decay, config, threads=threads)
         check_run_invariants(series, decay)
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -209,8 +210,8 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
     files, labels = [], []
     for g in gammas:
         decay = decay_operator(kind, g)
-        series, summary = simulate(REFERENCE_SP, REFERENCE_BP, decay, config, threads=threads)
         try:
+            series, summary = simulate(REFERENCE_SP, REFERENCE_BP, decay, config, threads=threads)
             check_run_invariants(series, decay)
         except ValueError as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)

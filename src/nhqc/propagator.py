@@ -15,7 +15,10 @@ decay amplitudes only for the entries where a channel is open.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
 closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
-time series.  Every slot-basis quantity here is built from the slot layout
+time series.  Its velocity-Verlet step evaluates the mean force once: the
+force is cached with each member's frequency and decay rate, and these rows
+are rebuilt after every drift and, for the members that hopped, after the
+hop stage.  Every slot-basis quantity here is built from the slot layout
 of ``nhqc.adiabatic`` (``slot_vectors`` on ``SLOT_ROWS``).  The adiabatic
 step restated for a single member on the generic eigensolver route is
 ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no nonadiabatic
@@ -242,6 +245,13 @@ class EnsembleState:
             for q in range(4)
             if (p <= q or not canonical) and np.any(np.abs(elements0[p, q]) > SPAWN_TOL)
         ]
+        if not pairs:
+            # a normalized state always spawns a pair unless its elements
+            # overflowed to NaN; an empty ensemble would read trace 0
+            raise ValueError(
+                f"trace at t = 0 is 0: samples [{sample_start}, {sample_start + self.n_local}) "
+                "spawn no pair (non-finite initial frames)"
+            )
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         samp_local = np.tile(np.arange(self.n_local), len(pairs))
@@ -277,8 +287,15 @@ class EnsembleState:
             coupled and (g[i, i] != g[j, j] or g[i, j] != 0.0)
             for coupled, (i, j) in zip((frames0.coupled_A, frames0.coupled_B), SLOT_ROWS[::2])
         )
+        self._restore = bp.mass * bp.omega**2
         self._refresh_frames()
-        self._refresh_slot_indices()
+        if self._gdiag_constant:
+            # per-slot rates, read once: they do not depend on the frame
+            self._gd = slot_gamma_diag(decay, self._frames)[:, :1].ravel()
+            self._gamma_const = np.empty(n)
+        self._idx_a = np.empty(n, dtype=np.int64)
+        self._idx_b = np.empty(n, dtype=np.int64)
+        self._relabel(slice(None))
         self._refresh_pair_caches()
 
     # -- frame-dependent caches ------------------------------------------
@@ -290,30 +307,34 @@ class EnsembleState:
         if self.mode == "nonadiabatic":
             self._couplings = slot_coupling(self.bp, self._frames)
 
-    def _refresh_slot_indices(self) -> None:
-        """Flat gather indices into the (4, n) per-slot tables; constant while
-        no transitions change the member labels."""
-        n = self._ar.size
-        self._idx_a = self.alpha * n + self._ar
-        self._idx_b = self.alpha_prime * n + self._ar
+    def _relabel(self, members) -> None:
+        """Flat gather indices into the (4, n) per-slot tables, and the
+        constant decay rates, of ``members`` (an index array or a slice);
+        they change only where a transition changes a member's labels."""
+        a, b = self.alpha[members], self.alpha_prime[members]
+        self._idx_a[members] = a * self._ar.size + self._ar[members]
+        self._idx_b[members] = b * self._ar.size + self._ar[members]
         if self._gdiag_constant:
-            gd = slot_gamma_diag(self.decay, self._frames)[:, :1].ravel()
-            self._gamma_const = gd[self.alpha] + gd[self.alpha_prime]
+            self._gamma_const[members] = self._gd[a] + self._gd[b]
+
+    def _pair_rows(self, members) -> tuple:
+        """Bohr frequency, decay rate (None where the rates are constant) and
+        mean force c * zmean - M omega^2 R of ``members`` on the current
+        frames.  The force depends only on R and the labels."""
+        fr = self._frames
+        ia, ib = self._idx_a[members], self._idx_b[members]
+        omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
+        gamma = None
+        if not self._gdiag_constant:
+            gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
+        z = fr.z.reshape(2, -1)
+        zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
+        force = self.bp.c * zmean - self._restore * self.R[:, members]
+        return omega, gamma, force
 
     def _refresh_pair_caches(self) -> None:
-        fr = self._frames
-        ia, ib = self._idx_a, self._idx_b
-        self._omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
-        if self._gdiag_constant:
-            self._gamma = self._gamma_const
-        else:
-            self._gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
-        z = fr.z.reshape(2, -1)
-        self._zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
-
-    def _mean_force(self) -> np.ndarray:
-        restore = self.bp.mass * self.bp.omega**2
-        return self.bp.c * self._zmean - restore * self.R
+        self._omega, gamma, self._force = self._pair_rows(slice(None))
+        self._gamma = self._gamma_const if gamma is None else gamma
 
     # -- time stepping ----------------------------------------------------
 
@@ -322,13 +343,15 @@ class EnsembleState:
         over_mass = dt / self.bp.mass
         half_dt = 0.5 * dt
         for _ in range(n_steps):
-            p_half = self.P + half_dt * self._mean_force()
-            self.R += over_mass * p_half
+            # the force that ends one step starts the next: it is cached with
+            # the frames, and refreshed wherever R or a label changes
+            self.P += half_dt * self._force
+            self.R += over_mass * self.P
             omega_old = self._omega
             gamma_old = self._gamma
             self._refresh_frames()
             self._refresh_pair_caches()
-            self.P = p_half + half_dt * self._mean_force()
+            self.P += half_dt * self._force
             self.phase += half_dt * (omega_old + self._omega)
             if self._gamma is gamma_old:  # configuration-independent rates
                 self.decay_acc += dt * self._gamma
@@ -401,6 +424,7 @@ class EnsembleState:
         rows = [np.where(masks[side, s][hit], mag[hit], 0.0) for side, s, _, _, mag, _ in channels]
         choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)
         energies = self._frames.energies
+        moved = []
         for c in np.unique(choice):
             side, s, t, amp, mag, dvec = channels[c]
             sel = choice == c
@@ -416,8 +440,17 @@ class EnsembleState:
             self.weight[idx] = w
             labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
-        self._refresh_slot_indices()  # labels may have changed
-        self._refresh_pair_caches()
+            moved.append(idx)
+        # every cached row is elementwise in its member (constant rates come
+        # from the set-up table), so only the rows of the members that hopped
+        # change; writing them in place keeps ``_gamma is _gamma_const``
+        moved = np.concatenate(moved)
+        self._relabel(moved)
+        omega, gamma, force = self._pair_rows(moved)
+        self._omega[moved] = omega
+        if gamma is not None:
+            self._gamma[moved] = gamma
+        self._force[:, moved] = force
 
     # -- views -------------------------------------------------------------
 

@@ -289,6 +289,21 @@ def test_slot_frames_match_build_frame(sp):
         assert np.max(np.abs(u[i].T @ u[i] - np.eye(4))) < 1e-12
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])  # both signs of both blocks' off-diagonal w
+def test_half_gap_is_hypot_within_one_ulp(sign):
+    # jz = 0, c = 1 and R2 = 0 make delta = -R1 exactly in both blocks, so
+    # the half gap must be hypot(delta, w) to within its last bit
+    x = np.logspace(-8, 150, 3001)
+    x = np.concatenate([x, -x])
+    sp = SpinChainParams(jx=-sign, jy=-0.6 * sign, jz=0.0)
+    frames = slot_frames(sp, BathParams(c=1.0, beta=0.1), np.array([x, np.zeros_like(x)]))
+    for gap, w in ((frames.half_gap_A, -(sp.jx - sp.jy)), (frames.half_gap_B, -(sp.jx + sp.jy))):
+        exact = np.hypot(x, w)
+        assert np.all(np.abs(gap - exact) <= np.spacing(exact))
+    for part in (frames.energies, frames.z, frames.xA, frames.yA, frames.xB, frames.yB):
+        assert np.all(np.isfinite(part))
+
+
 def test_slot_gamma_diag_matches_generic():
     rng = np.random.default_rng(37)
     R = rng.uniform(-4, 4, (50, 2))

@@ -244,6 +244,81 @@ def test_nonadiabatic_hops_occur_and_stay_finite():
     assert np.all(np.isfinite(mats))
 
 
+def two_force_verlet(engine, n_steps):
+    """Reference for ``advance``: velocity Verlet with the mean force
+    evaluated twice per step from the frames and labels, before the drift and
+    after it, and every pair cache rebuilt for all members after a hop
+    stage."""
+    bp, dt = engine.bp, engine.config.dt
+    n = engine.weight.size
+
+    def mean_force():
+        z = engine._frames.z.reshape(2, -1)
+        ia, ib = engine.alpha * n + np.arange(n), engine.alpha_prime * n + np.arange(n)
+        zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
+        return bp.c * zmean - bp.mass * bp.omega**2 * engine.R
+
+    for _ in range(n_steps):
+        p_half = engine.P + 0.5 * dt * mean_force()
+        engine.R += dt / bp.mass * p_half
+        omega_old, gamma_old = engine._omega, engine._gamma
+        engine._refresh_frames()
+        engine._refresh_pair_caches()
+        engine.P = p_half + 0.5 * dt * mean_force()
+        engine.phase += 0.5 * dt * (omega_old + engine._omega)
+        if engine._gamma is gamma_old:
+            engine.decay_acc += dt * engine._gamma
+        else:
+            engine.decay_acc += 0.5 * dt * (gamma_old + engine._gamma)
+        if engine.mode == "nonadiabatic":
+            engine._hop_stage(dt)
+            engine._relabel(slice(None))
+            engine._refresh_pair_caches()
+        engine._step_index += 1
+        engine.t = engine._step_index * dt
+
+
+CROSS_BLOCK_DECAY = np.array(
+    [[1.0, 0.1, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.0, 1.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "jy,c,state,decay,mode",
+    [
+        (-1.0, 0.24, PHI, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "adiabatic"),
+        (-0.6, 0.24, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic"),
+        # rates constant in R but distinct across blocks, which decay hops cross
+        (-0.6, 1.5, PHI, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), "nonadiabatic"),
+        (-0.6, 1.5, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic"),
+    ],
+)
+def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, decay, mode):
+    # one cached force per step, refreshed only for the members that hop,
+    # reproduces the step that evaluates the force twice
+    sp, bp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5), BathParams(c=c, beta=0.1)
+    config = SimConfig(n_steps=60, seed=5, n_samples=32, initial_state=state, mode=mode)
+    engine, reference = (EnsembleState(sp, bp, decay, config) for _ in range(2))
+    engine.advance(60)
+    two_force_verlet(reference, 60)
+    if mode == "nonadiabatic":
+        assert engine.summary.n_hops > 0
+    assert (engine.summary.n_hops, engine.summary.n_frustrated) == (
+        reference.summary.n_hops, reference.summary.n_frustrated
+    )
+    for name in ("R", "P", "phase", "decay_acc", "weight", "alpha", "alpha_prime"):
+        assert np.array_equal(getattr(engine, name), getattr(reference, name)), name
+
+
+def test_simulate_rejects_an_empty_start():
+    # c = 1e308 overflows every initial frame of phi: no pair is spawned, and
+    # an empty ensemble would read trace 0 from t = 0 on
+    config = SimConfig(n_steps=10, seed=2, n_samples=10, initial_state=PHI)
+    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^trace at t = 0"):
+        simulate(PAPER_SP, BathParams(c=1e308, beta=0.1), decay, config)
+
+
 def full_block_hop_uniforms(engine):
     """Reference for the hop uniforms: every block's stream drawn in full
     (CHUNK_SAMPLES * 16 uniforms), then read at the members' offsets."""
