@@ -52,7 +52,9 @@ class MomentAccumulator:
         into it once.  The scatter is taken one row at a time through one
         reused n-long buffer: a (16, n) temporary is as large as the rows
         themselves, and allocating and releasing it at every output costs
-        more than the arithmetic.
+        more than the arithmetic.  A row whose mean is 0 is checked for
+        being all zero, as most rows of a single-block state are; its
+        scatter is then 0 without the pass.
         """
         n = matrices.shape[0]
         rows = np.ascontiguousarray(matrices.reshape(n, 16).T)
@@ -61,6 +63,9 @@ class MomentAccumulator:
         flat = diff.view(np.float64)  # (re, im) interleaved: one product pass gives |x - mean|^2
         m2 = np.empty(16)
         for k in range(16):
+            if mean[k] == 0 and not rows[k].any():
+                m2[k] = 0.0
+                continue
             np.subtract(rows[k], mean[k], out=diff)
             m2[k] = np.einsum("i,i->", flat, flat)
         traces = rows[0].real + rows[5].real + rows[10].real + rows[15].real

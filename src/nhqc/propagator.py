@@ -19,7 +19,8 @@ time series.  Its velocity-Verlet step evaluates the mean force once: the
 force is cached with each member's frequency and decay rate, and these rows
 are rebuilt after every drift and, for the members that hopped, after the
 hop stage.  Every slot-basis quantity here is built from the slot layout
-of ``nhqc.adiabatic`` (``slot_vectors`` on ``SLOT_ROWS``).  The adiabatic
+of ``nhqc.adiabatic`` (``slot_vectors`` on ``SLOT_ROWS``, and the force
+from the per-block <sigma_z> rows with the signs ``SLOT_SZ``).  The adiabatic
 step restated for a single member on the generic eigensolver route is
 ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no nonadiabatic
 counterpart.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import SLOT_ROWS, SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from .adiabatic import SLOT_ROWS, SLOT_SZ, SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
 from .model import BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import MomentAccumulator, TimeRecord, TimeSeries
 from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
@@ -51,6 +52,8 @@ HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 
 # unordered-pair rank of an ordered slot pair, used to key shared hop draws
 UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
+# each slot's spin-1 <sigma_z> as coefficients of the (sz_A, sz_B) rows
+SZ_COEF = np.array([[sign, 0.0] if s < 2 else [0.0, sign] for s, (sign, _) in enumerate(SLOT_SZ)])
 
 
 @dataclass
@@ -162,14 +165,17 @@ class EnsembleSnapshot:
         Every member adds its weight * exp(-i phase - decay), back-rotated
         with its own current frame, to its sample's matrix; mirrored members
         also add the Hermitian-conjugate element of the implicit
-        (alpha', alpha) partner.  The sum runs one member column at a time
-        into the element rows of a (16, n_samples) array, direct terms in
-        column order and then the mirrored ones.  The result is a view of
-        those rows, not a copy: ``m.reshape(n_samples, 16).T`` gives them
-        back C-contiguous, which is the layout ``MomentAccumulator`` sums.
+        (alpha', alpha) partner.  A column whose phase is identically 0, as
+        a diagonal pair's is in adiabatic mode, takes the real
+        weight * exp(-decay) instead, which is cheaper and agrees to an ulp.
+        The sum runs one member column at a time into the element rows of a
+        (16, n_samples) array, direct terms in column order and then the
+        mirrored ones.  The result is a view of those rows, not a copy:
+        ``m.reshape(n_samples, 16).T`` gives them back C-contiguous, which is
+        the layout ``MomentAccumulator`` sums.
         """
         n = self.n_samples
-        factor = (self.weight * np.exp(-1j * self.phase - self.decay)).reshape(-1, n)
+        weight, phase, decay = (v.reshape(-1, n) for v in (self.weight, self.phase, self.decay))
         codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
         # slot components as member columns (scalars for an uncoupled block)
         slots = [
@@ -178,10 +184,14 @@ class EnsembleSnapshot:
         ]
         out = np.zeros((16, n), dtype=complex)
         mirror_terms = []
-        for k in range(factor.shape[0]):
+        for k in range(codes.shape[0]):
             mirrored = self.mirrored[k * n]  # uniform down a column
             comps = [[c[k] if np.ndim(c) else c for c in slot] for slot in slots]
-            for code, f in _column_pieces(codes[k], factor[k]):
+            if phase[k, 0] == 0.0 and not phase[k].any():  # one read rules out most columns
+                factor = weight[k] * np.exp(-decay[k])
+            else:
+                factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
+            for code, f in _column_pieces(codes[k], factor):
                 a, b = divmod(code, 4)
                 for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
                     coef = comps[a][p] * comps[b][q]
@@ -288,6 +298,7 @@ class EnsembleState:
             for coupled, (i, j) in zip((frames0.coupled_A, frames0.coupled_B), SLOT_ROWS[::2])
         )
         self._restore = bp.mass * bp.omega**2
+        self._half_c = 0.5 * bp.c
         self._refresh_frames()
         if self._gdiag_constant:
             # per-slot rates, read once: they do not depend on the frame
@@ -295,6 +306,7 @@ class EnsembleState:
             self._gamma_const = np.empty(n)
         self._idx_a = np.empty(n, dtype=np.int64)
         self._idx_b = np.empty(n, dtype=np.int64)
+        self._sz_coef = np.empty((2, n))
         self._relabel(slice(None))
         self._refresh_pair_caches()
 
@@ -308,28 +320,41 @@ class EnsembleState:
             self._couplings = slot_coupling(self.bp, self._frames)
 
     def _relabel(self, members) -> None:
-        """Flat gather indices into the (4, n) per-slot tables, and the
+        """Flat gather indices into the (4, n) per-slot tables, the
+        coefficients of the per-block <sigma_z> rows in the force, and the
         constant decay rates, of ``members`` (an index array or a slice);
         they change only where a transition changes a member's labels."""
         a, b = self.alpha[members], self.alpha_prime[members]
         self._idx_a[members] = a * self._ar.size + self._ar[members]
         self._idx_b[members] = b * self._ar.size + self._ar[members]
+        self._sz_coef[:, members] = (SZ_COEF[a] + SZ_COEF[b]).T
         if self._gdiag_constant:
             self._gamma_const[members] = self._gd[a] + self._gd[b]
 
     def _pair_rows(self, members) -> tuple:
         """Bohr frequency, decay rate (None where the rates are constant) and
         mean force c * zmean - M omega^2 R of ``members`` on the current
-        frames.  The force depends only on R and the labels."""
+        frames.  The force depends only on R and the labels.
+
+        zmean is half the sum of the two labels' <sigma_z>, each a sign times
+        its block's row (``SLOT_SZ``).  On spin 1 that sum is the block-A
+        part plus the block-B part; on spin 2 it is their difference.  The
+        sum of two such terms is exact whenever both labels share a block,
+        so this equals 0.5 * (z[a] + z[b]) over ``SlotFrames.z`` bit for
+        bit."""
         fr = self._frames
         ia, ib = self._idx_a[members], self._idx_b[members]
         omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
         gamma = None
         if not self._gdiag_constant:
             gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
-        z = fr.z.reshape(2, -1)
-        zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
-        force = self.bp.c * zmean - self._restore * self.R[:, members]
+        sz_a, sz_b = (sz[members] if np.ndim(sz) else sz for sz in (fr.sz_A, fr.sz_B))
+        za = self._sz_coef[0, members] * sz_a
+        zb = self._sz_coef[1, members] * sz_b
+        force = np.empty((2, omega.size))
+        np.multiply(self._half_c, za + zb, out=force[0])
+        np.multiply(self._half_c, za - zb, out=force[1])
+        force -= self._restore * self.R[:, members]
         return omega, gamma, force
 
     def _refresh_pair_caches(self) -> None:

@@ -304,6 +304,64 @@ def test_half_gap_is_hypot_within_one_ulp(sign):
         assert np.all(np.isfinite(part))
 
 
+# spin-1 and spin-2 sigma_z over the basis |ee>, |eg>, |ge>, |gg>
+SIGMA_Z = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+FEW_ULP = 4 * np.spacing(1.0)  # <sigma_z> lies in [-1, 1]
+
+SZ_CASES = {
+    "jx = jy": (SpinChainParams(-1.0, -1.0, 0.5), 0.24),  # block A uncoupled
+    "jx = -jy": (SpinChainParams(-1.0, 1.0, 0.5), 0.24),  # block B uncoupled
+    "both coupled": (SpinChainParams(-1.0, -0.6, 0.5), 1.5),
+    "c = 0": (SpinChainParams(-1.0, -0.6, 0.5), 0.0),
+}
+
+
+def sz_configurations():
+    """R1 +- R2 of both signs over five decades, plus q = 0 in each block."""
+    rng = np.random.default_rng(43)
+    mag = np.logspace(-4, 1, 400)
+    sign = rng.choice([-1.0, 1.0], (2, mag.size))
+    q = sign[0] * rng.permutation(mag), sign[1] * mag
+    edges = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])  # q_A, q_B = (2, 0), (0, 2), (0, 0)
+    return np.hstack([0.5 * np.array([q[0] + q[1], q[0] - q[1]]), edges])
+
+
+@pytest.mark.parametrize("case", SZ_CASES)
+def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
+    sp, c = SZ_CASES[case]
+    frames = slot_frames(sp, BathParams(c=c, beta=0.1), sz_configurations())
+    for coupled, sz, x, y in (
+        (frames.coupled_A, frames.sz_A, frames.xA, frames.yA),
+        (frames.coupled_B, frames.sz_B, frames.xB, frames.yB),
+    ):
+        if coupled:
+            assert np.max(np.abs(sz - (x * x - y * y))) <= FEW_ULP
+        else:
+            assert (sz, x, y) == (1.0, 1.0, 0.0)
+    # the eight-row layout of spin 1, then spin 2, from the vectors
+    n = frames.energies.shape[1]
+    c2A, c2B = frames.xA**2 - frames.yA**2, frames.xB**2 - frames.yB**2
+    rows = [c2A, -c2A, c2B, -c2B, c2A, -c2A, -c2B, c2B]
+    eight = np.array([np.broadcast_to(row, n) for row in rows]).reshape(2, 4, n)
+    assert np.max(np.abs(frames.z - eight)) <= FEW_ULP
+
+
+@pytest.mark.parametrize("case", SZ_CASES)
+def test_sz_rows_match_the_eigensolver(case):
+    sp, c = SZ_CASES[case]
+    bp = BathParams(c=c, beta=0.1)
+    R = sz_configurations()[:, ::8]
+    frames = slot_frames(sp, bp, R)
+    u = frame_matrices(frames)
+    for i in range(R.shape[1]):
+        frame = build_frame(sp, bp, R[:, i])
+        if np.min(np.diff(frame.energies)) < 1e-6:
+            continue  # a crossing of the uncoupled block: its eigenvectors are not unique
+        col_of_slot = np.argmax(np.abs(u[i].T @ np.real(frame.vectors)), axis=1)
+        sz = SIGMA_Z @ np.abs(frame.vectors[:, col_of_slot]) ** 2
+        assert np.max(np.abs(frames.z[:, :, i] - sz)) < 1e-12
+
+
 def test_slot_gamma_diag_matches_generic():
     rng = np.random.default_rng(37)
     R = rng.uniform(-4, 4, (50, 2))

@@ -310,6 +310,26 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
         assert np.array_equal(getattr(engine, name), getattr(reference, name)), name
 
 
+@pytest.mark.parametrize(
+    "jy,decay",
+    [
+        (-0.6, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)),  # both blocks coupled
+        (-1.0, decay_operator(DecayKind.PROJECTOR_EE, 0.1)),  # block A uncoupled, as in fig3
+    ],
+)
+def test_constant_rate_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay):
+    # the step reads only energies and the per-block <sigma_z> rows; x and y
+    # are built on first read, here by the reduction
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
+    engine = EnsembleState(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
+    assert engine._gdiag_constant
+    engine.advance(3)
+    frames = engine._frames
+    assert frames._built == {}
+    engine.snapshot().sample_matrices()
+    assert set(frames._built) == {"A", "B"}
+
+
 def test_simulate_rejects_an_empty_start():
     # c = 1e308 overflows every initial frame of phi: no pair is spawned, and
     # an empty ensemble would read trace 0 from t = 0 on
