@@ -298,7 +298,6 @@ class EnsembleState:
             for coupled, (i, j) in zip((frames0.coupled_A, frames0.coupled_B), SLOT_ROWS[::2])
         )
         self._restore = bp.mass * bp.omega**2
-        self._half_c = 0.5 * bp.c
         self._refresh_frames()
         if self._gdiag_constant:
             # per-slot rates, read once: they do not depend on the frame
@@ -338,10 +337,11 @@ class EnsembleState:
 
         zmean is half the sum of the two labels' <sigma_z>, each a sign times
         its block's row (``SLOT_SZ``).  On spin 1 that sum is the block-A
-        part plus the block-B part; on spin 2 it is their difference.  The
-        sum of two such terms is exact whenever both labels share a block,
-        so this equals 0.5 * (z[a] + z[b]) over ``SlotFrames.z`` bit for
-        bit."""
+        part plus the block-B part; on spin 2 it is their difference.  Two
+        labels in one block give an exact multiple of its row, two in
+        different blocks the same single addition as z[a] + z[b], and 0.5 c
+        is exact, so the force equals c * 0.5 * (z[a] + z[b]) - M omega^2 R
+        over ``SlotFrames.z`` bit for bit."""
         fr = self._frames
         ia, ib = self._idx_a[members], self._idx_b[members]
         omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
@@ -351,9 +351,10 @@ class EnsembleState:
         sz_a, sz_b = (sz[members] if np.ndim(sz) else sz for sz in (fr.sz_A, fr.sz_B))
         za = self._sz_coef[0, members] * sz_a
         zb = self._sz_coef[1, members] * sz_b
+        half_c = 0.5 * self.bp.c
         force = np.empty((2, omega.size))
-        np.multiply(self._half_c, za + zb, out=force[0])
-        np.multiply(self._half_c, za - zb, out=force[1])
+        np.multiply(half_c, za + zb, out=force[0])
+        np.multiply(half_c, za - zb, out=force[1])
         force -= self._restore * self.R[:, members]
         return omega, gamma, force
 
