@@ -25,7 +25,7 @@ from .model import (
     subsystem_hamiltonian,
 )
 from .observables import write_csv
-from .oracle import analytic_energies, solve_quantum, trace_law_projector
+from .oracle import analytic_energies, slot_sigma_z, solve_quantum, trace_law_projector
 from .propagator import simulate
 from .sampler import bath_sigmas, initial_subsystem, sample_bath_point
 
@@ -153,7 +153,7 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     h = 1e-5
     R = rng.uniform(-4, 4, (2, 20 if quick else 100))
     frames = slot_frames(sp, bp, R)
-    force = bp.c * frames.z - bp.mass * bp.omega**2 * R[:, None, :]
+    force = bp.c * slot_sigma_z(frames) - bp.mass * bp.omega**2 * R[:, None, :]
     worst_f = 0.0
     for k in range(2):
         dR = np.zeros((2, 1))

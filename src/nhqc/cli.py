@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    CONFIG_KEYS,
     REFERENCE_BP,
     REFERENCE_SP,
     BathParams,
@@ -29,16 +30,8 @@ class ConfigError(ValueError):
     """Bad configuration file or value."""
 
 
-_FLOAT_KEYS = ("jx", "jy", "jz", "c", "mass", "omega", "beta", "gamma", "dt")
-_INT_KEYS = ("steps", "samples", "seed", "output_stride")
-_ENUM_KEYS = {
-    "gamma_kind": ("identity", "projector_ee"),
-    "mode": ("adiabatic", "nonadiabatic"),
-    "initial_state": ("phi", "psi"),
-}
-_ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_ENUM_KEYS)
 _DEFAULTS = {"mass": 1.0, "omega": 1.0, "dt": 0.01, "samples": 50_000, "mode": "adiabatic", "output_stride": 1}
-_MANDATORY = ("jx", "jy", "jz", "c", "beta", "gamma_kind", "gamma", "steps", "seed", "initial_state")
+_MANDATORY = [key for key in CONFIG_KEYS if key not in _DEFAULTS]
 
 
 def parse_config(source) -> tuple[SpinChainParams, BathParams, DecaySpec, SimConfig]:
@@ -65,20 +58,19 @@ def parse_config(source) -> tuple[SpinChainParams, BathParams, DecaySpec, SimCon
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        kind = CONFIG_KEYS[key][0]
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            else:
+            if isinstance(kind, tuple):
                 text = text.lower()
-                if text not in _ENUM_KEYS[key]:
-                    raise ValueError(f"must be one of {_ENUM_KEYS[key]}")
+                if text not in kind:
+                    raise ValueError(f"must be one of {kind}")
                 values[key] = text
+            else:
+                values[key] = kind(text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 

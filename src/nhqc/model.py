@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "CONFIG_KEYS",
     "HERMITICITY_TOL",
     "REFERENCE_BP",
     "REFERENCE_SP",
@@ -60,7 +61,7 @@ class SpinChainParams:
 
 @dataclass(frozen=True)
 class BathParams:
-    """Harmonic-bath parameters.
+    """Parameters of the harmonic bath, one oscillator per spin.
 
     ``beta`` is the adimensional inverse temperature; ``c`` couples oscillator
     k linearly to the z component of spin k.
@@ -70,15 +71,12 @@ class BathParams:
     omega: float = 1.0
     c: float = 0.0
     beta: float = 1.0
-    n_osc: int = 2
 
     def __post_init__(self) -> None:
         for name in ("mass", "omega", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        if self.n_osc < 1:
-            raise ValueError("n_osc must be >= 1")
         _require_finite("c", np.asarray(self.c))
 
 
@@ -151,6 +149,29 @@ REFERENCE_BP = BathParams(c=0.24, beta=0.1)
 
 _MODES = ("adiabatic", "nonadiabatic")
 
+# The keys of a run configuration, in the order a run's metadata lists
+# them: key -> (the type its value parses to, float, int or the tuple of
+# allowed words; the run parameter that holds it, "sp", "bp", "decay" or
+# "config"; that parameter's attribute).
+CONFIG_KEYS = {
+    "jx": (float, "sp", "jx"),
+    "jy": (float, "sp", "jy"),
+    "jz": (float, "sp", "jz"),
+    "c": (float, "bp", "c"),
+    "mass": (float, "bp", "mass"),
+    "omega": (float, "bp", "omega"),
+    "beta": (float, "bp", "beta"),
+    "gamma_kind": (("identity", "projector_ee"), "decay", "kind"),
+    "gamma": (float, "decay", "strength"),
+    "dt": (float, "config", "dt"),
+    "steps": (int, "config", "n_steps"),
+    "samples": (int, "config", "n_samples"),
+    "seed": (int, "config", "seed"),
+    "mode": (_MODES, "config", "mode"),
+    "initial_state": ((PHI, PSI), "config", "initial_state"),
+    "output_stride": (int, "config", "output_stride"),
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -221,18 +242,16 @@ def coupling_hamiltonian(bp: BathParams, R: np.ndarray) -> np.ndarray:
     Oscillator k couples to the z component of spin k with strength -c R_k.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape != (bp.n_osc,):
-        raise ValueError(f"R must have length {bp.n_osc}, got shape {R.shape}")
-    if bp.n_osc != 2:
-        raise ValueError("the two-spin model couples exactly two oscillators")
+    if R.shape != (2,):
+        raise ValueError(f"R must have length 2, got shape {R.shape}")
     return np.diag(-bp.c * (R[0] * SZ1_DIAG + R[1] * SZ2_DIAG)).astype(complex)
 
 
 def bath_potential(bp: BathParams, R: np.ndarray) -> float:
     """Harmonic bath potential; shifts every adiabatic energy by a scalar."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (bp.n_osc,):
-        raise ValueError(f"R must have length {bp.n_osc}, got shape {R.shape}")
+    if R.shape != (2,):
+        raise ValueError(f"R must have length 2, got shape {R.shape}")
     return float(0.5 * bp.mass * bp.omega**2 * np.sum(R**2))
 
 

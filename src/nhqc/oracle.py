@@ -6,8 +6,9 @@
   dressed Hamiltonian numerically (LAPACK), sorts energies ascending and
   fixes the eigenvector gauge; Hellmann-Feynman forces, derivative
   couplings and decay matrices follow from its frames.
-* ``frame_matrices``, the engine's closed-form block frames written out as
-  dense 4x4 column matrices, entry by entry.
+* ``frame_matrices`` and ``slot_sigma_z``, the engine's closed-form block
+  frames written out as dense 4x4 column matrices and as every slot's
+  <sigma_z> on both spins.
 * ``sstp_step``, the single-member short-time step on that route: a plain
   restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
   Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
@@ -62,6 +63,7 @@ __all__ = [
     "nonadiabatic_coupling",
     "rk4_step",
     "solve_quantum",
+    "slot_sigma_z",
     "sstp_step",
     "trace_law_identity",
     "trace_law_projector",
@@ -328,19 +330,30 @@ def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabati
 
 def frame_matrices(frames: SlotFrames) -> np.ndarray:
     """The closed-form frames as dense matrices, shape (n, 4, 4): column s
-    is slot s's frame vector in the subsystem basis (block A on |ee>, |gg>,
-    block B on |eg>, |ge>), the second slot of a block being (-y, x)."""
-    n = frames.energies.shape[1]
-    u = np.zeros((n, 4, 4))
-    u[:, 0, 0] = frames.xA
-    u[:, 3, 0] = frames.yA
-    u[:, 0, 1] = -frames.yA
-    u[:, 3, 1] = frames.xA
-    u[:, 1, 2] = frames.xB
-    u[:, 2, 2] = frames.yB
-    u[:, 1, 3] = -frames.yB
-    u[:, 2, 3] = frames.xB
+    is slot s's frame vector in the subsystem basis (block k's slots 2k and
+    2k + 1 on its two rows), the second slot of a block being (-y, x)."""
+    u = np.zeros((frames.energies.shape[1], 4, 4))
+    for k, block in enumerate(frames.blocks):
+        (i, j), (x, y) = block.rows, block.vector
+        u[:, i, 2 * k] = x
+        u[:, j, 2 * k] = y
+        u[:, i, 2 * k + 1] = -y
+        u[:, j, 2 * k + 1] = x
     return u
+
+
+def slot_sigma_z(frames: SlotFrames) -> np.ndarray:
+    """Each slot's <sigma_z> on both spins, shape (2, 4, n): z[k, s] is slot
+    s's <sigma_z> of spin k + 1.  A block's upper slot has its ``sz`` row
+    times the <sigma_z> of the block's first basis state, the lower slot the
+    negative (the second basis state flips both spins)."""
+    z = np.empty((2, 4, frames.energies.shape[1]))
+    for b, block in enumerate(frames.blocks):
+        for k, diag in enumerate((SZ1_DIAG, SZ2_DIAG)):
+            sign = diag[block.rows[0]]
+            z[k, 2 * b] = sign * block.sz
+            z[k, 2 * b + 1] = -sign * block.sz
+    return z
 
 
 # ---------------------------------------------------------------------------

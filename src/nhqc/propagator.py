@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import SLOT_ROWS, SLOT_SZ, SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
-from .model import BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
+from .model import CONFIG_KEYS, BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import MomentAccumulator, TimeRecord, TimeSeries
 from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
 
@@ -52,7 +52,7 @@ HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 
 # unordered-pair rank of an ordered slot pair, used to key shared hop draws
 UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
-# each slot's spin-1 <sigma_z> as coefficients of the (sz_A, sz_B) rows
+# each slot's spin-1 <sigma_z> as coefficients of the two blocks' sz rows
 SZ_COEF = np.array([[sign, 0.0] if s < 2 else [0.0, sign] for s, (sign, _) in enumerate(SLOT_SZ)])
 
 
@@ -228,8 +228,6 @@ class EnsembleState:
         sample_start: int = 0,
         n_samples: int | None = None,
     ):
-        if bp.n_osc != 2:
-            raise ValueError("the ensemble engine is built for the two-oscillator bath")
         self.sp, self.bp, self.decay, self.config = sp, bp, decay, config
         self.n_local = config.n_samples if n_samples is None else n_samples
         self.mode = config.mode
@@ -294,14 +292,16 @@ class EnsembleState:
         # block mixes states that the operator distinguishes
         g = np.real(decay.matrix)
         self._gdiag_constant = not any(
-            coupled and (g[i, i] != g[j, j] or g[i, j] != 0.0)
-            for coupled, (i, j) in zip((frames0.coupled_A, frames0.coupled_B), SLOT_ROWS[::2])
+            block.half_gap is not None and (g[i, i] != g[j, j] or g[i, j] != 0.0)
+            for block in frames0.blocks
+            for i, j in [block.rows]
         )
         self._restore = bp.mass * bp.omega**2
         self._refresh_frames()
         if self._gdiag_constant:
-            # per-slot rates, read once: they do not depend on the frame
-            self._gd = slot_gamma_diag(decay, self._frames)[:, :1].ravel()
+            # per-slot rates, read once from sample 0, whose frame vectors
+            # ``slot_vectors(frames0)`` has built: they do not depend on R
+            self._gd = slot_gamma_diag(decay, frames0)[:, :1].ravel()
             self._gamma_const = np.empty(n)
         self._idx_a = np.empty(n, dtype=np.int64)
         self._idx_b = np.empty(n, dtype=np.int64)
@@ -341,16 +341,17 @@ class EnsembleState:
         labels in one block give an exact multiple of its row, two in
         different blocks the same single addition as z[a] + z[b], and 0.5 c
         is exact, so the force equals c * 0.5 * (z[a] + z[b]) - M omega^2 R
-        over ``SlotFrames.z`` bit for bit."""
+        over the eight-row table ``nhqc.oracle.slot_sigma_z`` bit for bit."""
         fr = self._frames
         ia, ib = self._idx_a[members], self._idx_b[members]
         omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
         gamma = None
         if not self._gdiag_constant:
             gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
-        sz_a, sz_b = (sz[members] if np.ndim(sz) else sz for sz in (fr.sz_A, fr.sz_B))
-        za = self._sz_coef[0, members] * sz_a
-        zb = self._sz_coef[1, members] * sz_b
+        za, zb = (
+            self._sz_coef[k, members] * (block.sz[members] if np.ndim(block.sz) else block.sz)
+            for k, block in enumerate(fr.blocks)
+        )
         half_c = 0.5 * self.bp.c
         force = np.empty((2, omega.size))
         np.multiply(half_c, za + zb, out=force[0])
@@ -496,25 +497,18 @@ class EnsembleState:
 
 
 def _run_metadata(sp, bp, decay, config) -> dict:
-    state = config.initial_state
-    return {
-        "jx": sp.jx,
-        "jy": sp.jy,
-        "jz": sp.jz,
-        "c": bp.c,
-        "mass": bp.mass,
-        "omega": bp.omega,
-        "beta": bp.beta,
-        "gamma_kind": decay.kind.value,
-        "gamma": decay.strength if decay.strength is not None else "custom",
-        "dt": config.dt,
-        "steps": config.n_steps,
-        "samples": config.n_samples,
-        "seed": config.seed,
-        "mode": config.mode,
-        "initial_state": state if isinstance(state, str) else "custom",
-        "output_stride": config.output_stride,
-    }
+    """Each ``CONFIG_KEYS`` value of the run as a configuration file states
+    it; a custom decay matrix or ket, which no key can state, reads "custom"."""
+    params = {"sp": sp, "bp": bp, "decay": decay, "config": config}
+    metadata = {}
+    for key, (kind, owner, attr) in CONFIG_KEYS.items():
+        value = getattr(params[owner], attr)
+        if isinstance(value, DecayKind):
+            value = value.value
+        if value is None or (isinstance(kind, tuple) and value not in kind):
+            value = "custom"
+        metadata[key] = value
+    return metadata
 
 
 def _chunk_accumulate(sp, bp, decay, config, bounds) -> tuple[list[MomentAccumulator], RunSummary]:

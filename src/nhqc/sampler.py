@@ -45,24 +45,24 @@ def bath_sigmas(bp: BathParams) -> tuple[float, float]:
 
 
 def sample_bath_point(bp: BathParams, seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal Wigner points of samples [start, start + n) as (n_osc, n)
-    arrays R and P.
+    """Thermal Wigner points of samples [start, start + n) as (2, n)
+    arrays R and P, one row per oscillator.
 
-    Sample i's coordinates (R_1..R_n_osc, P_1..P_n_osc), in units of
+    Sample i's coordinates (R_1, R_2, P_1, P_2), in units of
     ``bath_sigmas``, are row i % CHUNK_SAMPLES of the standard normals of the
     stream keyed (seed, SAMPLE_TAG, i // CHUNK_SAMPLES).  A shorter draw from
     a stream is a prefix of a longer one, so each block draws only the rows
     up to the last one it needs.
     """
     sigma_r, sigma_p = bath_sigmas(bp)
-    z = np.empty((n, 2 * bp.n_osc))
+    z = np.empty((n, 4))
     stop = start + n
     for block in range(start // CHUNK_SAMPLES, (stop - 1) // CHUNK_SAMPLES + 1):
         first = block * CHUNK_SAMPLES
         lo, hi = max(start, first), min(stop, first + CHUNK_SAMPLES)
         draws = block_stream(seed, SAMPLE_TAG, block).standard_normal((hi - first, z.shape[1]))
         z[lo - start : hi - start] = draws[lo - first :]
-    return sigma_r * z[:, : bp.n_osc].T, sigma_p * z[:, bp.n_osc :].T
+    return sigma_r * z[:, :2].T, sigma_p * z[:, 2:].T
 
 
 def initial_subsystem(state) -> np.ndarray:

@@ -14,6 +14,7 @@ from nhqc.oracle import (
     gamma_in_adiabatic,
     hellmann_feynman_force,
     nonadiabatic_coupling,
+    slot_sigma_z,
 )
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
@@ -297,10 +298,11 @@ def test_half_gap_is_hypot_within_one_ulp(sign):
     x = np.concatenate([x, -x])
     sp = SpinChainParams(jx=-sign, jy=-0.6 * sign, jz=0.0)
     frames = slot_frames(sp, BathParams(c=1.0, beta=0.1), np.array([x, np.zeros_like(x)]))
-    for gap, w in ((frames.half_gap_A, -(sp.jx - sp.jy)), (frames.half_gap_B, -(sp.jx + sp.jy))):
+    for block, w in zip(frames.blocks, (-(sp.jx - sp.jy), -(sp.jx + sp.jy))):
         exact = np.hypot(x, w)
-        assert np.all(np.abs(gap - exact) <= np.spacing(exact))
-    for part in (frames.energies, frames.z, frames.xA, frames.yA, frames.xB, frames.yB):
+        assert np.all(np.abs(block.half_gap - exact) <= np.spacing(exact))
+    a, b = frames.blocks
+    for part in (frames.energies, slot_sigma_z(frames), *a.vector, *b.vector):
         assert np.all(np.isfinite(part))
 
 
@@ -330,20 +332,19 @@ def sz_configurations():
 def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
     sp, c = SZ_CASES[case]
     frames = slot_frames(sp, BathParams(c=c, beta=0.1), sz_configurations())
-    for coupled, sz, x, y in (
-        (frames.coupled_A, frames.sz_A, frames.xA, frames.yA),
-        (frames.coupled_B, frames.sz_B, frames.xB, frames.yB),
-    ):
-        if coupled:
-            assert np.max(np.abs(sz - (x * x - y * y))) <= FEW_ULP
+    for block in frames.blocks:
+        x, y = block.vector
+        if block.half_gap is not None:
+            assert np.max(np.abs(block.sz - (x * x - y * y))) <= FEW_ULP
         else:
-            assert (sz, x, y) == (1.0, 1.0, 0.0)
+            assert (block.sz, x, y) == (1.0, 1.0, 0.0)
     # the eight-row layout of spin 1, then spin 2, from the vectors
     n = frames.energies.shape[1]
-    c2A, c2B = frames.xA**2 - frames.yA**2, frames.xB**2 - frames.yB**2
+    (xA, yA), (xB, yB) = (block.vector for block in frames.blocks)
+    c2A, c2B = xA**2 - yA**2, xB**2 - yB**2
     rows = [c2A, -c2A, c2B, -c2B, c2A, -c2A, -c2B, c2B]
     eight = np.array([np.broadcast_to(row, n) for row in rows]).reshape(2, 4, n)
-    assert np.max(np.abs(frames.z - eight)) <= FEW_ULP
+    assert np.max(np.abs(slot_sigma_z(frames) - eight)) <= FEW_ULP
 
 
 @pytest.mark.parametrize("case", SZ_CASES)
@@ -359,7 +360,7 @@ def test_sz_rows_match_the_eigensolver(case):
             continue  # a crossing of the uncoupled block: its eigenvectors are not unique
         col_of_slot = np.argmax(np.abs(u[i].T @ np.real(frame.vectors)), axis=1)
         sz = SIGMA_Z @ np.abs(frame.vectors[:, col_of_slot]) ** 2
-        assert np.max(np.abs(frames.z[:, :, i] - sz)) < 1e-12
+        assert np.max(np.abs(slot_sigma_z(frames)[:, :, i] - sz)) < 1e-12
 
 
 def test_slot_gamma_diag_matches_generic():

@@ -15,7 +15,15 @@ from nhqc.model import (
     decay_operator,
 )
 from nhqc.observables import reduce_snapshot
-from nhqc.oracle import PairTrajectory, PhasePoint, build_frame, classical_step, frame_matrices, sstp_step
+from nhqc.oracle import (
+    PairTrajectory,
+    PhasePoint,
+    build_frame,
+    classical_step,
+    frame_matrices,
+    slot_sigma_z,
+    sstp_step,
+)
 from nhqc.propagator import (
     CHUNK_SAMPLES,
     HOP_STREAM_TAG,
@@ -253,7 +261,7 @@ def two_force_verlet(engine, n_steps):
     n = engine.weight.size
 
     def mean_force():
-        z = engine._frames.z.reshape(2, -1)
+        z = slot_sigma_z(engine._frames).reshape(2, -1)
         ia, ib = engine.alpha * n + np.arange(n), engine.alpha_prime * n + np.arange(n)
         zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
         return bp.c * zmean - bp.mass * bp.omega**2 * engine.R
@@ -323,11 +331,12 @@ def test_constant_rate_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     engine = EnsembleState(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
     assert engine._gdiag_constant
+    assert not any("vector" in vars(block) for block in engine._frames.blocks)
     engine.advance(3)
     frames = engine._frames
-    assert frames._built == {}
+    assert not any("vector" in vars(block) for block in frames.blocks)
     engine.snapshot().sample_matrices()
-    assert set(frames._built) == {"A", "B"}
+    assert all("vector" in vars(block) for block in frames.blocks)
 
 
 def test_simulate_rejects_an_empty_start():
