@@ -20,8 +20,9 @@ not by energy order, which makes them continuous along any bath path (no
 relabeling at surface crossings).  This module alone states the slot
 layout: block k holds slots 2k and 2k + 1, slot s's frame vector has the
 two components ``slot_vectors(frames)[s]`` on the basis rows
-``SLOT_ROWS[s]``, and its <sigma_z> on both spins follows from its block's
-``sz`` row by the signs ``SLOT_SZ[s]``.
+``SLOT_ROWS[s]``, formed from its block's upper vector (x, y) as
+``SLOT_PARTS[s]`` states, and its <sigma_z> on both spins follows from its
+block's ``sz`` row by the signs ``SLOT_SZ[s]``.
 
 Only what a constant-rate adiabatic step reads is computed eagerly: the
 energies and each block's <sigma_z> row.  A block's frame-vector components
@@ -53,6 +54,7 @@ import numpy as np
 from .model import BathParams, DecaySpec, SpinChainParams
 
 __all__ = [
+    "SLOT_PARTS",
     "SLOT_ROWS",
     "SLOT_SZ",
     "Block",
@@ -66,6 +68,9 @@ __all__ = [
 # basis rows spanned by each slot's frame vector (block A: |ee>, |gg>;
 # block B: |eg>, |ge>)
 SLOT_ROWS = ((0, 3), (0, 3), (1, 2), (1, 2))
+# each slot's two components as (sign, index into its block's upper vector
+# (x, y)): the upper slot 2k is (x, y), the lower slot 2k + 1 is (-y, x)
+SLOT_PARTS = (((1, 0), (1, 1)), ((-1, 1), (1, 0)), ((1, 0), (1, 1)), ((-1, 1), (1, 0)))
 # each slot's <sigma_z> of spin 1 and of spin 2, as signs of its block's
 # ``sz`` row: both spins point the same way in a block-A state and opposite
 # ways in a block-B state
@@ -92,8 +97,11 @@ class Block:
         if self.half_gap is None:
             return 1.0, 0.0
         lead = self.half_gap + self.delta
-        norm = np.sqrt(lead * lead + self.w * self.w)
-        return lead / norm, self.w / norm
+        norm = lead * lead
+        norm += self.w * self.w
+        np.sqrt(norm, out=norm)
+        lead /= norm
+        return lead, np.divide(self.w, norm, out=norm)
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,9 @@ def slot_vectors(frames: SlotFrames) -> tuple:
     ((xA, yA), (-yA, xA), (xB, yB), (-yB, xB)), with an uncoupled block's
     scalar 1/0 components left scalar."""
     comps = []
-    for block in frames.blocks:
-        x, y = block.vector
-        comps += [(x, y), (-y, x)]
+    for s, parts in enumerate(SLOT_PARTS):
+        xy = frames.blocks[s // 2].vector
+        comps.append(tuple(xy[i] if sign > 0 else -xy[i] for sign, i in parts))
     return tuple(comps)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,15 @@ class ConfigError(ValueError):
     """Bad configuration file or value."""
 
 
-_DEFAULTS = {"mass": 1.0, "omega": 1.0, "dt": 0.01, "samples": 50_000, "mode": "adiabatic", "output_stride": 1}
+# keys a configuration may leave out; each takes the default of the run
+# parameter field that ``CONFIG_KEYS`` names for it
+_OPTIONAL = ("mass", "omega", "dt", "samples", "mode", "output_stride")
+_OWNERS = {"bp": BathParams, "config": SimConfig}
+_DEFAULTS = {
+    key: {f.name: f.default for f in fields(_OWNERS[owner])}[attr]
+    for key in _OPTIONAL
+    for _, owner, attr in [CONFIG_KEYS[key]]
+}
 _MANDATORY = [key for key in CONFIG_KEYS if key not in _DEFAULTS]
 
 

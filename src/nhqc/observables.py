@@ -2,8 +2,10 @@
 
 The reduced density matrix is the sample mean of per-sample 4x4 matrices;
 statistical errors are standard errors of the mean over the independent
-samples.  Within a chunk the sums run along contiguous element rows, one
-row per matrix entry, with numpy's pairwise summation for the means.
+samples.  Per-sample matrices travel as ``ElementRows``: one contiguous row
+per matrix entry that can be nonzero, every other entry exactly 0.  Within
+a chunk the sums run along those rows, with numpy's pairwise summation for
+the means.
 Moments are accumulated chunk by chunk with an exact pairwise
 combination rule, so results are bitwise reproducible for a fixed chunk
 layout no matter how many workers ran the chunks.
@@ -19,6 +21,7 @@ import numpy as np
 from .model import ReducedDensity
 
 __all__ = [
+    "ElementRows",
     "MomentAccumulator",
     "TimeRecord",
     "TimeSeries",
@@ -32,6 +35,36 @@ __all__ = [
 TRIANGLE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
+@dataclass(frozen=True)
+class ElementRows:
+    """Per-sample 4x4 matrices stored as their live element rows.
+
+    ``index`` holds the flat entries row * 4 + col that can be nonzero, in
+    ascending order, and ``rows`` (len(index), n) their values over the n
+    samples, C-contiguous and complex; every entry not in ``index`` is
+    exactly 0 in every sample.  The record that
+    ``EnsembleSnapshot.sample_matrices`` returns holds a view of its
+    engine's buffer, valid until that engine's next ``sample_matrices``
+    call; ``matrices()`` copies it out for a caller that keeps it.
+    """
+
+    index: tuple[int, ...]
+    rows: np.ndarray
+
+    @classmethod
+    def from_matrices(cls, matrices: np.ndarray) -> "ElementRows":
+        """All 16 entries of dense matrices, shape (n, 4, 4), as rows."""
+        n = matrices.shape[0]
+        return cls(tuple(range(16)), np.ascontiguousarray(matrices.reshape(n, 16).T, dtype=complex))
+
+    def matrices(self) -> np.ndarray:
+        """A fresh dense copy, shape (n, 4, 4)."""
+        n = self.rows.shape[1]
+        out = np.zeros((n, 16), dtype=complex)
+        out[:, list(self.index)] = self.rows.T
+        return out.reshape(n, 4, 4)
+
+
 @dataclass
 class MomentAccumulator:
     """Running mean and scatter of per-sample density matrices and traces."""
@@ -43,32 +76,32 @@ class MomentAccumulator:
     trace_m2: float
 
     @classmethod
-    def from_samples(cls, matrices: np.ndarray) -> "MomentAccumulator":
-        """Moments of per-sample matrices, shape (n, 4, 4).
+    def from_samples(cls, samples: ElementRows) -> "MomentAccumulator":
+        """Moments of per-sample matrices given as element rows.
 
-        The sums run along the element rows of a C-contiguous (16, n) array.
-        The layout ``EnsembleSnapshot.sample_matrices`` returns is already a
-        view of such rows, so nothing is copied; any other layout is copied
-        into it once.  The scatter is taken one row at a time through one
-        reused n-long buffer: a (16, n) temporary is as large as the rows
+        The mean and scatter are taken over the live rows only, which the
+        record may share with its engine (nothing is kept from them); every
+        other entry has mean and scatter exactly 0, as a row of zeros would
+        give.  The scatter is taken one row at a time through one reused
+        n-long buffer: a full-size temporary is as large as the rows
         themselves, and allocating and releasing it at every output costs
-        more than the arithmetic.  A row whose mean is 0 is checked for
-        being all zero, as most rows of a single-block state are; its
-        scatter is then 0 without the pass.
+        more than the arithmetic.  A live row whose mean is 0 is checked for
+        being all zero; its scatter is then 0 without the pass.
         """
-        n = matrices.shape[0]
-        rows = np.ascontiguousarray(matrices.reshape(n, 16).T)
-        mean = rows.mean(axis=1)
+        index, rows = samples.index, samples.rows
+        n = rows.shape[1]
+        mean = np.zeros(16, dtype=complex)
+        mean[list(index)] = rows.mean(axis=1)
         diff = np.empty(n, dtype=complex)
         flat = diff.view(np.float64)  # (re, im) interleaved: one product pass gives |x - mean|^2
-        m2 = np.empty(16)
-        for k in range(16):
-            if mean[k] == 0 and not rows[k].any():
-                m2[k] = 0.0
+        m2 = np.zeros(16)
+        for k, row in zip(index, rows):
+            if mean[k] == 0 and not row.any():
                 continue
-            np.subtract(rows[k], mean[k], out=diff)
+            np.subtract(row, mean[k], out=diff)
             m2[k] = np.einsum("i,i->", flat, flat)
-        traces = rows[0].real + rows[5].real + rows[10].real + rows[15].real
+        diagonal = [row.real for k, row in zip(index, rows) if k in (0, 5, 10, 15)]
+        traces = sum(diagonal[1:], diagonal[0])  # every density matrix has a live diagonal entry
         tmean = float(traces.mean())
         tm2 = float(np.sum((traces - tmean) ** 2))
         return cls(count=n, mean=mean.reshape(4, 4), m2=m2.reshape(4, 4), trace_mean=tmean, trace_m2=tm2)

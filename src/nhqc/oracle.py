@@ -9,15 +9,21 @@
 * ``frame_matrices`` and ``slot_sigma_z``, the engine's closed-form block
   frames written out as dense 4x4 column matrices and as every slot's
   <sigma_z> on both spins.
+* ``dense_sample_matrices``, the per-sample reduction of an ensemble
+  snapshot as one dense sum over every member's four slot-component terms,
+  the reference for ``EnsembleSnapshot.sample_matrices``, which forms only
+  the live element rows from shared products.  It reads the slot layout
+  (``SLOT_ROWS``, ``slot_vectors``) from ``nhqc.adiabatic`` as the engine
+  does, so it checks the reduction's arithmetic, not the frames.
 * ``sstp_step``, the single-member short-time step on that route: a plain
   restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
   Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
   engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
-Nothing here shares code with the ensemble engine, which runs on the
-closed-form block frames of ``nhqc.adiabatic`` and reads them only as each
-slot's two components.
+Apart from that slot layout, nothing here shares code with the ensemble
+engine, which runs on the closed-form block frames of ``nhqc.adiabatic``
+and reads them only as each slot's two components.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .adiabatic import SLOT_ROWS, slot_vectors
 from .model import (
     SZ1_DIAG,
     SZ2_DIAG,
@@ -41,6 +48,7 @@ from .model import (
 
 if TYPE_CHECKING:
     from .adiabatic import SlotFrames
+    from .propagator import EnsembleSnapshot
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -54,6 +62,7 @@ __all__ = [
     "analytic_energies",
     "build_frame",
     "classical_step",
+    "dense_sample_matrices",
     "dressed_hamiltonian",
     "frame_matrices",
     "frame_permutation",
@@ -354,6 +363,56 @@ def slot_sigma_z(frames: SlotFrames) -> np.ndarray:
             z[k, 2 * b] = sign * block.sz
             z[k, 2 * b + 1] = -sign * block.sz
     return z
+
+
+def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
+    """Per-sample density matrices of a snapshot, shape (n_samples, 4, 4).
+
+    Every member adds its weight * exp(-i phase - decay) times
+    u_a[p] * u_b[q] to entry (row p of slot a, row q of slot b) of its
+    sample's matrix, one member column at a time and in (p, q) order, into
+    zeroed rows; a column whose members hold several labels is split into
+    one piece per label, zero elsewhere.  Mirrored members then add the
+    conjugate of every term at the transposed entry, in the same order.  A
+    term whose two components are both scalars is dropped where their
+    product is 0; a column whose phase is identically 0 takes the real
+    weight * exp(-decay).
+    """
+    n = snapshot.n_samples
+    weight, phase, decay = (v.reshape(-1, n) for v in (snapshot.weight, snapshot.phase, snapshot.decay))
+    codes = (snapshot.alpha * 4 + snapshot.alpha_prime).reshape(-1, n)
+    slots = [
+        [c.reshape(-1, n) if np.ndim(c) else c for c in comp]
+        for comp in slot_vectors(snapshot.frames)
+    ]
+    out = np.zeros((16, n), dtype=complex)
+    mirror_terms = []
+    for k in range(codes.shape[0]):
+        mirrored = snapshot.mirrored[k * n]
+        comps = [[c[k] if np.ndim(c) else c for c in slot] for slot in slots]
+        if phase[k, 0] == 0.0 and not phase[k].any():
+            factor = weight[k] * np.exp(-decay[k])
+        else:
+            factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
+        first = int(codes[k, 0])
+        if np.all(codes[k] == first):
+            pieces = [(first, factor)]
+        else:
+            pieces = [(int(c), np.where(codes[k] == c, factor, 0.0)) for c in np.unique(codes[k])]
+        for code, f in pieces:
+            a, b = divmod(code, 4)
+            for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                coef = comps[a][p] * comps[b][q]
+                if np.ndim(coef) == 0 and coef == 0.0:
+                    continue
+                row, col = SLOT_ROWS[a][p], SLOT_ROWS[b][q]
+                val = f * coef
+                out[row * 4 + col] += val
+                if mirrored:
+                    mirror_terms.append((col * 4 + row, val))
+    for dest, val in mirror_terms:
+        out[dest] += np.conj(val)
+    return out.T.reshape(n, 4, 4)
 
 
 # ---------------------------------------------------------------------------

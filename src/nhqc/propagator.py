@@ -19,24 +19,39 @@ time series.  Its velocity-Verlet step evaluates the mean force once: the
 force is cached with each member's frequency and decay rate, and these rows
 are rebuilt after every drift and, for the members that hopped, after the
 hop stage.  Every slot-basis quantity here is built from the slot layout
-of ``nhqc.adiabatic`` (``slot_vectors`` on ``SLOT_ROWS``, and the force
-from the per-block <sigma_z> rows with the signs ``SLOT_SZ``).  The adiabatic
-step restated for a single member on the generic eigensolver route is
-``nhqc.oracle.sstp_step``, its cross-check; the oracle has no nonadiabatic
-counterpart.
+of ``nhqc.adiabatic`` (``slot_vectors`` or ``SLOT_PARTS`` on ``SLOT_ROWS``,
+and the force from the per-block <sigma_z> rows with the signs
+``SLOT_SZ``).  The adiabatic step restated for a single member on the
+generic eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check;
+the oracle has no nonadiabatic counterpart.
+
+Each output reduces the members to per-sample matrices in an element
+buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
+writing only the entries its members can reach; the dense member sum it
+must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import SLOT_ROWS, SLOT_SZ, SlotFrames, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from .adiabatic import (
+    SLOT_PARTS,
+    SLOT_ROWS,
+    SLOT_SZ,
+    SlotFrames,
+    slot_coupling,
+    slot_frames,
+    slot_gamma_diag,
+    slot_vectors,
+)
 from .model import CONFIG_KEYS, BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
-from .observables import MomentAccumulator, TimeRecord, TimeSeries
+from .observables import ElementRows, MomentAccumulator, TimeRecord, TimeSeries
 from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
 
 __all__ = [
@@ -129,14 +144,66 @@ def _momentum_jump(
     return ok, np.array([P[0, ok] + shift * d1[ok], P[1, ok] + shift * d2[ok]])
 
 
-def _column_pieces(codes: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Split one member column into (label code, values) pieces, one per
-    distinct code, each zero where a member holds another code.  Adiabatic
-    columns never change labels and come back whole."""
+def _column_labels(codes: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The distinct (alpha, alpha') of one member column, in ascending order
+    of their codes alpha * 4 + alpha' (``codes``)."""
     first = int(codes[0])
     if np.all(codes == first):
-        return [(first, values)]
-    return [(int(c), np.where(codes == c, values, 0.0)) for c in np.unique(codes)]
+        return (divmod(first, 4),)
+    return tuple(divmod(int(c), 4) for c in np.unique(codes))
+
+
+def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple]]:
+    """The terms u_a[p] * u_b[q] of label pair (a, b) in (p, q) order, as
+    (entry row * 4 + col, sign, product key), less those with a component
+    in ``vanishing``.  A component is keyed (block, 0 for x or 1 for y); the
+    key of a product is its two components in sorted order, so x * y and
+    y * x, equal bit for bit, share it."""
+    terms = []
+    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        (sa, i), (sb, j) = SLOT_PARTS[a][p], SLOT_PARTS[b][q]
+        u, v = (a // 2, i), (b // 2, j)
+        if u not in vanishing and v not in vanishing:
+            terms.append((SLOT_ROWS[a][p] * 4 + SLOT_ROWS[b][q], sa * sb, tuple(sorted((u, v)))))
+    return terms
+
+
+@functools.lru_cache(maxsize=4)
+def _reduction_plan(labels: tuple, mirrored: tuple, vanishing: frozenset) -> tuple:
+    """The terms of the member sum for columns holding the label pairs
+    ``labels`` (a tuple of pairs per column), of which ``mirrored`` carry an
+    implicit conjugate partner.  It depends on nothing else, so an
+    adiabatic run, whose labels never change, forms it once; the cache is
+    kept small because a plan holds tens of kB and nonadiabatic labels
+    change at almost every output.
+
+    Returns the live entries in ascending order, the direct terms of each
+    column and pair as (row among the live entries, first term of that
+    row, sign, product key), and the conjugate terms of the mirrored
+    columns, which follow them, as (row, first, sign, (column, pair), key).
+    """
+    direct = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
+    mirror = [
+        (entry % 4 * 4 + entry // 4, sign, (k, pair), key)
+        for k, pairs in enumerate(labels)
+        if mirrored[k]
+        for pair, terms in zip(pairs, direct[k])
+        for entry, sign, key in terms
+    ]
+    entries = [t[0] for column in direct for terms in column for t in terms] + [t[0] for t in mirror]
+    index = tuple(sorted(set(entries)))
+    seen = set()
+
+    def place(entry: int) -> tuple[int, bool]:
+        first = entry not in seen
+        seen.add(entry)
+        return index.index(entry), first
+
+    direct = tuple(
+        tuple(tuple((*place(e), sign, key) for e, sign, key in terms) for terms in column) for column in direct
+    )
+    mirror = tuple((*place(e), sign, piece, key) for e, sign, piece, key in mirror)
+    return index, direct, mirror
 
 
 @dataclass
@@ -146,7 +213,10 @@ class EnsembleSnapshot:
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
     sample s.  The arrays are views of the engine's own, which later steps
-    overwrite in place.
+    overwrite in place; ``buffer`` is the engine's (16, n_samples) complex
+    element buffer, which every ``sample_matrices`` call of that engine
+    overwrites.  ``column_labels`` holds the (alpha, alpha') of each column
+    where no member can change labels (adiabatic mode), else None.
     """
 
     t: float
@@ -158,9 +228,11 @@ class EnsembleSnapshot:
     decay: np.ndarray
     frames: SlotFrames
     mirrored: np.ndarray
+    column_labels: tuple[tuple[int, int], ...] | None
+    buffer: np.ndarray
 
-    def sample_matrices(self) -> np.ndarray:
-        """Per-sample subsystem density matrices, shape (n_samples, 4, 4).
+    def sample_matrices(self) -> ElementRows:
+        """Per-sample subsystem density matrices as their live element rows.
 
         Every member adds its weight * exp(-i phase - decay), back-rotated
         with its own current frame, to its sample's matrix; mirrored members
@@ -168,43 +240,68 @@ class EnsembleSnapshot:
         (alpha', alpha) partner.  A column whose phase is identically 0, as
         a diagonal pair's is in adiabatic mode, takes the real
         weight * exp(-decay) instead, which is cheaper and agrees to an ulp.
-        The sum runs one member column at a time into the element rows of a
-        (16, n_samples) array, direct terms in column order and then the
-        mirrored ones.  The result is a view of those rows, not a copy:
-        ``m.reshape(n_samples, 16).T`` gives them back C-contiguous, which is
-        the layout ``MomentAccumulator`` sums.
+
+        Only the entries some term reaches are live: a term with an
+        uncoupled block's scalar 0 component is left out.  Each live entry
+        sums its terms from +0, the direct ones in member-column order and
+        then the mirrored ones.  A column's terms share the products of two
+        frame components and those products times the column factor, each
+        formed once; a term whose slot components carry a minus sign
+        (``SLOT_PARTS``) is subtracted.  Negation is exact and a sum started
+        at +0 keeps no sign of zero, so every entry equals the dense sum of
+        ``nhqc.oracle.dense_sample_matrices`` bit for bit.
+
+        The live rows fill the first rows of ``buffer`` in ascending entry
+        order, and the record returned holds a view of them: it is valid
+        until this engine's next ``sample_matrices`` call.
         """
         n = self.n_samples
         weight, phase, decay = (v.reshape(-1, n) for v in (self.weight, self.phase, self.decay))
-        codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
-        # slot components as member columns (scalars for an uncoupled block)
-        slots = [
-            [c.reshape(-1, n) if np.ndim(c) else c for c in comp]
-            for comp in slot_vectors(self.frames)
-        ]
-        out = np.zeros((16, n), dtype=complex)
-        mirror_terms = []
-        for k in range(codes.shape[0]):
-            mirrored = self.mirrored[k * n]  # uniform down a column
-            comps = [[c[k] if np.ndim(c) else c for c in slot] for slot in slots]
+        # each block's x and y as member columns, keyed (block, 0 or 1); an
+        # uncoupled block's are the scalars 1 and 0, and a term with the
+        # scalar 0 vanishes identically
+        comps = {
+            (blk, i): c.reshape(-1, n) if isinstance(c, np.ndarray) else c
+            for blk, block in enumerate(self.frames.blocks)
+            for i, c in enumerate(block.vector)
+        }
+        vanishing = frozenset(key for key, c in comps.items() if not isinstance(c, np.ndarray) and c == 0.0)
+        if self.column_labels is None:
+            codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
+            labels = tuple(_column_labels(column) for column in codes)
+        else:
+            labels = tuple((pair,) for pair in self.column_labels)
+        mirrored = tuple(bool(self.mirrored[k * n]) for k in range(len(labels)))  # uniform down a column
+        index, direct, mirror = _reduction_plan(labels, mirrored, vanishing)
+        rows = self.buffer[: len(index)]
+
+        def add(r: int, first: bool, sign: int, value: np.ndarray) -> None:
+            (np.add if sign > 0 else np.subtract)(0.0 if first else rows[r], value, out=rows[r])
+
+        conjugates = {}  # factor * product per (column, pair, product key), conjugated
+        for k, pairs in enumerate(labels):
             if phase[k, 0] == 0.0 and not phase[k].any():  # one read rules out most columns
                 factor = weight[k] * np.exp(-decay[k])
             else:
                 factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
-            for code, f in _column_pieces(codes[k], factor):
-                a, b = divmod(code, 4)
-                for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    coef = comps[a][p] * comps[b][q]
-                    if np.ndim(coef) == 0 and coef == 0.0:
-                        continue  # uncoupled block: the term vanishes identically
-                    row, col = SLOT_ROWS[a][p], SLOT_ROWS[b][q]
-                    val = f * coef
-                    out[row * 4 + col] += val
-                    if mirrored:
-                        mirror_terms.append((col * 4 + row, val))
-        for dest, val in mirror_terms:
-            out[dest] += np.conj(val)
-        return out.T.reshape(n, 4, 4)
+            column = {key: c[k] if isinstance(c, np.ndarray) else c for key, c in comps.items()}
+            products = {}
+            for pair, terms in zip(pairs, direct[k]):
+                # a column whose members hold several labels splits into one
+                # piece per label, zero where a member holds another
+                f = factor if len(pairs) == 1 else np.where(codes[k] == pair[0] * 4 + pair[1], factor, 0.0)
+                values = {}
+                for r, first, sign, key in terms:
+                    if key not in values:
+                        if key not in products:
+                            products[key] = column[key[0]] * column[key[1]]
+                        values[key] = f * products[key]
+                        if mirrored[k]:
+                            conjugates[(k, pair), key] = np.conj(values[key])
+                    add(r, first, sign, values[key])
+        for r, first, sign, piece, key in mirror:
+            add(r, first, sign, conjugates[piece, key])
+        return ElementRows(index, rows)
 
 
 class EnsembleState:
@@ -275,6 +372,10 @@ class EnsembleState:
         self.decay_acc = np.zeros(n)
         self._ar = np.arange(n)
         self.summary.n_members = int(n + np.count_nonzero(self.mirrored))
+        # labels change only through transitions; the element buffer is
+        # this engine's own, so chunks reduce independently
+        self._column_labels = tuple(pairs) if canonical else None
+        self._buffer = np.empty((16, self.n_local), dtype=complex)
 
         if self.mode == "nonadiabatic":
             sample_global = samp_local + sample_start
@@ -493,6 +594,8 @@ class EnsembleState:
             decay=self.decay_acc,
             frames=self._frames,
             mirrored=self.mirrored,
+            column_labels=self._column_labels,
+            buffer=self._buffer,
         )
 
 

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from nhqc.cli import ConfigError, check_run_invariants, main, parse_config
-from nhqc.model import REFERENCE_BP, REFERENCE_SP, DecayKind, SimConfig, decay_operator
+from nhqc.model import REFERENCE_BP, REFERENCE_SP, BathParams, DecayKind, SimConfig, decay_operator
 from nhqc.propagator import simulate
 
 PAPER_LINES = [
@@ -33,6 +35,22 @@ def test_parse_config_paper_defaults(tmp_path):
     assert decay.kind is DecayKind.IDENTITY_UNIFORM and decay.strength == 0.5
     assert config.dt == 0.01 and config.n_samples == 50_000 and config.mode == "adiabatic"
     assert config.output_stride == 1
+
+
+def test_parse_config_optional_keys_take_the_dataclass_defaults(tmp_path):
+    optional = {"mass", "omega", "dt", "samples", "mode", "output_stride"}
+    assert not optional & {ln.split("=")[0].strip() for ln in PAPER_LINES}
+    _, bp, _, config = parse_config(write_config(tmp_path, PAPER_LINES))
+    defaults = {(cls, f.name): f.default for cls in (BathParams, SimConfig) for f in fields(cls)}
+    for cls, value, attr in [
+        (BathParams, bp, "mass"),
+        (BathParams, bp, "omega"),
+        (SimConfig, config, "dt"),
+        (SimConfig, config, "n_samples"),
+        (SimConfig, config, "mode"),
+        (SimConfig, config, "output_stride"),
+    ]:
+        assert getattr(value, attr) == defaults[cls, attr], attr
 
 
 def test_parse_config_fig3_fragment(tmp_path):

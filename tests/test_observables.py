@@ -12,6 +12,7 @@ from nhqc.model import (
     decay_operator,
 )
 from nhqc.observables import (
+    ElementRows,
     MomentAccumulator,
     TimeRecord,
     TimeSeries,
@@ -67,9 +68,9 @@ def test_projector_decay_trace_at_t10():
 def test_moment_accumulator_combine_matches_whole():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
-    whole = MomentAccumulator.from_samples(data)
-    parts = MomentAccumulator.from_samples(data[:13]).combine(
-        MomentAccumulator.from_samples(data[13:])
+    whole = MomentAccumulator.from_samples(ElementRows.from_matrices(data))
+    parts = MomentAccumulator.from_samples(ElementRows.from_matrices(data[:13])).combine(
+        MomentAccumulator.from_samples(ElementRows.from_matrices(data[13:]))
     )
     assert np.max(np.abs(whole.mean - parts.mean)) < 1e-13
     assert np.max(np.abs(whole.m2 - parts.m2)) < 1e-11
@@ -82,7 +83,7 @@ def test_moment_accumulator_combine_matches_whole():
 def test_moment_accumulator_matches_plain_definitions(n):
     rng = np.random.default_rng(n)
     data = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-    acc = MomentAccumulator.from_samples(data)
+    acc = MomentAccumulator.from_samples(ElementRows.from_matrices(data))
     mean = data.mean(axis=0)
     m2 = np.sum(np.abs(data - mean) ** 2, axis=0)
     traces = np.trace(data, axis1=1, axis2=2).real
@@ -97,13 +98,15 @@ def test_moment_accumulator_matches_plain_definitions(n):
 def test_sample_matrices_are_element_rows_and_reduce_like_a_copy():
     engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=PSI))
     engine.advance(20)
-    mats = engine.snapshot().sample_matrices()
-    n = mats.shape[0]
+    record = engine.snapshot().sample_matrices()
+    mats = record.matrices()
     assert mats.shape == (64, 4, 4)
-    # a view of the (16, n) rows the member sum fills: no transpose copy
-    assert mats.reshape(n, 16).T.flags.c_contiguous
-    viewed = MomentAccumulator.from_samples(mats)
-    copied = MomentAccumulator.from_samples(np.ascontiguousarray(mats))
+    assert record.rows.shape == (len(record.index), 64)
+    # contiguous rows of the live entries, ascending: the layout the moments sum
+    assert record.rows.flags.c_contiguous
+    assert list(record.index) == sorted(set(record.index))
+    viewed = MomentAccumulator.from_samples(record)
+    copied = MomentAccumulator.from_samples(ElementRows.from_matrices(mats))
     assert np.array_equal(viewed.mean, copied.mean)
     assert np.array_equal(viewed.m2, copied.m2)
     assert viewed.trace_mean == copied.trace_mean
@@ -119,13 +122,13 @@ def test_decoupled_reconstruction_is_frame_independent():
     snap0 = engine.snapshot()
     engine.advance(50)
     snap1 = engine.snapshot()
-    mats_now = snap1.sample_matrices()
+    mats_now = snap1.sample_matrices().matrices()
     # manual reconstruction with the initial frames
     borrowed = EnsembleState(PAPER_SP, bp0, decay_operator("identity", 0.2), config)
     borrowed.phase = snap1.phase.copy()
     borrowed.decay_acc = snap1.decay.copy()
     borrowed.weight = snap1.weight.copy()
-    mats_then = borrowed.snapshot().sample_matrices()
+    mats_then = borrowed.snapshot().sample_matrices().matrices()
     assert np.max(np.abs(mats_now - mats_then)) < 1e-13
     assert np.array_equal(snap0.frames.blocks[1].vector[0], snap1.frames.blocks[1].vector[0])
 

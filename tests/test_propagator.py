@@ -20,6 +20,7 @@ from nhqc.oracle import (
     PhasePoint,
     build_frame,
     classical_step,
+    dense_sample_matrices,
     frame_matrices,
     slot_sigma_z,
     sstp_step,
@@ -140,7 +141,7 @@ def test_engine_matches_reference_route(state, decay_kind, g):
     config = paper_config(initial_state=state)
     engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
     engine.advance(50)
-    engine_matrix = engine.snapshot().sample_matrices()[0]
+    engine_matrix = engine.snapshot().sample_matrices().matrices()[0]
     _, reference_matrix = reference_evolution(PAPER_SP, PAPER_BP, decay, config, 50)
     assert np.max(np.abs(engine_matrix - reference_matrix)) < 1e-9
 
@@ -190,7 +191,7 @@ def test_engine_deterministic():
                 engine.advance(config.output_stride)
             snap = engine.snapshot()
             outputs.append(
-                (engine.t, snap.weight.copy(), snap.phase.copy(), engine.R.copy(), snap.sample_matrices())
+                (engine.t, snap.weight.copy(), snap.phase.copy(), engine.R.copy(), snap.sample_matrices().matrices())
             )
         runs.append(outputs)
     for out1, out2 in zip(*runs):
@@ -218,7 +219,7 @@ def test_snapshot_matrices_hermitian_adiabatic():
     config = paper_config(n_samples=16, n_steps=40, initial_state=PSI)
     engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
     engine.advance(40)
-    mats = engine.snapshot().sample_matrices()
+    mats = engine.snapshot().sample_matrices().matrices()
     assert np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) < 1e-14
 
 
@@ -233,8 +234,8 @@ def test_nonadiabatic_reduces_to_adiabatic_without_coupling():
     ea.advance(30)
     en.advance(30)
     assert en.summary.n_hops == 0
-    ma = ea.snapshot().sample_matrices()
-    mn = en.snapshot().sample_matrices()
+    ma = ea.snapshot().sample_matrices().matrices()
+    mn = en.snapshot().sample_matrices().matrices()
     assert np.max(np.abs(ma - mn)) < 1e-13
 
 
@@ -248,7 +249,7 @@ def test_nonadiabatic_hops_occur_and_stay_finite():
     assert engine.summary.n_hops > 0
     snap = engine.snapshot()
     assert np.all(np.isfinite(snap.weight.view(float)))
-    mats = snap.sample_matrices()
+    mats = snap.sample_matrices().matrices()
     assert np.all(np.isfinite(mats))
 
 
@@ -667,3 +668,60 @@ def test_simulate_chunking_invariance(monkeypatch):
         assert np.max(np.abs(r1.density.elements - r2.density.elements)) < 1e-14
         assert np.max(np.abs(r1.density.stderr - r2.density.stderr)) < 1e-14
         assert r1.trace_stderr == pytest.approx(r2.trace_stderr, abs=1e-14)
+
+
+def _states_and_decays():
+    rng = np.random.default_rng(8)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    custom = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
+    states = {"phi": PHI, "psi": PSI, "custom ket": tuple(ket / np.linalg.norm(ket))}
+    decays = {
+        "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.3),
+        "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.3),
+        "custom decay": custom,
+    }
+    return states, decays
+
+
+@pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
+@pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
+@pytest.mark.parametrize("decay_name", ["identity", "projector", "custom decay"])
+@pytest.mark.parametrize("state_name", ["phi", "psi", "custom ket"])
+def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_name, jy, mode):
+    states, decays = _states_and_decays()
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
+    # at c = 1.5 nonadiabatic members hop, so a column holds several labels
+    bp = BathParams(c=1.5 if mode == "nonadiabatic" else 0.24, beta=0.1)
+    config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
+    engine = EnsembleState(sp, bp, decays[decay_name], config)
+    for steps in (0, 40):
+        if steps:
+            engine.advance(steps)
+        snap = engine.snapshot()
+        record = snap.sample_matrices()
+        reference = dense_sample_matrices(snap)
+        # the same bits, signs of zero included
+        assert record.matrices().tobytes() == reference.tobytes()
+        assert np.array_equal(record.matrices(), reference)
+        dead = [e for e in range(16) if e not in record.index]
+        assert np.all(reference.reshape(-1, 16)[:, dead] == 0)
+    if mode == "nonadiabatic" and not (state_name == "phi" and jy == 1.0):  # phi's block B uncoupled: no hops
+        labels = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, config.n_samples)
+        assert any(np.unique(column).size > 1 for column in labels)
+
+
+def test_element_rows_reuse_the_engine_buffer():
+    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=32))
+    first = engine.snapshot().sample_matrices()
+    kept = first.matrices()
+    engine.advance(5)
+    second = engine.snapshot().sample_matrices()
+    assert np.shares_memory(first.rows, engine._buffer)
+    assert np.shares_memory(second.rows, engine._buffer)
+    assert np.shares_memory(first.rows, second.rows)
+    # phi lives in block B, and block A is uncoupled at jx = jy
+    assert first.index == second.index == (5, 6, 9, 10)
+    # the earlier record now reads the later output; its copy does not
+    assert np.array_equal(first.matrices(), second.matrices())
+    assert not np.array_equal(kept, second.matrices())
