@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import slot_coupling, slot_frames
 from .model import (
     PHI,
     PSI,
@@ -25,7 +24,7 @@ from .model import (
     subsystem_hamiltonian,
 )
 from .observables import write_csv
-from .oracle import analytic_energies, slot_sigma_z, solve_quantum, trace_law_projector
+from .oracle import analytic_energies, frames_at, slot_sigma_z, solve_quantum, trace_law_projector
 from .propagator import simulate
 from .sampler import bath_sigmas, initial_subsystem, sample_bath_point
 
@@ -142,7 +141,7 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     rng = np.random.default_rng(ACCEPT_SEED)
     n_energy = 200 if quick else 1000
     R = rng.uniform(-10, 10, (2, n_energy))
-    levels = np.sort(slot_frames(sp, bp, R).energies, axis=0)
+    levels = np.sort(frames_at(sp, bp, R).energies, axis=0)
     worst_e = max(
         float(np.max(np.abs(levels[:, i] - analytic_energies(sp, bp, R[:, i]))))
         for i in range(n_energy)
@@ -152,21 +151,21 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     # against central differences of that slot's energy
     h = 1e-5
     R = rng.uniform(-4, 4, (2, 20 if quick else 100))
-    frames = slot_frames(sp, bp, R)
-    force = bp.c * slot_sigma_z(frames) - bp.mass * bp.omega**2 * R[:, None, :]
+    frames = frames_at(sp, bp, R)
+    force = bp.c * slot_sigma_z(frames.blocks) - bp.mass * bp.omega**2 * R[:, None, :]
     worst_f = 0.0
     for k in range(2):
         dR = np.zeros((2, 1))
         dR[k] = h
-        up = slot_frames(sp, bp, R + dR).energies
-        dn = slot_frames(sp, bp, R - dR).energies
+        up = frames_at(sp, bp, R + dR).energies
+        dn = frames_at(sp, bp, R - dR).energies
         worst_f = max(worst_f, float(np.max(np.abs(force[k] + (up - dn) / (2 * h)))))
 
-    d = slot_coupling(bp, slot_frames(sp, bp, np.zeros((2, 1))))[(3, 2)][0]
+    d = frames_at(sp, bp, np.zeros((2, 1))).couplings[(3, 2)][0]
     dev_d = float(np.max(np.abs(d - np.array([0.06, -0.06]))))
 
     # for jx = jy the |ee>, |gg> slots (block A) carry no coupling channel
-    couplings = slot_coupling(bp, slot_frames(sp, bp, rng.uniform(-3, 3, (2, 100))))
+    couplings = frames_at(sp, bp, rng.uniform(-3, 3, (2, 100))).couplings
     block_a = [np.max(np.abs(dv)) for (a, b), dv in couplings.items() if min(a, b) < 2]
     worst_block = float(max(block_a, default=0.0))
 

@@ -3,32 +3,36 @@ bath configurations.
 
 The dressed Hamiltonian h(R) = H_spin + H_coupling(R) + V_bath(R) I of this
 model couples only |ee><gg| and |eg><ge|, so it splits into two real
-symmetric 2x2 blocks at every bath configuration.  Each block depends on R
-only through one normal coordinate, q = R1 + R2 for block A (|ee>, |gg>)
-and q = R1 - R2 for block B (|eg>, |ge>):
+symmetric 2x2 blocks at every bath configuration.  Because each spin couples
+to its own oscillator, each block depends on R only through one normal
+coordinate, q = R1 + R2 for block A (|ee>, |gg>) and q = R1 - R2 for
+block B (|eg>, |ge>):
 
     V_bath + mean + [[delta, w], [w, -delta]],    delta = -c q,
 
 with mean = -jz, w = -(jx - jy) in block A and mean = +jz, w = -(jx + jy)
-in block B.  ``slot_frames`` solves both blocks in closed form for whole
-batches of configurations at once, one ``Block`` record each.  A coupled
-block has the half gap r = sqrt(delta^2 + w^2), the slot energies
-(V_bath + mean) +- r and, in its upper slot, <sigma_z> = delta / r on the
-first spin; an uncoupled block (w = 0) has the energies
-(V_bath + mean) +- delta and <sigma_z> = 1.  Slots are labeled per block,
-not by energy order, which makes them continuous along any bath path (no
-relabeling at surface crossings).  This module alone states the slot
-layout: block k holds slots 2k and 2k + 1, slot s's frame vector has the
-two components ``slot_vectors(frames)[s]`` on the basis rows
-``SLOT_ROWS[s]``, formed from its block's upper vector (x, y) as
-``SLOT_PARTS[s]`` states, and its <sigma_z> on both spins follows from its
-block's ``sz`` row by the signs ``SLOT_SZ[s]``.
+in block B.  The scalar V_bath shifts every slot energy alike and cancels
+in every energy difference the engine reads (Bohr frequencies, hop gaps),
+so the energies here are measured from it: ``slot_frames`` solves one block
+in closed form on a batch of its coordinates q and returns its ``Block``.
+A coupled block has the half gap r = sqrt(delta^2 + w^2), the slot energies
+mean +- r and, in its upper slot, <sigma_z> = delta / r on the first spin;
+an uncoupled block (w = 0) has the energies mean +- delta and
+<sigma_z> = 1.  Slots are labeled per block, not by energy order, which
+makes them continuous along any bath path (no relabeling at surface
+crossings).  This module alone states the slot layout: block k holds slots
+2k and 2k + 1, slot s's frame vector has the two components
+``slot_vectors(blocks)[s]`` on the basis rows ``SLOT_ROWS[s]``, formed from
+its block's upper vector (x, y) as ``SLOT_PARTS[s]`` states, and its
+<sigma_z> on both spins follows from its block's ``sz`` row by the signs
+``SLOT_SZ[s]``.
 
-Only what a constant-rate adiabatic step reads is computed eagerly: the
-energies and each block's <sigma_z> row.  A block's frame-vector components
-x, y are built on first read of ``Block.vector``, once per block, by
-whoever needs them (the reduction, the decay expectations, the derivative
-couplings).
+Only what every step reads is computed eagerly: delta and the half gap, from
+which the engine forms its Bohr frequencies as mean differences plus signed
+half gaps.  The energies, the <sigma_z> row and the frame-vector components
+x, y are each built on first read, once per block, by whoever needs them
+(the force where a label pair does not cancel it, the hop stage, the
+reduction, the decay expectations, the derivative couplings).
 
 The half gap is formed with one square root in a single n-long buffer, not
 with ``np.hypot``, whose scalar libm call cost six times as much (0.44
@@ -41,7 +45,9 @@ vectors are NaN; ``nhqc run`` reports the resulting non-finite curve as an
 invariant violation.
 
 The generic eigensolver route (``nhqc.oracle.build_frame``) cross-checks
-these frames in the test suite and the acceptance criteria.
+these frames in the test suite and the acceptance criteria, through the
+oracle's view of both blocks at oscillator coordinates R
+(``nhqc.oracle.frames_at``).
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ __all__ = [
     "SLOT_ROWS",
     "SLOT_SZ",
     "Block",
-    "SlotFrames",
+    "block_constants",
     "slot_coupling",
     "slot_frames",
     "slot_gamma_diag",
@@ -73,20 +79,49 @@ SLOT_ROWS = ((0, 3), (0, 3), (1, 2), (1, 2))
 SLOT_PARTS = (((1, 0), (1, 1)), ((-1, 1), (1, 0)), ((1, 0), (1, 1)), ((-1, 1), (1, 0)))
 # each slot's <sigma_z> of spin 1 and of spin 2, as signs of its block's
 # ``sz`` row: both spins point the same way in a block-A state and opposite
-# ways in a block-B state
+# ways in a block-B state.  The spin-1 sign is also the sign of the slot's
+# half gap in its energy: +1 for the upper slot 2k, -1 for the lower.
 SLOT_SZ = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+
+
+def block_constants(sp: SpinChainParams, k: int) -> tuple[float, float]:
+    """Mean and off-diagonal element w of block k (0 = A, 1 = B)."""
+    if k == 0:
+        return -sp.jz, -(sp.jx - sp.jy)
+    return sp.jz, -(sp.jx + sp.jy)
 
 
 @dataclass(frozen=True)
 class Block:
-    """One block [[delta, w], [w, -delta]] of the dressed Hamiltonian, less
-    V_bath + mean, solved at n configurations on the basis rows ``rows``."""
+    """One block mean + [[delta, w], [w, -delta]] of the dressed Hamiltonian,
+    less V_bath, solved at n configurations on the basis rows ``rows``."""
 
     rows: tuple[int, int]
+    mean: float
     delta: np.ndarray  # (n,) -c q
     w: float  # off-diagonal element
     half_gap: np.ndarray | None  # (n,) half level splitting r; None when uncoupled
-    sz: np.ndarray | float  # spin 1's <sigma_z> in the upper slot: delta / r, or 1.0 uncoupled
+
+    @property
+    def upper(self) -> np.ndarray:
+        """The upper slot's energy above the block mean, shape (n,): the half
+        gap, or delta when uncoupled; the lower slot's lies as far below."""
+        return self.delta if self.half_gap is None else self.half_gap
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """Energies of the upper and the lower slot, shape (2, n), measured
+        from V_bath, built on first read and then kept."""
+        out = np.empty((2, self.delta.size))
+        np.add(self.mean, self.upper, out=out[0])
+        np.subtract(self.mean, self.upper, out=out[1])
+        return out
+
+    @cached_property
+    def sz(self) -> np.ndarray | float:
+        """Spin 1's <sigma_z> in the upper slot, delta / r, or 1.0 when
+        uncoupled; built on first read and then kept."""
+        return 1.0 if self.half_gap is None else self.delta / self.half_gap
 
     @cached_property
     def vector(self) -> tuple:
@@ -104,105 +139,62 @@ class Block:
         return lead, np.divide(self.w, norm, out=norm)
 
 
-@dataclass(frozen=True)
-class SlotFrames:
-    """Adiabatic frames for a batch of configurations, in block-slot order.
+def slot_frames(sp: SpinChainParams, bp: BathParams, k: int, q: np.ndarray) -> Block:
+    """Closed-form frames of block k (0 = A, 1 = B) at its normal
+    coordinates q, shape (n,): R1 + R2 for block A, R1 - R2 for block B.
 
-    Slot layout: 0, 1 live in block A (|ee>, |gg>), slots 2, 3 in block B
-    (|eg>, |ge>).  In an uncoupled block the slots are the bare basis states
-    and their energies may cross; in a coupled block slot order is (upper,
-    lower) of that block, which never crosses.  Either way each slot is a
-    smooth function of R, so slot labels track adiabatic states continuously
-    without any reordering bookkeeping.
-
-    ``energies`` (4, n) are the slot energies; ``blocks`` holds the records
-    of blocks A and B, from whose ``sz`` rows Hellmann-Feynman forces
-    follow with the signs ``SLOT_SZ``.
+    An uncoupled block (w = 0) keeps the bare basis states, crossing at
+    q = 0; its half gap is not needed and stays None.
     """
-
-    energies: np.ndarray
-    blocks: tuple[Block, Block]
-
-
-def slot_frames(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> SlotFrames:
-    """Closed-form frames at configurations R of shape (2, n), one row per
-    oscillator.
-
-    Uncoupled blocks carry the scalar <sigma_z> 1.0 and scalar 1/0 vector
-    components (they broadcast wherever the arrays would); their half gap
-    is not needed and stays None.
-    """
-    r1, r2 = R
-    n = r1.shape[0]
-    vb = r1 * r1
-    vb += r2 * r2
-    vb *= 0.5 * bp.mass * bp.omega**2
-    energies = np.empty((4, n))
-
-    def block(k: int, q: np.ndarray, mean: float, w: float) -> Block:
-        """Write the energies of block k's two slots into rows 2k and
-        2k + 1 and return its record."""
-        first, second = energies[2 * k], energies[2 * k + 1]
-        delta = q
-        delta *= -bp.c
-        np.add(vb, mean, out=first)
-        if abs(w) <= 1e-300:  # uncoupled: the bare states, crossing at q = 0
-            np.subtract(first, delta, out=second)
-            first += delta
-            return Block(SLOT_ROWS[2 * k], delta, w, None, 1.0)
-        r = delta * delta
-        r += w * w
-        np.sqrt(r, out=r)
-        np.subtract(first, r, out=second)
-        first += r
-        return Block(SLOT_ROWS[2 * k], delta, w, r, delta / r)
-
-    blocks = (block(0, r1 + r2, -sp.jz, -(sp.jx - sp.jy)), block(1, r1 - r2, sp.jz, -(sp.jx + sp.jy)))
-    return SlotFrames(energies, blocks)
+    mean, w = block_constants(sp, k)
+    delta = q * -bp.c
+    if abs(w) <= 1e-300:
+        return Block(SLOT_ROWS[2 * k], mean, delta, w, None)
+    r = delta * delta
+    r += w * w
+    np.sqrt(r, out=r)
+    return Block(SLOT_ROWS[2 * k], mean, delta, w, r)
 
 
-def slot_gamma_diag(decay: DecaySpec, frames: SlotFrames) -> np.ndarray:
-    """Diagonal decay expectations per slot, shape (4, n)."""
+def slot_gamma_diag(decay: DecaySpec, block: Block) -> np.ndarray:
+    """Diagonal decay expectations of the block's upper and lower slot,
+    shape (2, n)."""
     g = np.real(decay.matrix)
-    out = np.empty((4, frames.energies.shape[1]))
-    for k, block in enumerate(frames.blocks):
-        (i, j), (x, y) = block.rows, block.vector
-        out[2 * k] = x**2 * g[i, i] + 2 * x * y * g[i, j] + y**2 * g[j, j]
-        out[2 * k + 1] = y**2 * g[i, i] - 2 * x * y * g[i, j] + x**2 * g[j, j]
+    (i, j), (x, y) = block.rows, block.vector
+    out = np.empty((2, block.delta.size))
+    out[0] = x**2 * g[i, i] + 2 * x * y * g[i, j] + y**2 * g[j, j]
+    out[1] = y**2 * g[i, i] - 2 * x * y * g[i, j] + x**2 * g[j, j]
     return out
 
 
-def slot_vectors(frames: SlotFrames) -> tuple:
+def slot_vectors(blocks: tuple) -> tuple:
     """Each slot's frame-vector components on its two ``SLOT_ROWS``:
-    ((xA, yA), (-yA, xA), (xB, yB), (-yB, xB)), with an uncoupled block's
-    scalar 1/0 components left scalar."""
+    ((xA, yA), (-yA, xA), (xB, yB), (-yB, xB)) from the pair of blocks
+    (A, B), with an uncoupled block's scalar 1/0 components left scalar; a
+    block given as None (solved nowhere) gives None for its two slots."""
     comps = []
     for s, parts in enumerate(SLOT_PARTS):
-        xy = frames.blocks[s // 2].vector
+        block = blocks[s // 2]
+        if block is None:
+            comps.append(None)
+            continue
+        xy = block.vector
         comps.append(tuple(xy[i] if sign > 0 else -xy[i] for sign, i in parts))
     return tuple(comps)
 
 
-def slot_coupling(bp: BathParams, frames: SlotFrames) -> dict[tuple[int, int], np.ndarray]:
-    """Within-block derivative couplings, as {(slot_from, slot_to): (n, 2)}.
+def slot_coupling(bp: BathParams, block: Block) -> np.ndarray:
+    """Derivative coupling of a coupled block from its upper slot to its
+    lower one, along the block's normal coordinate, shape (n,); the reverse
+    channel is its negative.
 
     Cross-block couplings vanish identically because dh/dR is diagonal.
-    Only coupled blocks carry a channel.  dh/dR_k restricted to a block is
-    -c times spin k's sigma_z there, and spin 2's equals spin 1's times the
-    block's spin-2 sign in ``SLOT_SZ`` (+1 in block A, -1 in block B), so
-    the coupling lies along (1, 1) in block A and (1, -1) in block B.  Each
-    block's row is computed once.
+    dh/dR_k restricted to a block is -c times spin k's sigma_z there, and
+    spin 2's equals spin 1's times the block's spin-2 sign in ``SLOT_SZ``
+    (+1 in block A, -1 in block B), so the coupling in oscillator space is
+    this row times (1, 1) in block A and (1, -1) in block B, and its dot
+    product with the velocity is this row times p / M for the block's
+    normal momentum p = P1 +- P2.
     """
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for k, block in enumerate(frames.blocks):
-        if block.half_gap is None:
-            continue
-        x, y = block.vector
-        row = -(x * y) * bp.c / block.half_gap
-        d = np.empty((row.size, 2))
-        d[:, 0] = row
-        d[:, 1] = SLOT_SZ[2 * k][1] * row
-        pair = (2 * k, 2 * k + 1)
-        out[pair] = d
-        out[pair[::-1]] = -d
-    return out
+    x, y = block.vector
+    return -(x * y) * bp.c / block.half_gap

@@ -6,9 +6,12 @@
   dressed Hamiltonian numerically (LAPACK), sorts energies ascending and
   fixes the eigenvector gauge; Hellmann-Feynman forces, derivative
   couplings and decay matrices follow from its frames.
-* ``frame_matrices`` and ``slot_sigma_z``, the engine's closed-form block
-  frames written out as dense 4x4 column matrices and as every slot's
-  <sigma_z> on both spins.
+* ``frames_at``, the engine's closed-form blocks solved together at
+  oscillator coordinates R (block A on R1 + R2, block B on R1 - R2) with
+  V_bath added back: the (4, n) slot energies and (n, 2) derivative
+  couplings of the oscillator-space picture the eigensolver route works in.
+  ``frame_matrices`` and ``slot_sigma_z`` write a pair of blocks out as
+  dense 4x4 column matrices and as every slot's <sigma_z> on both spins.
 * ``dense_sample_matrices``, the per-sample reduction of an ensemble
   snapshot as one dense sum over every member's four slot-component terms,
   the reference for ``EnsembleSnapshot.sample_matrices``, which forms only
@@ -21,9 +24,11 @@
   engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
-Apart from that slot layout, nothing here shares code with the ensemble
-engine, which runs on the closed-form block frames of ``nhqc.adiabatic``
-and reads them only as each slot's two components.
+Apart from that slot layout and the block solve that ``frames_at`` wraps
+(it is what the eigensolver route checks), nothing here shares code with
+the ensemble engine, which runs on the closed-form block frames of
+``nhqc.adiabatic`` in normal coordinates and reads them only as each
+slot's two components.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .adiabatic import SLOT_ROWS, slot_vectors
+from .adiabatic import SLOT_ROWS, SLOT_SZ, Block, slot_coupling, slot_frames, slot_vectors
 from .model import (
     SZ1_DIAG,
     SZ2_DIAG,
@@ -47,7 +52,6 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .adiabatic import SlotFrames
     from .propagator import EnsembleSnapshot
 
 __all__ = [
@@ -59,17 +63,20 @@ __all__ = [
     "PairTrajectory",
     "PhasePoint",
     "QuantumState",
+    "SlotFrames",
     "analytic_energies",
     "build_frame",
     "classical_step",
     "dense_sample_matrices",
     "dressed_hamiltonian",
     "frame_matrices",
+    "frames_at",
     "frame_permutation",
     "gamma_in_adiabatic",
     "hamiltonian_gradient",
     "hellmann_feynman_force",
     "nonadiabatic_coupling",
+    "oscillator_couplings",
     "rk4_step",
     "solve_quantum",
     "slot_sigma_z",
@@ -337,12 +344,51 @@ def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabati
     return GammaAdiabatic(full=full, diag=diag, offdiag=offdiag)
 
 
-def frame_matrices(frames: SlotFrames) -> np.ndarray:
-    """The closed-form frames as dense matrices, shape (n, 4, 4): column s
-    is slot s's frame vector in the subsystem basis (block k's slots 2k and
-    2k + 1 on its two rows), the second slot of a block being (-y, x)."""
-    u = np.zeros((frames.energies.shape[1], 4, 4))
-    for k, block in enumerate(frames.blocks):
+@dataclass(frozen=True)
+class SlotFrames:
+    """Both closed-form blocks at n oscillator configurations R, in the
+    oscillator-space picture: ``energies`` (4, n) are the slot energies with
+    V_bath(R) added back, ``couplings`` the within-block derivative
+    couplings {(slot_from, slot_to): (n, 2)} of the coupled blocks, each
+    block's scalar row along (1, 1) in block A and (1, -1) in block B."""
+
+    energies: np.ndarray
+    blocks: tuple[Block, Block]
+    couplings: dict
+
+
+def frames_at(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> SlotFrames:
+    """Solve both blocks at configurations R of shape (2, n), one row per
+    oscillator, and add V_bath back to their energies."""
+    r1, r2 = np.asarray(R, dtype=float)
+    blocks = (slot_frames(sp, bp, 0, r1 + r2), slot_frames(sp, bp, 1, r1 - r2))
+    v_bath = 0.5 * bp.mass * bp.omega**2 * (r1 * r1 + r2 * r2)
+    energies = np.concatenate([block.energies for block in blocks]) + v_bath
+    return SlotFrames(energies, blocks, oscillator_couplings(bp, blocks))
+
+
+def oscillator_couplings(bp: BathParams, blocks: tuple) -> dict:
+    """The within-block derivative couplings of a pair of blocks in
+    oscillator space, {(slot_from, slot_to): (n, 2)}: each coupled block's
+    scalar row times (1, 1) in block A and (1, -1) in block B."""
+    couplings = {}
+    for k, block in enumerate(blocks):
+        if block.half_gap is None:
+            continue
+        row = slot_coupling(bp, block)
+        d = np.stack([row, SLOT_SZ[2 * k][1] * row], axis=1)
+        couplings[2 * k, 2 * k + 1] = d
+        couplings[2 * k + 1, 2 * k] = -d
+    return couplings
+
+
+def frame_matrices(blocks: tuple[Block, Block]) -> np.ndarray:
+    """A pair of closed-form blocks (A, B) at the same n configurations as
+    dense matrices, shape (n, 4, 4): column s is slot s's frame vector in
+    the subsystem basis (block k's slots 2k and 2k + 1 on its two rows), the
+    second slot of a block being (-y, x)."""
+    u = np.zeros((blocks[0].delta.size, 4, 4))
+    for k, block in enumerate(blocks):
         (i, j), (x, y) = block.rows, block.vector
         u[:, i, 2 * k] = x
         u[:, j, 2 * k] = y
@@ -351,13 +397,14 @@ def frame_matrices(frames: SlotFrames) -> np.ndarray:
     return u
 
 
-def slot_sigma_z(frames: SlotFrames) -> np.ndarray:
-    """Each slot's <sigma_z> on both spins, shape (2, 4, n): z[k, s] is slot
-    s's <sigma_z> of spin k + 1.  A block's upper slot has its ``sz`` row
-    times the <sigma_z> of the block's first basis state, the lower slot the
-    negative (the second basis state flips both spins)."""
-    z = np.empty((2, 4, frames.energies.shape[1]))
-    for b, block in enumerate(frames.blocks):
+def slot_sigma_z(blocks: tuple[Block, Block]) -> np.ndarray:
+    """Each slot's <sigma_z> on both spins for a pair of blocks (A, B) at the
+    same n configurations, shape (2, 4, n): z[k, s] is slot s's <sigma_z>
+    of spin k + 1.  A block's upper slot has its ``sz`` row times the
+    <sigma_z> of the block's first basis state, the lower slot the negative
+    (the second basis state flips both spins)."""
+    z = np.empty((2, 4, blocks[0].delta.size))
+    for b, block in enumerate(blocks):
         for k, diag in enumerate((SZ1_DIAG, SZ2_DIAG)):
             sign = diag[block.rows[0]]
             z[k, 2 * b] = sign * block.sz
@@ -381,15 +428,23 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     n = snapshot.n_samples
     weight, phase, decay = (v.reshape(-1, n) for v in (snapshot.weight, snapshot.phase, snapshot.decay))
     codes = (snapshot.alpha * 4 + snapshot.alpha_prime).reshape(-1, n)
+    # each slot's components as rows of the member columns its block is
+    # solved on; column k reads row k less the first of those columns
     slots = [
-        [c.reshape(-1, n) if np.ndim(c) else c for c in comp]
-        for comp in slot_vectors(snapshot.frames)
+        None if comp is None else [c.reshape(-1, n) if np.ndim(c) else c for c in comp]
+        for comp in slot_vectors(snapshot.blocks)
     ]
+    offset = [columns.start for columns in snapshot.block_columns]
     out = np.zeros((16, n), dtype=complex)
     mirror_terms = []
     for k in range(codes.shape[0]):
         mirrored = snapshot.mirrored[k * n]
-        comps = [[c[k] if np.ndim(c) else c for c in slot] for slot in slots]
+        comps = [
+            None
+            if slot is None or k not in snapshot.block_columns[s // 2]
+            else [c[k - offset[s // 2]] if np.ndim(c) else c for c in slot]
+            for s, slot in enumerate(slots)
+        ]
         if phase[k, 0] == 0.0 and not phase[k].any():
             factor = weight[k] * np.exp(-decay[k])
         else:

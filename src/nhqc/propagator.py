@@ -8,22 +8,39 @@ each step, consistent with the second-order step splitting).  In
 nonadiabatic mode a single stochastic transition per member per step is
 sampled from the derivative-coupling and off-diagonal-decay channels, with
 importance reweighting and the momentum-jump rule; that rule is stated
-only here, in ``EnsembleState._hop_stage``.  The stage sums each channel's
-label-masked |amplitude| row once for the no-hop total, chooses a channel
-only for the members whose uniform falls below that total, and forms
-decay amplitudes only for the entries where a channel is open.
+only here, in ``EnsembleState._hop_stage`` and ``_momentum_jump``.  The
+stage sums each channel's label-masked |amplitude| row once for the no-hop
+total, chooses a channel only for the members whose uniform falls below
+that total, and forms decay amplitudes only for the entries where a
+channel is open.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
-closed-form block frames, and ``simulate`` reduces it chunk by chunk into a
-time series.  Its velocity-Verlet step evaluates the mean force once: the
-force is cached with each member's frequency and decay rate, and these rows
+closed-form block frames of ``nhqc.adiabatic``, and ``simulate`` reduces it
+chunk by chunk into a time series.  Block A depends on the bath only
+through the normal coordinate q_A = R1 + R2 and block B through
+q_B = R1 - R2, and the bath Hamiltonian separates into the two normal
+modes, so the engine's state is per-block rows: q_A with p_A = P1 + P2 and
+q_B with p_B = P1 - P2.  A member column (every sample's k-th pair) stores
+block k's rows only if a label its members can hold lies in block k: the
+labels of its pair in adiabatic mode, every label its hop channels can
+reach in nonadiabatic mode.  Columns are ordered block-A-only, both, then
+block-B-only, so each block's rows are one contiguous view.  Each stored
+row follows velocity Verlet on
+
+    dp_k/dt = c n_k sz_k - M omega^2 q_k,    dq_k/dt = p_k / M,
+
+with sz_k the block's upper-slot <sigma_z> and n_k the sum of the
+``SLOT_SZ`` spin-1 signs of the member's labels in block k: a per-column
+scalar in adiabatic mode, a per-member row in nonadiabatic mode, and the
+same code broadcasts either.  The Bohr frequency E_a - E_b is the
+difference of the labels' block means plus their signed half gaps, the
+bath potential V_bath cancelling in it, so the engine never builds V_bath.
+Its velocity-Verlet step evaluates the force once: the force (as the half
+kick) is cached with each member's frequency and decay rate, and these rows
 are rebuilt after every drift and, for the members that hopped, after the
-hop stage.  Every slot-basis quantity here is built from the slot layout
-of ``nhqc.adiabatic`` (``slot_vectors`` or ``SLOT_PARTS`` on ``SLOT_ROWS``,
-and the force from the per-block <sigma_z> rows with the signs
-``SLOT_SZ``).  The adiabatic step restated for a single member on the
-generic eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check;
-the oracle has no nonadiabatic counterpart.
+hop stage.  The adiabatic step restated for a single member on the generic
+eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
+has no nonadiabatic counterpart.
 
 Each output reduces the members to per-sample matrices in an element
 buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
@@ -44,7 +61,8 @@ from .adiabatic import (
     SLOT_PARTS,
     SLOT_ROWS,
     SLOT_SZ,
-    SlotFrames,
+    Block,
+    block_constants,
     slot_coupling,
     slot_frames,
     slot_gamma_diag,
@@ -67,8 +85,9 @@ HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 
 # unordered-pair rank of an ordered slot pair, used to key shared hop draws
 UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
-# each slot's spin-1 <sigma_z> as coefficients of the two blocks' sz rows
-SZ_COEF = np.array([[sign, 0.0] if s < 2 else [0.0, sign] for s, (sign, _) in enumerate(SLOT_SZ)])
+# SLOT_SIGN[k, s]: slot s's spin-1 sign in ``SLOT_SZ`` if it lies in block
+# k, else 0; it signs both the slot's <sigma_z> and its half gap
+SLOT_SIGN = np.array([[sign if s // 2 == k else 0.0 for s, (sign, _) in enumerate(SLOT_SZ)] for k in range(2)])
 
 
 @dataclass
@@ -99,7 +118,7 @@ def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarr
     return out
 
 
-def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str, int, int]]:
+def _open_gamma_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, int]]:
     """Off-diagonal decay channels (side, s, t) that can be nonzero, in
     hop-stage order; the s -> t transition reads entry (s, t) of u^T Gamma u
     on the ket side and (t, s) on the bra side.  A slot spans the rows of its
@@ -110,7 +129,7 @@ def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str
         return []
     spans = [
         [i for i, c in zip(SLOT_ROWS[s], comp) if np.ndim(c) or c != 0.0]
-        for s, comp in enumerate(slot_vectors(frames))
+        for s, comp in enumerate(slot_vectors(blocks))
     ]
     m = decay.matrix
 
@@ -127,21 +146,31 @@ def _open_gamma_channels(decay: DecaySpec, frames: SlotFrames) -> list[tuple[str
     return channels
 
 
-def _momentum_jump(
-    P: np.ndarray, d: np.ndarray, delta_e: np.ndarray, mass: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shift momenta P (2, k) along nonzero real coupling vectors d (k, 2) to
-    absorb the energy gaps delta_e (k,).  Returns the allowed mask and the
-    shifted momenta of the allowed members, shape (2, count); a frustrated
-    member lacks the kinetic energy along d for an uphill transition."""
-    norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-    d1 = d[:, 0] / norm
-    d2 = d[:, 1] / norm
-    pdot = P[0] * d1 + P[1] * d2
-    radicand = pdot**2 - 2.0 * mass * delta_e
+def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shift normal momenta p (k,) of the hopping block to absorb the energy
+    gaps delta_e (k,).  Returns the allowed mask and the new momenta of the
+    allowed members, shape (count,); a frustrated member lacks the kinetic
+    energy p^2 / (4M) of its block's normal mode for an uphill transition.
+
+    A within-block derivative coupling lies along the block's normal axis,
+    (1, 1) or (1, -1) in oscillator space, so the jump along it changes that
+    block's p alone, to sign(p) sqrt(p^2 - 4 M delta_e), and leaves the
+    other block's momentum as it was."""
+    radicand = p * p - 4.0 * mass * delta_e
     ok = radicand >= 0.0
-    shift = np.copysign(np.sqrt(radicand[ok]), pdot[ok]) - pdot[ok]
-    return ok, np.array([P[0, ok] + shift * d1[ok], P[1, ok] + shift * d2[ok]])
+    return ok, np.copysign(np.sqrt(radicand[ok]), p[ok])
+
+
+def _closure(labels, edges: set) -> set:
+    """The slots reachable from ``labels`` along the channel ``edges``."""
+    seen, frontier = set(labels), list(labels)
+    while frontier:
+        s = frontier.pop()
+        for a, t in edges:
+            if a == s and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
 
 
 def _column_labels(codes: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -215,8 +244,11 @@ class EnsembleSnapshot:
     sample s.  The arrays are views of the engine's own, which later steps
     overwrite in place; ``buffer`` is the engine's (16, n_samples) complex
     element buffer, which every ``sample_matrices`` call of that engine
-    overwrites.  ``column_labels`` holds the (alpha, alpha') of each column
-    where no member can change labels (adiabatic mode), else None.
+    overwrites.  ``blocks`` holds the frames of blocks A and B (None where
+    no column stores the block), solved on the member columns
+    ``block_columns[k]``, ``len(block_columns[k]) * n_samples`` rows in
+    column order.  ``column_labels`` holds the (alpha, alpha') of each
+    column where no member can change labels (adiabatic mode), else None.
     """
 
     t: float
@@ -226,7 +258,8 @@ class EnsembleSnapshot:
     weight: np.ndarray
     phase: np.ndarray
     decay: np.ndarray
-    frames: SlotFrames
+    blocks: tuple[Block | None, Block | None]
+    block_columns: tuple[range, range]
     mirrored: np.ndarray
     column_labels: tuple[tuple[int, int], ...] | None
     buffer: np.ndarray
@@ -257,14 +290,16 @@ class EnsembleSnapshot:
         """
         n = self.n_samples
         weight, phase, decay = (v.reshape(-1, n) for v in (self.weight, self.phase, self.decay))
-        # each block's x and y as member columns, keyed (block, 0 or 1); an
-        # uncoupled block's are the scalars 1 and 0, and a term with the
-        # scalar 0 vanishes identically
+        # each stored block's x and y as rows of its member columns, keyed
+        # (block, 0 or 1); an uncoupled block's are the scalars 1 and 0, and
+        # a term with the scalar 0 vanishes identically
         comps = {
             (blk, i): c.reshape(-1, n) if isinstance(c, np.ndarray) else c
-            for blk, block in enumerate(self.frames.blocks)
+            for blk, block in enumerate(self.blocks)
+            if block is not None
             for i, c in enumerate(block.vector)
         }
+        offset = [columns.start for columns in self.block_columns]
         vanishing = frozenset(key for key, c in comps.items() if not isinstance(c, np.ndarray) and c == 0.0)
         if self.column_labels is None:
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
@@ -284,7 +319,12 @@ class EnsembleSnapshot:
                 factor = weight[k] * np.exp(-decay[k])
             else:
                 factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
-            column = {key: c[k] if isinstance(c, np.ndarray) else c for key, c in comps.items()}
+            # a column reads only the blocks its labels lie in, which it stores
+            column = {
+                key: c[k - offset[key[0]]] if isinstance(c, np.ndarray) else c
+                for key, c in comps.items()
+                if k in self.block_columns[key[0]]
+            }
             products = {}
             for pair, terms in zip(pairs, direct[k]):
                 # a column whose members hold several labels splits into one
@@ -314,6 +354,11 @@ class EnsembleState:
     implicitly (``mirrored``) and restored at reduction time.  Nonadiabatic
     mode stores all ordered pairs explicitly, with mirror partners coupled
     to the same transition draws so that they hop conjugately.
+
+    The bath state is ``q`` and ``p``: block A's normal-mode rows (columns
+    ``_cols[0]``) followed by block B's (columns ``_cols[1]``), each a
+    member-ordered run of its columns; ``_q[k]`` and ``_p[k]`` are block k's
+    views.
     """
 
     def __init__(
@@ -333,8 +378,9 @@ class EnsembleState:
         self.summary = RunSummary()
 
         r0, p0 = sample_bath_point(bp, config.seed, sample_start, self.n_local)
-        frames0 = slot_frames(sp, bp, r0)
-        comps0 = slot_vectors(frames0)
+        q0, pq0 = (r0[0] + r0[1], r0[0] - r0[1]), (p0[0] + p0[1], p0[0] - p0[1])
+        blocks0 = tuple(slot_frames(sp, bp, k, q0[k]) for k in range(2))
+        comps0 = slot_vectors(blocks0)
         rho0 = initial_subsystem(config.initial_state)
         elements0 = np.empty((4, 4, self.n_local), dtype=complex)
         for p, q in np.ndindex(4, 4):
@@ -357,28 +403,54 @@ class EnsembleState:
                 f"trace at t = 0 is 0: samples [{sample_start}, {sample_start + self.n_local}) "
                 "spawn no pair (non-finite initial frames)"
             )
+        edges = set()
+        if self.mode == "nonadiabatic":
+            self._gamma_channels = _open_gamma_channels(decay, blocks0)
+            edges = {(s, t) for _, s, t in self._gamma_channels}
+            edges |= {(2 * k + i, 2 * k + 1 - i) for k in range(2) if blocks0[k].half_gap is not None for i in (0, 1)}
+        # the blocks a pair's column stores give its group: block A only (0),
+        # both (1) or block B only (2).  Columns run in group order, block A
+        # only with its diagonal pairs first and block B only with them last,
+        # so that each block's columns and, in adiabatic mode, the
+        # off-diagonal ones (whose phase moves) are contiguous
+        group = {}
+        for pair in pairs:
+            stored = {s // 2 for s in _closure(pair, edges)}
+            group[pair] = 1 if len(stored) == 2 else 2 * stored.pop()
+        pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
+        counts = [list(group.values()).count(g) for g in range(3)]
+        self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
-        samp_local = np.tile(np.arange(self.n_local), len(pairs))
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
         self.weight = elements0[al, ap].ravel().astype(complex)
         self.mirrored = np.repeat(canonical & (al < ap), self.n_local)
-        n = samp_local.size
-        # bath coordinates and momenta of every member, one row per oscillator
-        self.R = r0.take(samp_local, axis=1)
-        self.P = p0.take(samp_local, axis=1)
+        n = self.weight.size
         self.phase = np.zeros(n)
         self.decay_acc = np.zeros(n)
-        self._ar = np.arange(n)
         self.summary.n_members = int(n + np.count_nonzero(self.mirrored))
         # labels change only through transitions; the element buffer is
         # this engine's own, so chunks reduce independently
         self._column_labels = tuple(pairs) if canonical else None
         self._buffer = np.empty((16, self.n_local), dtype=complex)
 
+        # normal-mode rows of the stored blocks, every column starting from
+        # its sample's point
+        sizes = [len(columns) * self.n_local for columns in self._cols]
+        self.q = np.empty(sum(sizes))
+        self.p = np.empty_like(self.q)
+        self._q = (self.q[: sizes[0]], self.q[sizes[0] :])
+        self._p = (self.p[: sizes[0]], self.p[sizes[0] :])
+        for k in range(2):
+            self._q[k].reshape(-1, self.n_local)[:] = q0[k]
+            self._p[k].reshape(-1, self.n_local)[:] = pq0[k]
+        self._kick = np.empty_like(self.q)
+        self._kick_rows = (self._kick[: sizes[0]], self._kick[sizes[0] :])
+        self._scratch = np.empty_like(self.q)
+
         if self.mode == "nonadiabatic":
-            sample_global = samp_local + sample_start
+            sample_global = np.tile(np.arange(self.n_local), len(pairs)) + sample_start
             upair = UPAIR[self.alpha, self.alpha_prime]
             self._hop_chunk = sample_global // CHUNK_SAMPLES
             self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + upair
@@ -388,81 +460,149 @@ class EnsembleState:
                 mask = self._hop_chunk == chunk
                 offsets = self._hop_offset[mask]
                 self._hop_blocks.append((int(chunk), mask, offsets, int(offsets.max()) + 1))
-            self._gamma_channels = _open_gamma_channels(decay, frames0)
         # decay expectations are configuration-independent unless a coupled
         # block mixes states that the operator distinguishes
         g = np.real(decay.matrix)
         self._gdiag_constant = not any(
             block.half_gap is not None and (g[i, i] != g[j, j] or g[i, j] != 0.0)
-            for block in frames0.blocks
+            for block in blocks0
             for i, j in [block.rows]
         )
-        self._restore = bp.mass * bp.omega**2
-        self._refresh_frames()
         if self._gdiag_constant:
             # per-slot rates, read once from sample 0, whose frame vectors
-            # ``slot_vectors(frames0)`` has built: they do not depend on R
-            self._gd = slot_gamma_diag(decay, frames0)[:, :1].ravel()
-            self._gamma_const = np.empty(n)
-        self._idx_a = np.empty(n, dtype=np.int64)
-        self._idx_b = np.empty(n, dtype=np.int64)
-        self._sz_coef = np.empty((2, n))
-        self._relabel(slice(None))
+            # ``slot_vectors(blocks0)`` has built: they do not depend on R
+            self._gd = np.concatenate([slot_gamma_diag(decay, block)[:, 0] for block in blocks0])
+        self._restore = bp.mass * bp.omega**2
+
+        # the columns whose Bohr frequency can be nonzero: the off-diagonal
+        # ones in adiabatic mode, every column once labels can change
+        live = [k for k, (a, b) in enumerate(pairs) if a != b or not canonical]
+        self._live = range(live[0], live[-1] + 1) if live else range(0)
+        # per-pair coefficients: per column (K, 1) in adiabatic mode, per
+        # member (K, n) in nonadiabatic mode, where hops rewrite them
+        if canonical:
+            self._coef = self._label_coefficients(al[:, None], ap[:, None])
+        else:
+            shape = (len(pairs), self.n_local)
+            self._coef = self._label_coefficients(self.alpha.reshape(shape), self.alpha_prime.reshape(shape))
+        # block k's force term c n_k sz_k, left out where n_k is 0 in every
+        # column that can never change labels (its <sigma_z> row is then
+        # never built)
+        self._pulls = tuple(
+            len(columns) > 0
+            and bp.c != 0
+            and (not canonical or bool(np.any(self._coef["cn", k][columns.start : columns.stop])))
+            for k, columns in enumerate(self._cols)
+        )
+        self._omega_spare = np.empty((len(self._live), self.n_local))
+        self._omega = np.empty_like(self._omega_spare)
+        if not self._gdiag_constant:
+            self._gamma_spare = np.empty((len(pairs), self.n_local))
+            self._gamma = np.empty_like(self._gamma_spare)
+        self._refresh_frames()
         self._refresh_pair_caches()
 
     # -- frame-dependent caches ------------------------------------------
 
-    def _refresh_frames(self) -> None:
-        self._frames = slot_frames(self.sp, self.bp, self.R)
-        if not self._gdiag_constant:
-            self._gdiag = slot_gamma_diag(self.decay, self._frames)
-        if self.mode == "nonadiabatic":
-            self._couplings = slot_coupling(self.bp, self._frames)
-
-    def _relabel(self, members) -> None:
-        """Flat gather indices into the (4, n) per-slot tables, the
-        coefficients of the per-block <sigma_z> rows in the force, and the
-        constant decay rates, of ``members`` (an index array or a slice);
-        they change only where a transition changes a member's labels."""
-        a, b = self.alpha[members], self.alpha_prime[members]
-        self._idx_a[members] = a * self._ar.size + self._ar[members]
-        self._idx_b[members] = b * self._ar.size + self._ar[members]
-        self._sz_coef[:, members] = (SZ_COEF[a] + SZ_COEF[b]).T
+    def _label_coefficients(self, a: np.ndarray, b: np.ndarray) -> dict:
+        """The per-pair coefficients of labels a, b (any matching shapes):
+        ``("cn", k)`` = c n_k for block k's force, ``("g", k)`` = the signs of
+        block k's half gap in the Bohr frequency, ``"mu"`` = the difference
+        of the labels' block means, and either ``"dt_gamma"`` = dt times the
+        constant decay rate or ``("count", s)`` = how many of the two labels
+        are slot s."""
+        means = np.array([block_constants(self.sp, s // 2)[0] for s in range(4)])
+        coef = {"mu": means[a] - means[b]}
+        for k in range(2):
+            coef["cn", k] = self.bp.c * (SLOT_SIGN[k][a] + SLOT_SIGN[k][b])
+            coef["g", k] = SLOT_SIGN[k][a] - SLOT_SIGN[k][b]
         if self._gdiag_constant:
-            self._gamma_const[members] = self._gd[a] + self._gd[b]
+            coef["dt_gamma"] = self.config.dt * (self._gd[a] + self._gd[b])
+        else:
+            for s in range(4):
+                coef["count", s] = (a == s).astype(float) + (b == s)
+        return coef
 
-    def _pair_rows(self, members) -> tuple:
-        """Bohr frequency, decay rate (None where the rates are constant) and
-        mean force c * zmean - M omega^2 R of ``members`` on the current
-        frames.  The force depends only on R and the labels.
+    def _relabel(self, members: np.ndarray) -> None:
+        """Rewrite the per-member coefficients of ``members`` (nonadiabatic
+        mode), whose labels a transition changed."""
+        fresh = self._label_coefficients(self.alpha[members], self.alpha_prime[members])
+        for key, value in fresh.items():
+            self._coef[key].reshape(-1)[members] = value
 
-        zmean is half the sum of the two labels' <sigma_z>, each a sign times
-        its block's row (``SLOT_SZ``).  On spin 1 that sum is the block-A
-        part plus the block-B part; on spin 2 it is their difference.  Two
-        labels in one block give an exact multiple of its row, two in
-        different blocks the same single addition as z[a] + z[b], and 0.5 c
-        is exact, so the force equals c * 0.5 * (z[a] + z[b]) - M omega^2 R
-        over the eight-row table ``nhqc.oracle.slot_sigma_z`` bit for bit."""
-        fr = self._frames
-        ia, ib = self._idx_a[members], self._idx_b[members]
-        omega = fr.energies.ravel().take(ia) - fr.energies.ravel().take(ib)
-        gamma = None
+    def _refresh_frames(self) -> None:
+        self._blocks = tuple(slot_frames(self.sp, self.bp, k, q) if q.size else None for k, q in enumerate(self._q))
         if not self._gdiag_constant:
-            gamma = self._gdiag.ravel().take(ia) + self._gdiag.ravel().take(ib)
-        za, zb = (
-            self._sz_coef[k, members] * (block.sz[members] if np.ndim(block.sz) else block.sz)
-            for k, block in enumerate(fr.blocks)
-        )
-        half_c = 0.5 * self.bp.c
-        force = np.empty((2, omega.size))
-        np.multiply(half_c, za + zb, out=force[0])
-        np.multiply(half_c, za - zb, out=force[1])
-        force -= self._restore * self.R[:, members]
-        return omega, gamma, force
+            self._gdiag = tuple(None if block is None else slot_gamma_diag(self.decay, block) for block in self._blocks)
 
     def _refresh_pair_caches(self) -> None:
-        self._omega, gamma, self._force = self._pair_rows(slice(None))
-        self._gamma = self._gamma_const if gamma is None else gamma
+        """Half kick, Bohr frequency and (R-dependent) decay rate of every
+        member on the current frames, the latter two into fresh buffers: the
+        previous ones stay readable as the step's starting values."""
+        n, coef, dt = self.n_local, self._coef, self.config.dt
+        for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
+            if block is None:
+                continue
+            kick = self._kick_rows[k].reshape(-1, n)
+            np.multiply(self._q[k].reshape(-1, n), -self._restore, out=kick)
+            if self._pulls[k]:
+                sz = block.sz.reshape(-1, n) if isinstance(block.sz, np.ndarray) else block.sz
+                term = self._scratch[: kick.size].reshape(kick.shape)
+                np.multiply(coef["cn", k][columns.start : columns.stop], sz, out=term)
+                kick += term
+            kick *= 0.5 * dt
+        omega, self._omega_spare = self._omega_spare, self._omega
+        self._omega = omega
+        live = self._live
+        np.copyto(omega, coef["mu"][live.start : live.stop])
+        for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
+            lo, hi = max(live.start, columns.start), min(live.stop, columns.stop)
+            if lo >= hi:
+                continue
+            upper = block.upper.reshape(-1, n)[lo - columns.start : hi - columns.start]
+            term = self._scratch[: upper.size].reshape(upper.shape)
+            np.multiply(coef["g", k][lo:hi], upper, out=term)
+            omega[lo - live.start : hi - live.start] += term
+        if not self._gdiag_constant:
+            gamma, self._gamma_spare = self._gamma_spare, self._gamma
+            self._gamma = gamma
+            gamma.fill(0.0)
+            for k, (gd, columns) in enumerate(zip(self._gdiag, self._cols)):
+                if gd is None:
+                    continue
+                upper, lower = (row.reshape(-1, n) for row in gd)
+                part = coef["count", 2 * k][columns.start : columns.stop] * upper
+                part += coef["count", 2 * k + 1][columns.start : columns.stop] * lower
+                gamma[columns.start : columns.stop] += part
+
+    def _refresh_member_rows(self, members: np.ndarray) -> None:
+        """The pair caches of ``members`` alone (nonadiabatic mode), after a
+        transition changed their labels.  Every cached entry is elementwise
+        in its member and formed in the order of ``_refresh_pair_caches``,
+        so this equals a full refresh bit for bit."""
+        n, coef = self.n_local, self._coef
+        omega = coef["mu"].reshape(-1)[members]
+        gamma = None if self._gdiag_constant else np.zeros(members.size)
+        for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
+            if block is None:
+                continue
+            inside = (members >= columns.start * n) & (members < columns.stop * n)
+            sel = members[inside]
+            rows = sel - columns.start * n
+            kick = self._q[k][rows] * -self._restore
+            if self._pulls[k]:
+                kick += coef["cn", k].reshape(-1)[sel] * (block.sz[rows] if isinstance(block.sz, np.ndarray) else block.sz)
+            kick *= 0.5 * self.config.dt
+            self._kick_rows[k][rows] = kick
+            omega[inside] += coef["g", k].reshape(-1)[sel] * block.upper[rows]
+            if gamma is not None:
+                gd = self._gdiag[k]
+                part = coef["count", 2 * k].reshape(-1)[sel] * gd[0, rows]
+                part += coef["count", 2 * k + 1].reshape(-1)[sel] * gd[1, rows]
+                gamma[inside] += part
+        self._omega.reshape(-1)[members] = omega
+        if gamma is not None:
+            self._gamma.reshape(-1)[members] = gamma
 
     # -- time stepping ----------------------------------------------------
 
@@ -470,21 +610,29 @@ class EnsembleState:
         dt = self.config.dt
         over_mass = dt / self.bp.mass
         half_dt = 0.5 * dt
+        phase = self.phase.reshape(-1, self.n_local)[self._live.start : self._live.stop]
+        decay = self.decay_acc.reshape(-1, self.n_local)
         for _ in range(n_steps):
-            # the force that ends one step starts the next: it is cached with
-            # the frames, and refreshed wherever R or a label changes
-            self.P += half_dt * self._force
-            self.R += over_mass * self.P
+            # the half kick that ends one step starts the next: it is cached
+            # with the frames, and refreshed wherever q or a label changes
+            self.p += self._kick
+            np.multiply(self.p, over_mass, out=self._scratch)
+            self.q += self._scratch
             omega_old = self._omega
-            gamma_old = self._gamma
+            gamma_old = None if self._gdiag_constant else self._gamma
             self._refresh_frames()
             self._refresh_pair_caches()
-            self.P += half_dt * self._force
-            self.phase += half_dt * (omega_old + self._omega)
-            if self._gamma is gamma_old:  # configuration-independent rates
-                self.decay_acc += dt * self._gamma
+            self.p += self._kick
+            # the previous frequency and rate buffers are spare from here on
+            omega_old += self._omega
+            omega_old *= half_dt
+            phase += omega_old
+            if gamma_old is None:  # configuration-independent rates
+                decay += self._coef["dt_gamma"]
             else:
-                self.decay_acc += half_dt * (gamma_old + self._gamma)
+                gamma_old += self._gamma
+                gamma_old *= half_dt
+                decay += gamma_old
             if self.mode == "nonadiabatic":
                 self._hop_stage(dt)
             self._step_index += 1
@@ -506,42 +654,57 @@ class EnsembleState:
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
 
-        The channels, in order, are the derivative couplings (sorted, ket
-        before bra) and the open decay channels, whose amplitudes are formed
-        only for the open (s, t) entries.  Each is a record (side 0 = ket or
-        1 = bra, source, target, amplitude, |amplitude|, coupling vectors or
-        None); its row is |amplitude| where the side's label, as the stage
-        found it, equals the source, else 0.  One pass sums the rows in
-        channel order into ``total``.  Only a member whose uniform times
-        1 + total falls below ``total`` hops, on the first channel where the
-        running sum of its rows exceeds that product.  Every other member,
-        frustrated ones included, gets the no-hop factor 1 + total.
+        The channels, in order, are the derivative couplings (upper to lower
+        slot, then back, block A first, ket before bra) and the open decay
+        channels, whose amplitudes are formed only for the open (s, t)
+        entries.  Each is a record (side 0 = ket or 1 = bra, source, target,
+        first member, amplitude, |amplitude|, coupling block or None) whose
+        rows cover the members of the columns that store the blocks of both
+        slots; no other member can hold its source label.  Its row is
+        |amplitude| where the side's label, as the stage found it, equals
+        the source, else 0.  One pass sums the rows in channel order into
+        ``total``.  Only a member whose uniform times 1 + total falls below
+        ``total`` hops, on the first channel where the running sum of its
+        rows exceeds that product.  Every other member, frustrated ones
+        included, gets the no-hop factor 1 + total.
         """
         n = self.weight.size
         labels = (self.alpha, self.alpha_prime)
-        v1, v2 = self.P / self.bp.mass
+        spans = [(columns.start * self.n_local, columns.stop * self.n_local) for columns in self._cols]
         channels = []
-        for (s, t), dvec in sorted(self._couplings.items()):
-            amp = dt * (v1 * dvec[:, 0] + v2 * dvec[:, 1])
+        for k, block in enumerate(self._blocks):
+            if block is None or block.half_gap is None:
+                continue
+            amp = dt * (self._p[k] / self.bp.mass * slot_coupling(self.bp, block))
             mag = np.abs(amp)
-            channels.append((0, s, t, amp, mag, dvec))
-            channels.append((1, s, t, amp, mag, dvec))
+            for s, t, a in ((2 * k, 2 * k + 1, amp), (2 * k + 1, 2 * k, -amp)):
+                channels.append((0, s, t, spans[k][0], a, mag, k))
+                channels.append((1, s, t, spans[k][0], a, mag, k))
         if self._gamma_channels:
-            comps, entries = slot_vectors(self._frames), {}
+            comps, entries = slot_vectors(self._blocks), {}
             for side, s, t in self._gamma_channels:
                 key = (s, t) if side == "ket" else (t, s)
+                lo = max(spans[s // 2][0], spans[t // 2][0])
+                hi = min(spans[s // 2][1], spans[t // 2][1])
+                if lo >= hi:
+                    continue  # no column stores both blocks: no member holds s
                 if key not in entries:
-                    amp = dt * _slot_entry(comps, self.decay.matrix, *key, n)
+                    # the two slots' components on the members [lo, hi)
+                    part = {
+                        u: tuple(c[lo - spans[u // 2][0] : hi - spans[u // 2][0]] if np.ndim(c) else c for c in comps[u])
+                        for u in key
+                    }
+                    amp = dt * _slot_entry(part, self.decay.matrix, *key, hi - lo)
                     entries[key] = amp, np.abs(amp)
-                channels.append((0 if side == "ket" else 1, s, t, *entries[key], None))
+                channels.append((0 if side == "ket" else 1, s, t, lo, *entries[key], None))
         if not channels:
             return
         masks = {}
         total = np.zeros(n)
-        for side, s, _, _, mag, _ in channels:
+        for side, s, _, lo, _, mag, _ in channels:
             if (side, s) not in masks:
                 masks[side, s] = labels[side] == s
-            total += np.where(masks[side, s], mag, 0.0)
+            total[lo : lo + mag.size] += np.where(masks[side, s][lo : lo + mag.size], mag, 0.0)
         scale = 1.0 + total
         u = self._hop_uniforms() * scale
         hit = np.flatnonzero(u < total)  # False for NaN: no hop
@@ -549,36 +712,37 @@ class EnsembleState:
         self.weight *= scale  # the no-hop factor; hops overwrite theirs below
         if not hit.size:
             return
-        rows = [np.where(masks[side, s][hit], mag[hit], 0.0) for side, s, _, _, mag, _ in channels]
+        # a hit member outside a channel's rows reads a clipped row there,
+        # masked off: it cannot hold the channel's source label
+        rows = [
+            np.where(masks[side, s][hit], mag[np.clip(hit - lo, 0, mag.size - 1)], 0.0)
+            for side, s, _, lo, _, mag, _ in channels
+        ]
         choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)
-        energies = self._frames.energies
         moved = []
         for c in np.unique(choice):
-            side, s, t, amp, mag, dvec = channels[c]
+            side, s, t, lo, amp, mag, k = channels[c]
             sel = choice == c
             idx, w = hit[sel], weight0[sel]
-            factor = -scale[idx] * amp[idx] / mag[idx]
-            if dvec is not None:
-                delta_e = energies[t, idx] - energies[s, idx]
-                ok, p_new = _momentum_jump(self.P[:, idx], dvec[idx], delta_e, self.bp.mass)
+            j = idx - lo
+            factor = -scale[idx] * amp[j] / mag[j]
+            if k is not None:
+                energies = self._blocks[k].energies
+                delta_e = energies[t % 2, j] - energies[s % 2, j]
+                ok, p_new = _momentum_jump(self._p[k][j], delta_e, self.bp.mass)
                 self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
                 idx, w, factor = idx[ok], w[ok], factor[ok]
-                self.P[:, idx] = p_new
+                self._p[k][j[ok]] = p_new
             w *= factor  # in place: numpy rounds a one-element complex product differently out of place
             self.weight[idx] = w
             labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
             moved.append(idx)
-        # every cached row is elementwise in its member (constant rates come
-        # from the set-up table), so only the rows of the members that hopped
-        # change; writing them in place keeps ``_gamma is _gamma_const``
+        # every cached row is elementwise in its member, so only the rows of
+        # the members that hopped change
         moved = np.concatenate(moved)
         self._relabel(moved)
-        omega, gamma, force = self._pair_rows(moved)
-        self._omega[moved] = omega
-        if gamma is not None:
-            self._gamma[moved] = gamma
-        self._force[:, moved] = force
+        self._refresh_member_rows(moved)
 
     # -- views -------------------------------------------------------------
 
@@ -592,7 +756,8 @@ class EnsembleState:
             weight=self.weight,
             phase=self.phase,
             decay=self.decay_acc,
-            frames=self._frames,
+            blocks=self._blocks,
+            block_columns=self._cols,
             mirrored=self.mirrored,
             column_labels=self._column_labels,
             buffer=self._buffer,

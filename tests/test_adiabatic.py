@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import SLOT_ROWS, slot_coupling, slot_frames, slot_gamma_diag, slot_vectors
+from nhqc.adiabatic import SLOT_ROWS, slot_gamma_diag, slot_vectors
 from nhqc.model import BathParams, DecayKind, SpinChainParams, decay_operator
 from nhqc.oracle import (
     DegeneratePairError,
@@ -11,6 +11,7 @@ from nhqc.oracle import (
     dressed_hamiltonian,
     frame_matrices,
     frame_permutation,
+    frames_at,
     gamma_in_adiabatic,
     hellmann_feynman_force,
     nonadiabatic_coupling,
@@ -80,7 +81,7 @@ def test_eigen_residual_on_random_configurations():
 def test_bohr_frequency():
     # the engine's phase rate of pair (a, b) is E_a - E_b of the slot frames:
     # block B splits by 4 at the origin, block A is degenerate there
-    e = slot_frames(PAPER_SP, PAPER_BP, np.zeros((2, 1))).energies[:, 0]
+    e = frames_at(PAPER_SP, PAPER_BP, np.zeros((2, 1))).energies[:, 0]
     assert e[2] - e[3] == pytest.approx(4.0, abs=1e-12)
     assert e[0] - e[1] == 0.0
 
@@ -267,20 +268,20 @@ def test_gamma_rate_nonnegative_for_psd_operator():
 @pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
 def test_slot_vectors_scatter_to_the_oracle_frame_matrices(jy):
     rng = np.random.default_rng(29)
-    frames = slot_frames(SpinChainParams(jx=-1.0, jy=jy, jz=0.5), PAPER_BP, rng.uniform(-6, 6, (2, 300)))
+    frames = frames_at(SpinChainParams(jx=-1.0, jy=jy, jz=0.5), PAPER_BP, rng.uniform(-6, 6, (2, 300)))
     u = np.zeros((300, 4, 4))
-    for s, comps in enumerate(slot_vectors(frames)):
+    for s, comps in enumerate(slot_vectors(frames.blocks)):
         for i, c in zip(SLOT_ROWS[s], comps):
             u[:, i, s] = c
-    assert np.array_equal(u, frame_matrices(frames))
+    assert np.array_equal(u, frame_matrices(frames.blocks))
 
 
 @pytest.mark.parametrize("sp", [PAPER_SP, SpinChainParams(0.7, -0.4, 0.3)])
 def test_slot_frames_match_build_frame(sp):
     rng = np.random.default_rng(31)
     R = rng.uniform(-6, 6, (200, 2))
-    frames = slot_frames(sp, PAPER_BP, R.T)
-    u = frame_matrices(frames)
+    frames = frames_at(sp, PAPER_BP, R.T)
+    u = frame_matrices(frames.blocks)
     for i in range(R.shape[0]):
         frame = build_frame(sp, PAPER_BP, R[i])
         assert np.max(np.abs(np.sort(frames.energies[:, i]) - frame.energies)) < 1e-12
@@ -297,12 +298,12 @@ def test_half_gap_is_hypot_within_one_ulp(sign):
     x = np.logspace(-8, 150, 3001)
     x = np.concatenate([x, -x])
     sp = SpinChainParams(jx=-sign, jy=-0.6 * sign, jz=0.0)
-    frames = slot_frames(sp, BathParams(c=1.0, beta=0.1), np.array([x, np.zeros_like(x)]))
+    frames = frames_at(sp, BathParams(c=1.0, beta=0.1), np.array([x, np.zeros_like(x)]))
     for block, w in zip(frames.blocks, (-(sp.jx - sp.jy), -(sp.jx + sp.jy))):
         exact = np.hypot(x, w)
         assert np.all(np.abs(block.half_gap - exact) <= np.spacing(exact))
     a, b = frames.blocks
-    for part in (frames.energies, slot_sigma_z(frames), *a.vector, *b.vector):
+    for part in (frames.energies, slot_sigma_z(frames.blocks), *a.vector, *b.vector):
         assert np.all(np.isfinite(part))
 
 
@@ -331,7 +332,7 @@ def sz_configurations():
 @pytest.mark.parametrize("case", SZ_CASES)
 def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
     sp, c = SZ_CASES[case]
-    frames = slot_frames(sp, BathParams(c=c, beta=0.1), sz_configurations())
+    frames = frames_at(sp, BathParams(c=c, beta=0.1), sz_configurations())
     for block in frames.blocks:
         x, y = block.vector
         if block.half_gap is not None:
@@ -344,7 +345,7 @@ def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
     c2A, c2B = xA**2 - yA**2, xB**2 - yB**2
     rows = [c2A, -c2A, c2B, -c2B, c2A, -c2A, -c2B, c2B]
     eight = np.array([np.broadcast_to(row, n) for row in rows]).reshape(2, 4, n)
-    assert np.max(np.abs(slot_sigma_z(frames) - eight)) <= FEW_ULP
+    assert np.max(np.abs(slot_sigma_z(frames.blocks) - eight)) <= FEW_ULP
 
 
 @pytest.mark.parametrize("case", SZ_CASES)
@@ -352,25 +353,25 @@ def test_sz_rows_match_the_eigensolver(case):
     sp, c = SZ_CASES[case]
     bp = BathParams(c=c, beta=0.1)
     R = sz_configurations()[:, ::8]
-    frames = slot_frames(sp, bp, R)
-    u = frame_matrices(frames)
+    frames = frames_at(sp, bp, R)
+    u = frame_matrices(frames.blocks)
     for i in range(R.shape[1]):
         frame = build_frame(sp, bp, R[:, i])
         if np.min(np.diff(frame.energies)) < 1e-6:
             continue  # a crossing of the uncoupled block: its eigenvectors are not unique
         col_of_slot = np.argmax(np.abs(u[i].T @ np.real(frame.vectors)), axis=1)
         sz = SIGMA_Z @ np.abs(frame.vectors[:, col_of_slot]) ** 2
-        assert np.max(np.abs(slot_sigma_z(frames)[:, :, i] - sz)) < 1e-12
+        assert np.max(np.abs(slot_sigma_z(frames.blocks)[:, :, i] - sz)) < 1e-12
 
 
 def test_slot_gamma_diag_matches_generic():
     rng = np.random.default_rng(37)
     R = rng.uniform(-4, 4, (50, 2))
-    frames = slot_frames(PAPER_SP, PAPER_BP, R.T)
+    frames = frames_at(PAPER_SP, PAPER_BP, R.T)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     spec = decay_operator(DecayKind.CUSTOM, matrix=m + m.conj().T)
-    gd = slot_gamma_diag(spec, frames)
-    u = frame_matrices(frames)
+    gd = np.concatenate([slot_gamma_diag(spec, block) for block in frames.blocks])
+    u = frame_matrices(frames.blocks)
     for i in range(R.shape[0]):
         direct = np.real(np.einsum("ia,ij,ja->a", u[i], spec.matrix, u[i]))
         assert np.max(np.abs(gd[:, i] - direct)) < 1e-12
@@ -379,10 +380,10 @@ def test_slot_gamma_diag_matches_generic():
 def test_slot_coupling_matches_generic():
     rng = np.random.default_rng(41)
     R = rng.uniform(-4, 4, (30, 2))
-    frames = slot_frames(PAPER_SP, PAPER_BP, R.T)
-    couplings = slot_coupling(PAPER_BP, frames)
+    frames = frames_at(PAPER_SP, PAPER_BP, R.T)
+    couplings = frames.couplings
     assert set(couplings) == {(2, 3), (3, 2)}  # block A is uncoupled for jx = jy
-    u = frame_matrices(frames)
+    u = frame_matrices(frames.blocks)
     for i in range(R.shape[0]):
         frame = build_frame(PAPER_SP, PAPER_BP, R[i])
         # identify the frame columns of slots 2 and 3 by overlap

@@ -328,13 +328,25 @@ def test_check_subcommand_reports_lines(monkeypatch, capsys):
 
 
 def test_run_command_rejects_a_non_finite_curve(tmp_path, capsys):
-    # c = 1e308 is finite, so the config passes, but the dynamics overflow to NaN
-    lines = small_run_lines(c=1e308, samples=10, steps=10, output_stride=1, initial_state="psi")
+    # c = 1e100 is finite and so are the initial frames (trace 1 at t = 0),
+    # but the dynamics overflow to NaN
+    lines = small_run_lines(c=1e100, samples=10, steps=10, output_stride=1, initial_state="psi")
     with np.errstate(all="ignore"):
         code, outputs = run_cli(tmp_path, lines, "nan")
     assert code == 1 and outputs == []
     err = capsys.readouterr().err
     assert err.startswith("invariant violation:") and "non-finite" in err
+
+
+def test_run_command_rejects_a_partly_overflowed_start(tmp_path, capsys):
+    # c = 1e308 overflows psi's block-B frames at t = 0: only its |ee> half
+    # spawns members, and the trace starts at 1/2
+    lines = small_run_lines(c=1e308, samples=10, steps=10, output_stride=1, initial_state="psi")
+    with np.errstate(all="ignore"):
+        code, outputs = run_cli(tmp_path, lines, "half")
+    assert code == 1 and outputs == []
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: trace at t = 0 is 0.49999")
 
 
 @pytest.mark.parametrize("seed", [2, 3])

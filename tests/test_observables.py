@@ -130,7 +130,7 @@ def test_decoupled_reconstruction_is_frame_independent():
     borrowed.weight = snap1.weight.copy()
     mats_then = borrowed.snapshot().sample_matrices().matrices()
     assert np.max(np.abs(mats_now - mats_then)) < 1e-13
-    assert np.array_equal(snap0.frames.blocks[1].vector[0], snap1.frames.blocks[1].vector[0])
+    assert np.array_equal(snap0.blocks[1].vector[0], snap1.blocks[1].vector[0])
 
 
 def series_for_test(n_steps=20, stride=10, **kw):

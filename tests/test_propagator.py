@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import slot_coupling, slot_frames, slot_vectors
+from nhqc.adiabatic import SLOT_SZ, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
@@ -22,7 +22,8 @@ from nhqc.oracle import (
     classical_step,
     dense_sample_matrices,
     frame_matrices,
-    slot_sigma_z,
+    frames_at,
+    oscillator_couplings,
     sstp_step,
 )
 from nhqc.propagator import (
@@ -71,36 +72,68 @@ def test_classical_step_rejects_bad_dt():
 
 
 def test_momentum_jump_zero_gap():
-    P = np.array([[0.3], [-0.1]])
-    ok, shifted = _momentum_jump(P, np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
+    p = np.array([0.2])  # p_A = P1 + P2 of P = (0.3, -0.1)
+    ok, shifted = _momentum_jump(p, np.array([0.0]), 1.0)
     assert ok.tolist() == [True]
-    assert np.allclose(shifted, P)
+    assert np.allclose(shifted, p)
 
 
 def test_momentum_jump_frustrated():
-    # the first member lacks the kinetic energy along d; the second has it
-    P = np.array([[0.1, 2.0], [0.0, 0.0]])
-    d = np.array([[1.0, 0.0], [1.0, 0.0]])
-    ok, shifted = _momentum_jump(P, d, np.array([1.0, 1.0]), 1.0)
+    # the first member lacks the kinetic energy p^2 / 4M of its normal mode;
+    # the second has it
+    p = np.array([0.2, 3.0])
+    ok, shifted = _momentum_jump(p, np.array([1.0, 1.0]), 1.0)
     assert ok.tolist() == [False, True]
-    assert shifted.shape == (2, 1)
+    assert shifted.shape == (1,)
 
 
 def test_momentum_jump_downhill_conserves_energy():
-    p0 = np.array([0.4, -0.2])
-    d = np.array([0.06, -0.06])
+    P0 = np.array([0.4, -0.2])
+    p_a, p_b = P0[0] + P0[1], P0[0] - P0[1]  # a block-B coupling lies along (1, -1)
     delta_e = -4.0  # downhill
-    ok, shifted = _momentum_jump(p0[:, None], d[None, :], np.array([delta_e]), 1.0)
+    ok, shifted = _momentum_jump(np.array([p_b]), np.array([delta_e]), 1.0)
     assert ok.tolist() == [True]
-    p1 = shifted[:, 0]
-    dhat = d / np.linalg.norm(d)
-    assert abs(p1 @ dhat) > abs(p0 @ dhat)
-    before = 0.5 * np.sum(p0**2)
-    after = 0.5 * np.sum(p1**2) + delta_e
+    P1 = np.array([p_a + shifted[0], p_a - shifted[0]]) / 2
+    dhat = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert abs(P1 @ dhat) > abs(P0 @ dhat)
+    before = (p_a**2 + p_b**2) / 4  # 0.5 |P|^2 in normal coordinates
+    after = (p_a**2 + shifted[0] ** 2) / 4 + delta_e
     assert after == pytest.approx(before, abs=1e-12)
     # the perpendicular momentum component is untouched
     perp = np.array([dhat[1], -dhat[0]])
-    assert p1 @ perp == pytest.approx(p0 @ perp, abs=1e-14)
+    assert P1 @ perp == pytest.approx(P0 @ perp, abs=1e-14)
+
+
+def momentum_jump_2d(P, d, delta_e, mass):
+    """The oscillator-space jump rule: shift P (2, k) along the unit vector of
+    d (k, 2) to absorb delta_e; returns the allowed mask and the shifted
+    momenta of the allowed members, shape (2, count)."""
+    norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    d1 = d[:, 0] / norm
+    d2 = d[:, 1] / norm
+    pdot = P[0] * d1 + P[1] * d2
+    radicand = pdot**2 - 2.0 * mass * delta_e
+    ok = radicand >= 0.0
+    shift = np.copysign(np.sqrt(radicand[ok]), pdot[ok]) - pdot[ok]
+    return ok, np.array([P[0, ok] + shift * d1[ok], P[1, ok] + shift * d2[ok]])
+
+
+def test_momentum_jump_equals_the_oscillator_space_rule():
+    rng = np.random.default_rng(17)
+    n, mass = 1000, 1.3
+    P = rng.normal(size=(2, n))
+    sign = rng.choice([1.0, -1.0], n)  # along (1, 1) for block A, (1, -1) for block B
+    row = rng.choice([1.0, -1.0], n) * rng.uniform(0.01, 2.0, n)
+    d = np.stack([row, sign * row], axis=1)
+    delta_e = rng.normal(scale=0.5, size=n)
+    ok_2d, P_2d = momentum_jump_2d(P, d, delta_e, mass)
+    p_k, p_other = P[0] + sign * P[1], P[0] - sign * P[1]
+    ok, p_new = _momentum_jump(p_k, delta_e, mass)
+    assert 0 < np.count_nonzero(~ok) < n
+    assert np.array_equal(ok, ok_2d)
+    s = sign[ok]
+    assert np.allclose(p_new, P_2d[0] + s * P_2d[1], rtol=1e-12, atol=0)
+    assert np.allclose(p_other[ok], P_2d[0] - s * P_2d[1], rtol=1e-12, atol=0)
 
 
 def paper_config(**kw):
@@ -166,16 +199,31 @@ def test_engine_phase_constant_gap_at_zero_coupling():
     assert np.allclose(np.abs(snap.phase[coher]), 4.0 * engine.t, atol=1e-10)
 
 
+def member_rows(engine, k, members):
+    """Rows of block k's normal coordinates and momenta holding ``members``
+    (all in columns that store block k)."""
+    first = engine._cols[k].start * engine.n_local
+    return np.asarray(members) - first
+
+
 def test_engine_diagonal_member_conserves_energy():
     config = paper_config(n_steps=1000, seed=3)
     engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
     snap0 = engine.snapshot()
     diag = np.nonzero(snap0.alpha == snap0.alpha_prime)[0][0]
     a = int(snap0.alpha[diag])
-    e0 = snap0.frames.energies[a, diag] + 0.5 * np.sum(engine.P[:, diag] ** 2)
+    k = a // 2  # the normal mode the member's block depends on
+    row = member_rows(engine, k, diag)
+    mass, restore = PAPER_BP.mass, PAPER_BP.mass * PAPER_BP.omega**2
+
+    def energy(snap):
+        # the slot energy from V_bath plus the normal mode's own energy
+        q, p = engine._q[k][row], engine._p[k][row]
+        return snap.blocks[k].energies[a % 2, row] + p**2 / (4 * mass) + restore * q**2 / 4
+
+    e0 = energy(snap0)
     engine.advance(1000)
-    snap1 = engine.snapshot()
-    e1 = snap1.frames.energies[a, diag] + 0.5 * np.sum(engine.P[:, diag] ** 2)
+    e1 = energy(engine.snapshot())
     assert e1 == pytest.approx(e0, abs=2e-3)  # O(dt^2) drift over t = 10
 
 
@@ -191,7 +239,7 @@ def test_engine_deterministic():
                 engine.advance(config.output_stride)
             snap = engine.snapshot()
             outputs.append(
-                (engine.t, snap.weight.copy(), snap.phase.copy(), engine.R.copy(), snap.sample_matrices().matrices())
+                (engine.t, snap.weight.copy(), snap.phase.copy(), engine.q.copy(), snap.sample_matrices().matrices())
             )
         runs.append(outputs)
     for out1, out2 in zip(*runs):
@@ -254,34 +302,43 @@ def test_nonadiabatic_hops_occur_and_stay_finite():
 
 
 def two_force_verlet(engine, n_steps):
-    """Reference for ``advance``: velocity Verlet with the mean force
-    evaluated twice per step from the frames and labels, before the drift and
-    after it, and every pair cache rebuilt for all members after a hop
-    stage."""
-    bp, dt = engine.bp, engine.config.dt
-    n = engine.weight.size
+    """Reference for ``advance``: velocity Verlet on each stored normal-mode
+    row with the force c n_k sz_k - M omega^2 q_k evaluated twice per step
+    from the frames and labels, before the drift and after it, n_k summed
+    from the labels' spin-1 signs, and every pair cache rebuilt for all
+    members after a hop stage."""
+    bp, dt, n = engine.bp, engine.config.dt, engine.n_local
 
-    def mean_force():
-        z = slot_sigma_z(engine._frames).reshape(2, -1)
-        ia, ib = engine.alpha * n + np.arange(n), engine.alpha_prime * n + np.arange(n)
-        zmean = 0.5 * (z.take(ia, axis=1) + z.take(ib, axis=1))
-        return bp.c * zmean - bp.mass * bp.omega**2 * engine.R
+    def force(k):
+        columns = engine._cols[k]
+        a, b = (x.reshape(-1, n)[columns.start : columns.stop] for x in (engine.alpha, engine.alpha_prime))
+        n_k = sum(np.where(x // 2 == k, np.array(SLOT_SZ)[x, 0], 0.0) for x in (a, b))
+        sz = engine._blocks[k].sz
+        sz = sz.reshape(-1, n) if np.ndim(sz) else sz
+        return (bp.c * n_k * sz - bp.mass * bp.omega**2 * engine._q[k].reshape(-1, n)).ravel()
+
+    def kick():
+        for k in range(2):
+            if engine._q[k].size:
+                engine._p[k][:] += 0.5 * dt * force(k)
 
     for _ in range(n_steps):
-        p_half = engine.P + 0.5 * dt * mean_force()
-        engine.R += dt / bp.mass * p_half
-        omega_old, gamma_old = engine._omega, engine._gamma
+        kick()
+        engine.q += dt / bp.mass * engine.p
+        omega_old, gamma_old = engine._omega.copy(), getattr(engine, "_gamma", None)
+        gamma_old = None if gamma_old is None else gamma_old.copy()
         engine._refresh_frames()
         engine._refresh_pair_caches()
-        engine.P = p_half + 0.5 * dt * mean_force()
-        engine.phase += 0.5 * dt * (omega_old + engine._omega)
-        if engine._gamma is gamma_old:
-            engine.decay_acc += dt * engine._gamma
+        kick()
+        live = engine._live
+        engine.phase.reshape(-1, n)[live.start : live.stop] += 0.5 * dt * (omega_old + engine._omega)
+        if gamma_old is None:  # constant rates dt (Gamma_aa + Gamma_bb)
+            engine.decay_acc += dt * (engine._gd[engine.alpha] + engine._gd[engine.alpha_prime])
         else:
-            engine.decay_acc += 0.5 * dt * (gamma_old + engine._gamma)
+            engine.decay_acc += (0.5 * dt * (gamma_old + engine._gamma)).ravel()
         if engine.mode == "nonadiabatic":
             engine._hop_stage(dt)
-            engine._relabel(slice(None))
+            engine._relabel(np.arange(engine.weight.size))
             engine._refresh_pair_caches()
         engine._step_index += 1
         engine.t = engine._step_index * dt
@@ -315,7 +372,7 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
     assert (engine.summary.n_hops, engine.summary.n_frustrated) == (
         reference.summary.n_hops, reference.summary.n_frustrated
     )
-    for name in ("R", "P", "phase", "decay_acc", "weight", "alpha", "alpha_prime"):
+    for name in ("q", "p", "phase", "decay_acc", "weight", "alpha", "alpha_prime"):
         assert np.array_equal(getattr(engine, name), getattr(reference, name)), name
 
 
@@ -332,12 +389,12 @@ def test_constant_rate_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     engine = EnsembleState(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
     assert engine._gdiag_constant
-    assert not any("vector" in vars(block) for block in engine._frames.blocks)
+    assert not any("vector" in vars(block) for block in engine._blocks if block is not None)
     engine.advance(3)
-    frames = engine._frames
-    assert not any("vector" in vars(block) for block in frames.blocks)
+    blocks = [block for block in engine._blocks if block is not None]
+    assert not any("vector" in vars(block) for block in blocks)
     engine.snapshot().sample_matrices()
-    assert all("vector" in vars(block) for block in frames.blocks)
+    assert all("vector" in vars(block) for block in blocks)
 
 
 def test_simulate_rejects_an_empty_start():
@@ -392,8 +449,8 @@ def sandwich_operands():
 def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     R, _ = sample_bath_point(PAPER_BP, 21, 0, 500)
-    frames = slot_frames(sp, PAPER_BP, R)
-    u, comps = frame_matrices(frames), slot_vectors(frames)
+    blocks = frames_at(sp, PAPER_BP, R).blocks
+    u, comps = frame_matrices(blocks), slot_vectors(blocks)
     for name, m in sandwich_operands().items():
         expected = np.einsum("nip,ij,njq->npq", u, m, u)
         entries = [[_slot_entry(comps, m, s, t, 500) for t in range(4)] for s in range(4)]
@@ -402,8 +459,8 @@ def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
 
 def test_open_gamma_channels():
     R, _ = sample_bath_point(PAPER_BP, 21, 0, 50)
-    frames_ab = slot_frames(SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5), PAPER_BP, R)  # both blocks coupled
-    frames_b = slot_frames(PAPER_SP, PAPER_BP, R)  # block A uncoupled
+    frames_ab = frames_at(SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5), PAPER_BP, R).blocks  # both blocks coupled
+    frames_b = frames_at(PAPER_SP, PAPER_BP, R).blocks  # block A uncoupled
     identity = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
     projector = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     assert _open_gamma_channels(identity, frames_ab) == []
@@ -418,9 +475,10 @@ def test_open_gamma_channels():
 
 def pinned_hop_step(monkeypatch, c, uniform):
     """One nonadiabatic step of a jx = -1, jy = -0.6 engine under a dense
-    complex decay operator (all 8 coupling and 24 decay channels open), every
-    hop uniform pinned to ``uniform``; the labels, weights, momenta and
-    frames as the hop stage found them, and the engine after it."""
+    complex decay operator (all 8 coupling and 24 decay channels open, so
+    every column stores both blocks over all members), every hop uniform
+    pinned to ``uniform``; the labels, weights, normal momenta (p_A, p_B)
+    and blocks as the hop stage found them, and the engine after it."""
     rng = np.random.default_rng(5)
     ket = rng.normal(size=4) + 1j * rng.normal(size=4)
     decay = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
@@ -429,7 +487,8 @@ def pinned_hop_step(monkeypatch, c, uniform):
     )
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     engine = EnsembleState(sp, BathParams(c=c, beta=0.1), decay, config)
-    assert len(engine._couplings) * 2 == 8 and len(engine._gamma_channels) == 24
+    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._gamma_channels) == 24
+    assert engine._cols == (range(16), range(16))
     monkeypatch.setattr(EnsembleState, "_hop_uniforms", lambda self: np.full(self.weight.size, uniform))
     before = {}
     hop_stage = engine._hop_stage
@@ -439,8 +498,8 @@ def pinned_hop_step(monkeypatch, c, uniform):
             alpha=engine.alpha.copy(),
             alpha_prime=engine.alpha_prime.copy(),
             weight=engine.weight.copy(),
-            P=engine.P.copy(),
-            frames=engine._frames,
+            p=engine.p.reshape(2, -1).copy(),
+            frames=engine._blocks,
         )
         hop_stage(dt)
 
@@ -463,9 +522,10 @@ def no_hop_total(before, engine):
     a, b = before["alpha"], before["alpha_prime"]
     ar = np.arange(a.size)
     gs = dense_decay_entries(before, engine.decay)
-    v = before["P"] / engine.bp.mass
+    # oscillator-space velocities from the normal momenta P1 +- P2
+    v = np.array([before["p"][0] + before["p"][1], before["p"][0] - before["p"][1]]) / (2 * engine.bp.mass)
     total = np.zeros(a.size)
-    for (s, _), d in slot_coupling(engine.bp, before["frames"]).items():
+    for (s, _), d in oscillator_couplings(engine.bp, before["frames"]).items():
         rate = np.abs(dt * (v[0] * d[:, 0] + v[1] * d[:, 1]))
         total += rate * ((a == s).astype(float) + (b == s))
     for t in range(4):
@@ -496,12 +556,14 @@ def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch)
     # the jump conserves the energy on the hopping label's surfaces
     source = np.minimum(a, b)
     ar = np.arange(n)
-    energies = before["frames"].energies
-    kinetic = [0.5 * np.sum(p**2, axis=0) / engine.bp.mass for p in (before["P"], engine.P)]
+    # (V_bath, left out of the block energies, is the same on both sides)
+    energies = np.concatenate([block.energies for block in before["frames"]])
+    p_after = engine.p.reshape(2, -1)
+    kinetic = [np.sum(p**2, axis=0) / (4 * engine.bp.mass) for p in (before["p"], p_after)]
     e_old = kinetic[0] + energies[source, ar]
     e_new = kinetic[1] + energies[PARTNER[source], ar]
     assert np.allclose(e_new[hopped], e_old[hopped], rtol=0, atol=1e-12)
-    assert np.array_equal(engine.P[:, ~hopped], before["P"][:, ~hopped])
+    assert np.array_equal(p_after[:, ~hopped], before["p"][:, ~hopped])
     # real coupling amplitudes give real factors of modulus 1 + total; a
     # frustrated member keeps the positive no-hop factor
     ratio = engine.weight / before["weight"]
@@ -522,7 +584,7 @@ def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channe
     ket = a <= b
     assert np.array_equal(engine.alpha, np.where(ket, target, a))
     assert np.array_equal(engine.alpha_prime, np.where(ket, b, target))
-    assert np.array_equal(engine.P, before["P"])
+    assert np.array_equal(engine.p.reshape(2, -1), before["p"])
     # factor -(1 + total) a / |a|, with a = (u^T Gamma u)[s, t] on the ket
     # side and [t, s] on the bra side
     ar = np.arange(a.size)
@@ -539,7 +601,7 @@ def test_hop_rule_below_one_never_hops(monkeypatch):
     assert engine.summary.n_hops == 0 and engine.summary.n_frustrated == 0
     assert np.array_equal(engine.alpha, before["alpha"])
     assert np.array_equal(engine.alpha_prime, before["alpha_prime"])
-    assert np.array_equal(engine.P, before["P"])
+    assert np.array_equal(engine.p.reshape(2, -1), before["p"])
     ratio = engine.weight / before["weight"]
     assert np.max(np.abs(ratio.imag)) < 1e-12
     assert np.allclose(ratio.real, 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
@@ -562,6 +624,12 @@ def test_nonadiabatic_conserves_the_trace_at_zero_decay():
     assert all(v < 4.0 for v in z.values()), z
 
 
+def member_coordinates(engine, member):
+    """The normal coordinates of every block the member's column stores."""
+    column = member // engine.n_local
+    return [engine._q[k][member_rows(engine, k, member)] for k in range(2) if column in engine._cols[k]]
+
+
 def test_nonadiabatic_mirror_pairs_stay_conjugate():
     strong = BathParams(c=1.5, beta=0.1)
     config = SimConfig(
@@ -577,7 +645,7 @@ def test_nonadiabatic_mirror_pairs_stay_conjugate():
     for i in range(snap.weight.size):
         for j in range(i + n, snap.weight.size, n):
             if snap.alpha[i] == snap.alpha_prime[j] and snap.alpha_prime[i] == snap.alpha[j] and snap.alpha[i] != snap.alpha[j]:
-                if np.array_equal(engine.R[:, i], engine.R[:, j]):
+                if np.array_equal(member_coordinates(engine, i), member_coordinates(engine, j)):
                     assert snap.phase[i] == pytest.approx(-snap.phase[j], abs=1e-12)
                     assert snap.weight[i] == pytest.approx(np.conj(snap.weight[j]), abs=1e-12)
                     checked += 1
@@ -725,3 +793,34 @@ def test_element_rows_reuse_the_engine_buffer():
     # the earlier record now reads the later output; its copy does not
     assert np.array_equal(first.matrices(), second.matrices())
     assert not np.array_equal(kept, second.matrices())
+
+
+def stored_labels(engine, k):
+    """The label pairs of the columns that store block k."""
+    labels = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, engine.n_local)[:, 0]
+    return {divmod(int(labels[c]), 4) for c in engine._cols[k]}
+
+
+def test_phi_stores_no_block_a_row_at_equal_exchange():
+    engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, paper_config(n_samples=8))
+    assert engine._cols[0] == range(0) and engine._q[0].size == engine._p[0].size == 0
+    assert engine._blocks[0] is None
+    assert stored_labels(engine, 1) == {(2, 2), (2, 3), (3, 3)}
+    assert engine._q[1].size == 3 * 8
+
+
+def test_psi_stores_block_a_rows_only_for_its_block_a_labels():
+    decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8, initial_state=PSI))
+    assert stored_labels(engine, 0) == {(0, 0), (0, 2), (0, 3)}
+    assert stored_labels(engine, 1) == {(0, 2), (0, 3), (2, 2), (2, 3), (3, 3)}
+    assert engine._q[0].size == 3 * 8 and engine._q[1].size == 5 * 8
+
+
+def test_cross_block_decay_stores_both_blocks_for_every_column():
+    config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=PHI, mode="nonadiabatic")
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    engine = EnsembleState(sp, PAPER_BP, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), config)
+    n_columns = engine.weight.size // 8
+    assert engine._cols == (range(n_columns), range(n_columns))
+    assert engine._q[0].size == engine._q[1].size == engine.weight.size

@@ -58,11 +58,16 @@ def test_points_do_not_depend_on_the_block_split(start, n):
 
 def test_engine_starts_from_the_same_points_at_any_chunk_offset():
     R_all, P_all = sample_bath_point(PAPER_BP, 5, 0, 16_384)
-    config = SimConfig(n_steps=1, seed=5, n_samples=16_384, initial_state=PHI)
+    config = SimConfig(n_steps=1, seed=5, n_samples=16_384, initial_state=PSI)
     engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.0), config, 8000, 400)
-    # member column 0 holds the first pair of every local sample, in order
-    assert np.array_equal(engine.R[:, :400], R_all[:, 8000:8400])
-    assert np.array_equal(engine.P[:, :400], P_all[:, 8000:8400])
+    # every column a block stores starts from the normal coordinates of the
+    # local samples, in order: q = R1 + R2, p = P1 + P2 for block A and the
+    # differences for block B
+    R, P = R_all[:, 8000:8400], P_all[:, 8000:8400]
+    for k, sign in enumerate((1.0, -1.0)):
+        assert engine._q[k].size > 0
+        assert np.array_equal(engine._q[k].reshape(-1, 400), np.broadcast_to(R[0] + sign * R[1], (engine._q[k].size // 400, 400)))
+        assert np.array_equal(engine._p[k].reshape(-1, 400), np.broadcast_to(P[0] + sign * P[1], (engine._p[k].size // 400, 400)))
 
 
 def test_initial_subsystem_phi():
