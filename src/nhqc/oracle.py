@@ -419,8 +419,10 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     u_a[p] * u_b[q] to entry (row p of slot a, row q of slot b) of its
     sample's matrix, one member column at a time and in (p, q) order, into
     zeroed rows; a column whose members hold several labels is split into
-    one piece per label, zero elsewhere.  Mirrored members then add the
-    conjugate of every term at the transposed entry, in the same order.  A
+    one piece per label, zero elsewhere.  The members of a mirrored column
+    (every column in nonadiabatic mode) then add the conjugate of every term
+    at the transposed entry, in the same order, so a sample whose columns
+    are all mirrored gets X + X^dagger, Hermitian by construction.  A
     term whose two components are both scalars is dropped where their
     product is 0; a column whose phase is identically 0 takes the real
     weight * exp(-decay).
@@ -438,7 +440,7 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     out = np.zeros((16, n), dtype=complex)
     mirror_terms = []
     for k in range(codes.shape[0]):
-        mirrored = snapshot.mirrored[k * n]
+        mirrored = snapshot.mirrored[k]
         comps = [
             None
             if slot is None or k not in snapshot.block_columns[s // 2]

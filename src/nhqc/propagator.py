@@ -1,18 +1,19 @@
 """Sequential short-time propagation of the pair-trajectory ensemble.
 
 Each sampled bath point spawns one member per nonzero initial adiabatic
-element (alpha, alpha').  A member advects classically on the mean of its
-two adiabatic surfaces while accumulating the frequency integral of its
-phase factor and the damping integral of its decay factor (trapezoid over
-each step, consistent with the second-order step splitting).  In
-nonadiabatic mode a single stochastic transition per member per step is
-sampled from the derivative-coupling and off-diagonal-decay channels, with
-importance reweighting and the momentum-jump rule; that rule is stated
-only here, in ``EnsembleState._hop_stage`` and ``_momentum_jump``.  The
-stage sums each channel's label-masked |amplitude| row once for the no-hop
-total, chooses a channel only for the members whose uniform falls below
-that total, and forms decay amplitudes only for the entries where a
-channel is open.
+element (alpha, alpha') with alpha <= alpha', one per unordered pair; the
+reduction adds the conjugate of the other half.  A member advects
+classically on the mean of its two adiabatic surfaces while accumulating
+the frequency integral of its phase factor and the damping integral of its
+decay factor (trapezoid over each step, consistent with the second-order
+step splitting).  In nonadiabatic mode a single stochastic transition per
+member per step is sampled from the derivative-coupling and
+off-diagonal-decay channels, with importance reweighting and the
+momentum-jump rule; that rule is stated only here, in
+``EnsembleState._hop_stage`` and ``_momentum_jump``.  The stage sums each
+channel's label-masked |amplitude| row once for the no-hop total, chooses a
+channel only for the members whose uniform falls below that total, and
+forms decay amplitudes only for the entries where a channel is open.
 
 ``EnsembleState`` propagates all members of a sample block at once on the
 closed-form block frames of ``nhqc.adiabatic``, and ``simulate`` reduces it
@@ -22,8 +23,8 @@ q_B = R1 - R2, and the bath Hamiltonian separates into the two normal
 modes, so the engine's state is per-block rows: q_A with p_A = P1 + P2 and
 q_B with p_B = P1 - P2.  A member column (every sample's k-th pair) stores
 block k's rows only if a label its members can hold lies in block k: the
-labels of its pair in adiabatic mode, every label its hop channels can
-reach in nonadiabatic mode.  Columns are ordered block-A-only, both, then
+labels of its pair, or in nonadiabatic mode both blocks once an open decay
+channel crosses them.  Columns are ordered block-A-only, both, then
 block-B-only, so each block's rows are one contiguous view.  Each stored
 row follows velocity Verlet on
 
@@ -45,7 +46,10 @@ has no nonadiabatic counterpart.
 Each output reduces the members to per-sample matrices in an element
 buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
 writing only the entries its members can reach; the dense member sum it
-must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.
+must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Every
+mirrored member also adds its conjugate at the transposed entry.  In
+nonadiabatic mode every column is mirrored, so each sample's matrix is
+Hermitian, not only the mean over samples.
 """
 
 from __future__ import annotations
@@ -83,8 +87,6 @@ __all__ = [
 SPAWN_TOL = 1e-14
 HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 
-# unordered-pair rank of an ordered slot pair, used to key shared hop draws
-UPAIR = np.array([[min(p, q) * 4 + max(p, q) for q in range(4)] for p in range(4)])
 # SLOT_SIGN[k, s]: slot s's spin-1 sign in ``SLOT_SZ`` if it lies in block
 # k, else 0; it signs both the slot's <sigma_z> and its half gap
 SLOT_SIGN = np.array([[sign if s // 2 == k else 0.0 for s, (sign, _) in enumerate(SLOT_SZ)] for k in range(2)])
@@ -92,7 +94,9 @@ SLOT_SIGN = np.array([[sign if s // 2 == k else 0.0 for s, (sign, _) in enumerat
 
 @dataclass
 class RunSummary:
-    """Bookkeeping attached to every run."""
+    """Bookkeeping attached to every run.  ``n_members`` counts the ordered
+    pairs the ensemble represents: each stored member, plus its implicit
+    (alpha', alpha) partner where alpha != alpha', the same in both modes."""
 
     n_members: int = 0
     n_hops: int = 0
@@ -159,18 +163,6 @@ def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.
     radicand = p * p - 4.0 * mass * delta_e
     ok = radicand >= 0.0
     return ok, np.copysign(np.sqrt(radicand[ok]), p[ok])
-
-
-def _closure(labels, edges: set) -> set:
-    """The slots reachable from ``labels`` along the channel ``edges``."""
-    seen, frontier = set(labels), list(labels)
-    while frontier:
-        s = frontier.pop()
-        for a, t in edges:
-            if a == s and t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen
 
 
 def _column_labels(codes: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -241,14 +233,16 @@ class EnsembleSnapshot:
 
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
-    sample s.  The arrays are views of the engine's own, which later steps
-    overwrite in place; ``buffer`` is the engine's (16, n_samples) complex
-    element buffer, which every ``sample_matrices`` call of that engine
-    overwrites.  ``blocks`` holds the frames of blocks A and B (None where
-    no column stores the block), solved on the member columns
-    ``block_columns[k]``, ``len(block_columns[k]) * n_samples`` rows in
-    column order.  ``column_labels`` holds the (alpha, alpha') of each
-    column where no member can change labels (adiabatic mode), else None.
+    sample s.  ``mirrored[k]`` tells whether column k's members carry an
+    implicit (alpha', alpha) partner, added as their conjugate.  The arrays
+    are views of the engine's own, which later steps overwrite in place;
+    ``buffer`` is the engine's (16, n_samples) complex element buffer, which
+    every ``sample_matrices`` call of that engine overwrites.  ``blocks``
+    holds the frames of blocks A and B (None where no column stores the
+    block), solved on the member columns ``block_columns[k]``,
+    ``len(block_columns[k]) * n_samples`` rows in column order.
+    ``column_labels`` holds the (alpha, alpha') of each column where no
+    member can change labels (adiabatic mode), else None.
     """
 
     t: float
@@ -260,7 +254,7 @@ class EnsembleSnapshot:
     decay: np.ndarray
     blocks: tuple[Block | None, Block | None]
     block_columns: tuple[range, range]
-    mirrored: np.ndarray
+    mirrored: tuple[bool, ...]
     column_labels: tuple[tuple[int, int], ...] | None
     buffer: np.ndarray
 
@@ -306,8 +300,7 @@ class EnsembleSnapshot:
             labels = tuple(_column_labels(column) for column in codes)
         else:
             labels = tuple((pair,) for pair in self.column_labels)
-        mirrored = tuple(bool(self.mirrored[k * n]) for k in range(len(labels)))  # uniform down a column
-        index, direct, mirror = _reduction_plan(labels, mirrored, vanishing)
+        index, direct, mirror = _reduction_plan(labels, self.mirrored, vanishing)
         rows = self.buffer[: len(index)]
 
         def add(r: int, first: bool, sign: int, value: np.ndarray) -> None:
@@ -336,7 +329,7 @@ class EnsembleSnapshot:
                         if key not in products:
                             products[key] = column[key[0]] * column[key[1]]
                         values[key] = f * products[key]
-                        if mirrored[k]:
+                        if self.mirrored[k]:
                             conjugates[(k, pair), key] = np.conj(values[key])
                     add(r, first, sign, values[key])
         for r, first, sign, piece, key in mirror:
@@ -348,12 +341,15 @@ class EnsembleState:
     """Vectorized ensemble over samples [sample_start, sample_start + n).
 
     Member arrays are laid out column by column as in ``EnsembleSnapshot``.
-    In adiabatic mode only ordered pairs with alpha <= alpha' are stored;
-    the (alpha', alpha) partner of an off-diagonal pair follows the same
-    trajectory with conjugate phase and identical decay, so it is carried
-    implicitly (``mirrored``) and restored at reduction time.  Nonadiabatic
-    mode stores all ordered pairs explicitly, with mirror partners coupled
-    to the same transition draws so that they hop conjugately.
+    Both modes store one member per unordered pair, alpha <= alpha' at the
+    start, and carry its (alpha', alpha) partner implicitly, restored at
+    reduction time as the conjugate (``mirrored``).  In adiabatic mode an
+    off-diagonal pair's partner follows the same trajectory with conjugate
+    phase and identical decay, and a diagonal pair has none.  In
+    nonadiabatic mode every column is mirrored and a diagonal member starts
+    at half its weight, so each sample's matrix is X + X^dagger; this is
+    unbiased, since the exact evolution of each Hermitian part of the
+    initial state stays Hermitian.
 
     The bath state is ``q`` and ``p``: block A's normal-mode rows (columns
     ``_cols[0]``) followed by block B's (columns ``_cols[1]``), each a
@@ -386,16 +382,11 @@ class EnsembleState:
         for p, q in np.ndindex(4, 4):
             elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
 
-        # a pair is carried by every sample of the block once its element
-        # exceeds SPAWN_TOL in any of them, so each sample holds the same K
-        # members; they are stored column by column (member k * n + s)
+        # a pair p <= q is carried by every sample of the block once its
+        # element exceeds SPAWN_TOL in any of them, so each sample holds the
+        # same K members; they are stored column by column (member k * n + s)
         canonical = self.mode == "adiabatic"
-        pairs = [
-            (p, q)
-            for p in range(4)
-            for q in range(4)
-            if (p <= q or not canonical) and np.any(np.abs(elements0[p, q]) > SPAWN_TOL)
-        ]
+        pairs = [(p, q) for p in range(4) for q in range(p, 4) if np.any(np.abs(elements0[p, q]) > SPAWN_TOL)]
         if not pairs:
             # a normalized state always spawns a pair unless its elements
             # overflowed to NaN; an empty ensemble would read trace 0
@@ -403,20 +394,18 @@ class EnsembleState:
                 f"trace at t = 0 is 0: samples [{sample_start}, {sample_start + self.n_local}) "
                 "spawn no pair (non-finite initial frames)"
             )
-        edges = set()
-        if self.mode == "nonadiabatic":
-            self._gamma_channels = _open_gamma_channels(decay, blocks0)
-            edges = {(s, t) for _, s, t in self._gamma_channels}
-            edges |= {(2 * k + i, 2 * k + 1 - i) for k in range(2) if blocks0[k].half_gap is not None for i in (0, 1)}
+        # a column stores the blocks of its labels; derivative couplings stay
+        # within a block, so in nonadiabatic mode only an open decay channel
+        # across blocks can move a label to the other block, and then every
+        # column stores both
+        self._gamma_channels = [] if canonical else _open_gamma_channels(decay, blocks0)
+        crossing = any(s // 2 != t // 2 for _, s, t in self._gamma_channels)
         # the blocks a pair's column stores give its group: block A only (0),
         # both (1) or block B only (2).  Columns run in group order, block A
         # only with its diagonal pairs first and block B only with them last,
         # so that each block's columns and, in adiabatic mode, the
         # off-diagonal ones (whose phase moves) are contiguous
-        group = {}
-        for pair in pairs:
-            stored = {s // 2 for s in _closure(pair, edges)}
-            group[pair] = 1 if len(stored) == 2 else 2 * stored.pop()
+        group = {(a, b): 1 if crossing or a // 2 != b // 2 else 2 * (a // 2) for a, b in pairs}
         pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
         counts = [list(group.values()).count(g) for g in range(3)]
         self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
@@ -424,12 +413,17 @@ class EnsembleState:
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
-        self.weight = elements0[al, ap].ravel().astype(complex)
-        self.mirrored = np.repeat(canonical & (al < ap), self.n_local)
+        # the partners are implicit (see the class docstring): X + X^dagger
+        # counts a mirrored diagonal member twice
+        weight = elements0[al, ap]
+        if not canonical:
+            weight[al == ap] *= 0.5
+        self.weight = weight.ravel().astype(complex)
+        self._mirrored = tuple(bool(a < b or not canonical) for a, b in pairs)
         n = self.weight.size
         self.phase = np.zeros(n)
         self.decay_acc = np.zeros(n)
-        self.summary.n_members = int(n + np.count_nonzero(self.mirrored))
+        self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
         # labels change only through transitions; the element buffer is
         # this engine's own, so chunks reduce independently
         self._column_labels = tuple(pairs) if canonical else None
@@ -451,9 +445,9 @@ class EnsembleState:
 
         if self.mode == "nonadiabatic":
             sample_global = np.tile(np.arange(self.n_local), len(pairs)) + sample_start
-            upair = UPAIR[self.alpha, self.alpha_prime]
             self._hop_chunk = sample_global // CHUNK_SAMPLES
-            self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + upair
+            # the pair's code alpha * 4 + alpha' while alpha <= alpha'
+            self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + self.alpha * 4 + self.alpha_prime
             # (block, members, their offsets, draw length) for each hop stream
             self._hop_blocks = []
             for chunk in np.unique(self._hop_chunk):
@@ -641,8 +635,8 @@ class EnsembleState:
     # -- stochastic transitions (nonadiabatic mode) ------------------------
 
     def _hop_uniforms(self) -> np.ndarray:
-        """One shared uniform per (sample, unordered pair) for this step,
-        drawn from streams keyed by fixed sample blocks so the values do not
+        """One uniform per (sample, unordered pair) for this step, drawn
+        from streams keyed by fixed sample blocks so the values do not
         depend on how samples were chunked across workers.  Each block's
         stream is drawn only up to the last offset read from it."""
         u = np.empty(self.weight.size)
@@ -758,7 +752,7 @@ class EnsembleState:
             decay=self.decay_acc,
             blocks=self._blocks,
             block_columns=self._cols,
-            mirrored=self.mirrored,
+            mirrored=self._mirrored,
             column_labels=self._column_labels,
             buffer=self._buffer,
         )
