@@ -382,10 +382,10 @@ class EnsembleState:
         for p, q in np.ndindex(4, 4):
             elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
 
+        adiabatic = self.mode == "adiabatic"
         # a pair p <= q is carried by every sample of the block once its
         # element exceeds SPAWN_TOL in any of them, so each sample holds the
         # same K members; they are stored column by column (member k * n + s)
-        canonical = self.mode == "adiabatic"
         pairs = [(p, q) for p in range(4) for q in range(p, 4) if np.any(np.abs(elements0[p, q]) > SPAWN_TOL)]
         if not pairs:
             # a normalized state always spawns a pair unless its elements
@@ -398,7 +398,7 @@ class EnsembleState:
         # within a block, so in nonadiabatic mode only an open decay channel
         # across blocks can move a label to the other block, and then every
         # column stores both
-        self._gamma_channels = [] if canonical else _open_gamma_channels(decay, blocks0)
+        self._gamma_channels = [] if adiabatic else _open_gamma_channels(decay, blocks0)
         crossing = any(s // 2 != t // 2 for _, s, t in self._gamma_channels)
         # the blocks a pair's column stores give its group: block A only (0),
         # both (1) or block B only (2).  Columns run in group order, block A
@@ -416,17 +416,17 @@ class EnsembleState:
         # the partners are implicit (see the class docstring): X + X^dagger
         # counts a mirrored diagonal member twice
         weight = elements0[al, ap]
-        if not canonical:
+        if not adiabatic:
             weight[al == ap] *= 0.5
-        self.weight = weight.ravel().astype(complex)
-        self._mirrored = tuple(bool(a < b or not canonical) for a, b in pairs)
+        self.weight = weight.ravel()
+        self._mirrored = tuple(a < b or not adiabatic for a, b in pairs)
         n = self.weight.size
         self.phase = np.zeros(n)
         self.decay_acc = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
         # labels change only through transitions; the element buffer is
         # this engine's own, so chunks reduce independently
-        self._column_labels = tuple(pairs) if canonical else None
+        self._column_labels = tuple(pairs) if adiabatic else None
         self._buffer = np.empty((16, self.n_local), dtype=complex)
 
         # normal-mode rows of the stored blocks, every column starting from
@@ -470,11 +470,11 @@ class EnsembleState:
 
         # the columns whose Bohr frequency can be nonzero: the off-diagonal
         # ones in adiabatic mode, every column once labels can change
-        live = [k for k, (a, b) in enumerate(pairs) if a != b or not canonical]
+        live = [k for k, (a, b) in enumerate(pairs) if a != b or not adiabatic]
         self._live = range(live[0], live[-1] + 1) if live else range(0)
         # per-pair coefficients: per column (K, 1) in adiabatic mode, per
         # member (K, n) in nonadiabatic mode, where hops rewrite them
-        if canonical:
+        if adiabatic:
             self._coef = self._label_coefficients(al[:, None], ap[:, None])
         else:
             shape = (len(pairs), self.n_local)
@@ -485,7 +485,7 @@ class EnsembleState:
         self._pulls = tuple(
             len(columns) > 0
             and bp.c != 0
-            and (not canonical or bool(np.any(self._coef["cn", k][columns.start : columns.stop])))
+            and (not adiabatic or bool(np.any(self._coef["cn", k][columns.start : columns.stop])))
             for k, columns in enumerate(self._cols)
         )
         self._omega_spare = np.empty((len(self._live), self.n_local))
