@@ -21,12 +21,14 @@ chunk by chunk into a time series.  Block A depends on the bath only
 through the normal coordinate q_A = R1 + R2 and block B through
 q_B = R1 - R2, and the bath Hamiltonian separates into the two normal
 modes, so the engine's state is per-block rows: q_A with p_A = P1 + P2 and
-q_B with p_B = P1 - P2.  A member column (every sample's k-th pair) stores
-block k's rows only if a label its members can hold lies in block k: the
-labels of its pair, or in nonadiabatic mode both blocks once an open decay
-channel crosses them.  Columns are ordered block-A-only, both, then
-block-B-only, so each block's rows are one contiguous view.  Each stored
-row follows velocity Verlet on
+q_B with p_B = P1 - P2.  A member column (every sample's k-th pair) can
+hold every pair of the slots its two labels reach, fixed at set-up: labels
+move only in nonadiabatic mode, along a coupled block's derivative coupling
+and the open decay channels.  That one table fixes the blocks a column
+stores (those of its labels), whether its phase moves (some pair is
+off-diagonal), the blocks that feel a force and the reduction's terms.
+Columns are ordered block-A-only, both, then block-B-only, so each block's
+rows are one contiguous view.  Each stored row follows velocity Verlet on
 
     dp_k/dt = c n_k sz_k - M omega^2 q_k,    dq_k/dt = p_k / M,
 
@@ -54,7 +56,6 @@ Hermitian, not only the mean over samples.
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -165,15 +166,6 @@ def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.
     return ok, np.copysign(np.sqrt(radicand[ok]), p[ok])
 
 
-def _column_labels(codes: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The distinct (alpha, alpha') of one member column, in ascending order
-    of their codes alpha * 4 + alpha' (``codes``)."""
-    first = int(codes[0])
-    if np.all(codes == first):
-        return (divmod(first, 4),)
-    return tuple(divmod(int(c), 4) for c in np.unique(codes))
-
-
 def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple]]:
     """The terms u_a[p] * u_b[q] of label pair (a, b) in (p, q) order, as
     (entry row * 4 + col, sign, product key), less those with a component
@@ -189,14 +181,12 @@ def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tu
     return terms
 
 
-@functools.lru_cache(maxsize=4)
 def _reduction_plan(labels: tuple, mirrored: tuple, vanishing: frozenset) -> tuple:
-    """The terms of the member sum for columns holding the label pairs
-    ``labels`` (a tuple of pairs per column), of which ``mirrored`` carry an
-    implicit conjugate partner.  It depends on nothing else, so an
-    adiabatic run, whose labels never change, forms it once; the cache is
-    kept small because a plan holds tens of kB and nonadiabatic labels
-    change at almost every output.
+    """The terms of the member sum for columns that can hold the label
+    pairs ``labels`` (a tuple of pairs per column), of which ``mirrored``
+    carry an implicit conjugate partner.  The pairs a column can hold are
+    fixed at set-up (``EnsembleState``: the slots its two labels reach), so
+    an engine forms its plan once.
 
     Returns the live entries in ascending order, the direct terms of each
     column and pair as (row among the live entries, first term of that
@@ -241,8 +231,10 @@ class EnsembleSnapshot:
     holds the frames of blocks A and B (None where no column stores the
     block), solved on the member columns ``block_columns[k]``,
     ``len(block_columns[k]) * n_samples`` rows in column order.
-    ``column_labels`` holds the (alpha, alpha') of each column where no
-    member can change labels (adiabatic mode), else None.
+    ``column_labels`` holds the (alpha, alpha') pairs each column's members
+    can hold, in ascending order of their codes alpha * 4 + alpha', and
+    ``plan`` the reduction's terms for them (``_reduction_plan``); both are
+    fixed when the engine is set up.
     """
 
     t: float
@@ -255,7 +247,8 @@ class EnsembleSnapshot:
     blocks: tuple[Block | None, Block | None]
     block_columns: tuple[range, range]
     mirrored: tuple[bool, ...]
-    column_labels: tuple[tuple[int, int], ...] | None
+    column_labels: tuple[tuple[tuple[int, int], ...], ...]
+    plan: tuple
     buffer: np.ndarray
 
     def sample_matrices(self) -> ElementRows:
@@ -265,13 +258,13 @@ class EnsembleSnapshot:
         with its own current frame, to its sample's matrix; mirrored members
         also add the Hermitian-conjugate element of the implicit
         (alpha', alpha) partner.  A column whose phase is identically 0, as
-        a diagonal pair's is in adiabatic mode, takes the real
+        it is where the column can hold only a diagonal pair, takes the real
         weight * exp(-decay) instead, which is cheaper and agrees to an ulp.
 
-        Only the entries some term reaches are live: a term with an
-        uncoupled block's scalar 0 component is left out.  Each live entry
-        sums its terms from +0, the direct ones in member-column order and
-        then the mirrored ones.  A column's terms share the products of two
+        Only the entries that the pairs of ``column_labels`` reach are live:
+        a term with an uncoupled block's scalar 0 component is left out.
+        Each live entry sums its terms from +0, the direct ones in
+        member-column order and then the mirrored ones.  A column's terms share the products of two
         frame components and those products times the column factor, each
         formed once; a term whose slot components carry a minus sign
         (``SLOT_PARTS``) is subtracted.  Negation is exact and a sum started
@@ -294,20 +287,16 @@ class EnsembleSnapshot:
             for i, c in enumerate(block.vector)
         }
         offset = [columns.start for columns in self.block_columns]
-        vanishing = frozenset(key for key, c in comps.items() if not isinstance(c, np.ndarray) and c == 0.0)
-        if self.column_labels is None:
+        if any(len(pairs) > 1 for pairs in self.column_labels):
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
-            labels = tuple(_column_labels(column) for column in codes)
-        else:
-            labels = tuple((pair,) for pair in self.column_labels)
-        index, direct, mirror = _reduction_plan(labels, self.mirrored, vanishing)
+        index, direct, mirror = self.plan
         rows = self.buffer[: len(index)]
 
         def add(r: int, first: bool, sign: int, value: np.ndarray) -> None:
             (np.add if sign > 0 else np.subtract)(0.0 if first else rows[r], value, out=rows[r])
 
         conjugates = {}  # factor * product per (column, pair, product key), conjugated
-        for k, pairs in enumerate(labels):
+        for k, pairs in enumerate(self.column_labels):
             if phase[k, 0] == 0.0 and not phase[k].any():  # one read rules out most columns
                 factor = weight[k] * np.exp(-decay[k])
             else:
@@ -320,8 +309,8 @@ class EnsembleSnapshot:
             }
             products = {}
             for pair, terms in zip(pairs, direct[k]):
-                # a column whose members hold several labels splits into one
-                # piece per label, zero where a member holds another
+                # a column whose members can hold several labels splits into
+                # one piece per label, zero where a member holds another
                 f = factor if len(pairs) == 1 else np.where(codes[k] == pair[0] * 4 + pair[1], factor, 0.0)
                 values = {}
                 for r, first, sign, key in terms:
@@ -394,21 +383,28 @@ class EnsembleState:
                 f"trace at t = 0 is 0: samples [{sample_start}, {sample_start + self.n_local}) "
                 "spawn no pair (non-finite initial frames)"
             )
-        # a column stores the blocks of its labels; derivative couplings stay
-        # within a block, so in nonadiabatic mode only an open decay channel
-        # across blocks can move a label to the other block, and then every
-        # column stores both
+        # the slots a label can move to: none in adiabatic mode; in
+        # nonadiabatic mode a coupled block's partner slot and the targets of
+        # the open decay channels, closed transitively
         self._gamma_channels = [] if adiabatic else _open_gamma_channels(decay, blocks0)
-        crossing = any(s // 2 != t // 2 for _, s, t in self._gamma_channels)
-        # the blocks a pair's column stores give its group: block A only (0),
-        # both (1) or block B only (2).  Columns run in group order, block A
-        # only with its diagonal pairs first and block B only with them last,
-        # so that each block's columns and, in adiabatic mode, the
-        # off-diagonal ones (whose phase moves) are contiguous
-        group = {(a, b): 1 if crossing or a // 2 != b // 2 else 2 * (a // 2) for a, b in pairs}
+        edges = {(s, t) for _, s, t in self._gamma_channels}
+        edges |= {(s, s ^ 1) for s in range(4) if not adiabatic and blocks0[s // 2].half_gap is not None}
+        reach = [{s} | {t for u, t in edges if u == s} for s in range(4)]
+        for _ in range(2):  # paths of up to four channels, enough for four slots
+            reach = [set().union(*(reach[t] for t in r)) for r in reach]
+        # a column can hold every pair of the slots its labels reach, and
+        # stores the blocks of those slots, from that of the lowest to that
+        # of the highest: its group is block A only (0), both (1) or block B
+        # only (2).  Columns run in group order, block A only with its
+        # diagonal pairs first and block B only with them last, so that each
+        # block's columns and the columns that can hold an off-diagonal pair
+        # (whose phase moves) are contiguous
+        held = {(a, b): tuple(sorted((x, y) for x in reach[a] for y in reach[b])) for a, b in pairs}
+        group = {pair: min(held[pair][0]) // 2 + max(held[pair][-1]) // 2 for pair in pairs}
         pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
         counts = [list(group.values()).count(g) for g in range(3)]
         self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
+        labels = self._labels = tuple(held[pair] for pair in pairs)
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         self.alpha = np.repeat(al, self.n_local)
@@ -424,9 +420,13 @@ class EnsembleState:
         self.phase = np.zeros(n)
         self.decay_acc = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
-        # labels change only through transitions; the element buffer is
-        # this engine's own, so chunks reduce independently
-        self._column_labels = tuple(pairs) if adiabatic else None
+        # the reduction's terms follow from the labels and the scalar 0
+        # components of uncoupled blocks; the element buffer is this
+        # engine's own, so chunks reduce independently
+        vanishing = frozenset(
+            (k, i) for k, block in enumerate(blocks0) for i, c in enumerate(block.vector) if np.ndim(c) == 0 and c == 0
+        )
+        self._plan = _reduction_plan(labels, self._mirrored, vanishing)
         self._buffer = np.empty((16, self.n_local), dtype=complex)
 
         # normal-mode rows of the stored blocks, every column starting from
@@ -468,9 +468,9 @@ class EnsembleState:
             self._gd = np.concatenate([slot_gamma_diag(decay, block)[:, 0] for block in blocks0])
         self._restore = bp.mass * bp.omega**2
 
-        # the columns whose Bohr frequency can be nonzero: the off-diagonal
-        # ones in adiabatic mode, every column once labels can change
-        live = [k for k, (a, b) in enumerate(pairs) if a != b or not adiabatic]
+        # the columns whose Bohr frequency can be nonzero: those that can
+        # hold an off-diagonal pair
+        live = [k for k, column in enumerate(labels) if any(a != b for a, b in column)]
         self._live = range(live[0], live[-1] + 1) if live else range(0)
         # per-pair coefficients: per column (K, 1) in adiabatic mode, per
         # member (K, n) in nonadiabatic mode, where hops rewrite them
@@ -479,13 +479,10 @@ class EnsembleState:
         else:
             shape = (len(pairs), self.n_local)
             self._coef = self._label_coefficients(self.alpha.reshape(shape), self.alpha_prime.reshape(shape))
-        # block k's force term c n_k sz_k, left out where n_k is 0 in every
-        # column that can never change labels (its <sigma_z> row is then
-        # never built)
+        # block k's force term c n_k sz_k, left out where n_k is 0 for every
+        # pair its columns can hold (its <sigma_z> row is then never built)
         self._pulls = tuple(
-            len(columns) > 0
-            and bp.c != 0
-            and (not adiabatic or bool(np.any(self._coef["cn", k][columns.start : columns.stop])))
+            bp.c != 0 and any(SLOT_SIGN[k][a] + SLOT_SIGN[k][b] != 0 for j in columns for a, b in labels[j])
             for k, columns in enumerate(self._cols)
         )
         self._omega_spare = np.empty((len(self._live), self.n_local))
@@ -594,7 +591,7 @@ class EnsembleState:
                 part = coef["count", 2 * k].reshape(-1)[sel] * gd[0, rows]
                 part += coef["count", 2 * k + 1].reshape(-1)[sel] * gd[1, rows]
                 gamma[inside] += part
-        self._omega.reshape(-1)[members] = omega
+        self._omega.reshape(-1)[members - self._live.start * n] = omega
         if gamma is not None:
             self._gamma.reshape(-1)[members] = gamma
 
@@ -753,7 +750,8 @@ class EnsembleState:
             blocks=self._blocks,
             block_columns=self._cols,
             mirrored=self._mirrored,
-            column_labels=self._column_labels,
+            column_labels=self._labels,
+            plan=self._plan,
             buffer=self._buffer,
         )
 

@@ -366,6 +366,9 @@ CROSS_BLOCK_DECAY = np.array(
         # rates constant in R but distinct across blocks, which decay hops cross
         (-0.6, 1.5, PHI, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), "nonadiabatic"),
         (-0.6, 1.5, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic"),
+        # block A uncoupled: the (0, 0) column never moves, so the live
+        # columns, whose frequencies hops rewrite, start after column 0
+        (-1.0, 1.5, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic"),
     ],
 )
 def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, decay, mode):
@@ -768,10 +771,17 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
     bp = BathParams(c=1.5 if mode == "nonadiabatic" else 0.24, beta=0.1)
     config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
     engine = EnsembleState(sp, bp, decays[decay_name], config)
+    plans = []
     for steps in (0, 40):
         if steps:
             engine.advance(steps)
         snap = engine.snapshot()
+        # every member holds a pair its column can hold, and the plan for
+        # those pairs is formed once per engine
+        pairs = np.stack([snap.alpha, snap.alpha_prime], axis=1).reshape(-1, config.n_samples, 2)
+        for held, column in zip(snap.column_labels, pairs):
+            assert {tuple(pair) for pair in column.tolist()} <= set(held)
+        plans.append(snap.plan)
         record = snap.sample_matrices()
         reference = dense_sample_matrices(snap)
         # the same bits, signs of zero included
@@ -779,6 +789,7 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
         assert np.array_equal(record.matrices(), reference)
         dead = [e for e in range(16) if e not in record.index]
         assert np.all(reference.reshape(-1, 16)[:, dead] == 0)
+    assert plans[0] is plans[1]
     if mode == "nonadiabatic" and not (state_name == "phi" and jy == 1.0):  # phi's block B uncoupled: no hops
         labels = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, config.n_samples)
         assert any(np.unique(column).size > 1 for column in labels)
@@ -823,10 +834,24 @@ def test_psi_stores_block_a_rows_only_for_its_block_a_labels():
     assert engine._q[0].size == 3 * 8 and engine._q[1].size == 5 * 8
 
 
-def test_cross_block_decay_stores_both_blocks_for_every_column():
-    config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=PHI, mode="nonadiabatic")
-    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+@pytest.mark.parametrize(
+    "jy,state",
+    [
+        (-0.6, PHI),  # both blocks coupled: every slot reaches every other
+        (-1.0, (0.5, 0.5j, -0.5, 0.5)),  # block A uncoupled: |gg> reaches no other slot
+    ],
+)
+def test_cross_block_decay_stores_both_blocks_where_a_label_can_cross(jy, state):
+    config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=state, mode="nonadiabatic")
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     engine = EnsembleState(sp, PAPER_BP, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), config)
     n_columns = engine.weight.size // 8
-    assert engine._cols == (range(n_columns), range(n_columns))
-    assert engine._q[0].size == engine._q[1].size == engine.weight.size
+    if jy == -0.6:
+        assert engine._cols == (range(n_columns), range(n_columns))
+        assert engine._q[0].size == engine._q[1].size == engine.weight.size
+    else:
+        # the (1, 1) column, |gg> on both sides, stores block A only and its
+        # phase never moves; every other column can reach both blocks
+        assert engine.snapshot().column_labels[0] == ((1, 1),)
+        assert engine._cols == (range(10), range(1, 10))
+        assert 0 not in engine._live
