@@ -385,7 +385,8 @@ class EnsembleState:
             )
         # the slots a label can move to: none in adiabatic mode; in
         # nonadiabatic mode a coupled block's partner slot and the targets of
-        # the open decay channels, closed transitively
+        # the open decay channels, closed transitively.  Every channel runs
+        # both ways, so a diagonal column that cannot move sorts to an end
         self._gamma_channels = [] if adiabatic else _open_gamma_channels(decay, blocks0)
         edges = {(s, t) for _, s, t in self._gamma_channels}
         edges |= {(s, s ^ 1) for s in range(4) if not adiabatic and blocks0[s // 2].half_gap is not None}
