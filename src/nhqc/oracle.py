@@ -16,16 +16,19 @@
   snapshot as one dense sum over every member's four slot-component terms,
   the reference for ``EnsembleSnapshot.sample_matrices``, which forms only
   the live element rows from shared products.  It reads the slot layout
-  (``SLOT_ROWS``, ``slot_vectors``) from ``nhqc.adiabatic`` as the engine
-  does, so it checks the reduction's arithmetic, not the frames.
+  (``SLOT_ROWS``, ``slot_vectors``) from ``nhqc.adiabatic`` and each
+  column's factor from ``nhqc.propagator.member_factor`` as the engine
+  does, so it checks the reduction's arithmetic, not the frames or the
+  factor; the factor is checked against numpy's complex exp on its own.
 * ``sstp_step``, the single-member short-time step on that route: a plain
   restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
   Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
   engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
-Apart from that slot layout and the block solve that ``frames_at`` wraps
-(it is what the eigensolver route checks), nothing here shares code with
+Apart from that slot layout, the member factor and the block solve that
+``frames_at`` wraps (it is what the eigensolver route checks), nothing here
+shares code with
 the ensemble engine, which runs on the closed-form block frames of
 ``nhqc.adiabatic`` in normal coordinates and reads them only as each
 slot's two components.
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,9 +52,7 @@ from .model import (
     coupling_hamiltonian,
     subsystem_hamiltonian,
 )
-
-if TYPE_CHECKING:
-    from .propagator import EnsembleSnapshot
+from .propagator import EnsembleSnapshot, member_factor
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -415,20 +415,23 @@ def slot_sigma_z(blocks: tuple[Block, Block]) -> np.ndarray:
 def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     """Per-sample density matrices of a snapshot, shape (n_samples, 4, 4).
 
-    Every member adds its weight * exp(-i phase - decay) times
-    u_a[p] * u_b[q] to entry (row p of slot a, row q of slot b) of its
-    sample's matrix, one member column at a time and in (p, q) order, into
-    zeroed rows; a column whose members hold several labels is split into
-    one piece per label, zero elsewhere.  The members of a mirrored column
-    (every column in nonadiabatic mode) then add the conjugate of every term
-    at the transposed entry, in the same order, so a sample whose columns
-    are all mirrored gets X + X^dagger, Hermitian by construction.  A
-    term whose two components are both scalars is dropped where their
-    product is 0; a column whose phase is identically 0 takes the real
-    weight * exp(-decay).
+    Every member adds its factor weight * exp(-i phase - decay), formed by
+    the engine's own ``member_factor`` (so this checks the sum, not the
+    factor), times u_a[p] * u_b[q] to entry (row p of slot a, row q of slot
+    b) of its sample's matrix, one member column at a time and in (p, q)
+    order, into zeroed rows; a column whose members hold several labels is
+    split into one piece per label some member holds, zero elsewhere.  The
+    members of a mirrored column (every column in nonadiabatic mode) then
+    add the conjugate of every term at the transposed entry, in the same
+    order, so a sample whose columns are all mirrored gets X + X^dagger,
+    Hermitian by construction.  A term whose two components are both
+    scalars is dropped where their product is 0.  What this checks on its
+    own: which entries each pair reaches, the pieces, the signs, the
+    products and the order of every sum, against the engine's plan and
+    shared products.
     """
     n = snapshot.n_samples
-    weight, phase, decay = (v.reshape(-1, n) for v in (snapshot.weight, snapshot.phase, snapshot.decay))
+    weight, phase = (v.reshape(-1, n) for v in (snapshot.weight, snapshot.phase))
     codes = (snapshot.alpha * 4 + snapshot.alpha_prime).reshape(-1, n)
     # each slot's components as rows of the member columns its block is
     # solved on; column k reads row k less the first of those columns
@@ -447,10 +450,7 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
             else [c[k - offset[s // 2]] if np.ndim(c) else c for c in slot]
             for s, slot in enumerate(slots)
         ]
-        if phase[k, 0] == 0.0 and not phase[k].any():
-            factor = weight[k] * np.exp(-decay[k])
-        else:
-            factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
+        factor = member_factor(weight[k], phase[k], snapshot.decay[k])
         first = int(codes[k, 0])
         if np.all(codes[k] == first):
             pieces = [(first, factor)]

@@ -45,10 +45,18 @@ hop stage.  The adiabatic step restated for a single member on the generic
 eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
 has no nonadiabatic counterpart.
 
+In adiabatic mode with configuration-independent decay rates every member
+of a column adds the same rate at every step, so the engine keeps one decay
+integral per column, shape (K, 1), and (K, n) otherwise.
+
 Each output reduces the members to per-sample matrices in an element
 buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
 writing only the entries its members can reach; the dense member sum it
-must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Every
+must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Both
+weight each member by ``member_factor``, w exp(-i phi - Lambda): one real
+exp per column where the decay integral is per column, and e^{-i phi} from
+a table and short polynomials rather than numpy's complex exp, which calls
+the scalar libm cosine and sine for every element.  Every
 mirrored member also adds its conjugate at the transposed entry.  In
 nonadiabatic mode every column is mirrored, so each sample's matrix is
 Hermitian, not only the mean over samples.
@@ -56,6 +64,7 @@ Hermitian, not only the mean over samples.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +91,7 @@ __all__ = [
     "EnsembleSnapshot",
     "EnsembleState",
     "RunSummary",
+    "member_factor",
     "simulate",
 ]
 
@@ -91,6 +101,70 @@ HOP_STREAM_TAG = 0x484F50  # distinguishes hop streams from sampling streams
 # SLOT_SIGN[k, s]: slot s's spin-1 sign in ``SLOT_SZ`` if it lies in block
 # k, else 0; it signs both the slot's <sigma_z> and its half gap
 SLOT_SIGN = np.array([[sign if s // 2 == k else 0.0 for s, (sign, _) in enumerate(SLOT_SZ)] for k in range(2)])
+
+# e^{-i phase} is read from a table at steps of 2 pi / 1024 (Tang, ACM TOMS
+# 15, 144 (1989)).  The step is split in two (Cody and Waite): a high part
+# of 25 significant bits, whose product with any integer |k| < 2^28 is exact,
+# and the rest, which also carries 2 pi - fl(2 pi).  Beyond that range the
+# reduction would round, so such a phase takes numpy's complex exp.
+_TABLE_SIZE = 1024
+_STEP_HI = math.floor(2 * math.pi / _TABLE_SIZE * 2.0**32) / 2.0**32
+_STEP_LO = (2 * math.pi / _TABLE_SIZE - _STEP_HI) + 2.4492935982947064e-16 / _TABLE_SIZE
+_PHASE_LIMIT = (2**28 - 1) * _STEP_HI
+
+
+def _phasor_table() -> np.ndarray:
+    """e^{-i theta_j} at theta_j = j 2 pi / 1024, each angle taken as the
+    exact sum j * _STEP_HI + j * _STEP_LO and the libm cosine and sine of
+    the first part corrected to second order in the second."""
+    j = np.arange(_TABLE_SIZE)
+    hi, lo = j * _STEP_HI, j * _STEP_LO
+    cos, sin, half_lo2 = np.cos(hi), np.sin(hi), 0.5 * lo * lo
+    return (cos - (cos * half_lo2 + sin * lo)) - 1j * (sin - (sin * half_lo2 - cos * lo))
+
+
+_PHASORS = _phasor_table()
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """e^{-i phase} for finite |phase| <= _PHASE_LIMIT, a fresh array.
+
+    phase = k 2 pi / 1024 + r with |r| <= pi / 1024; the table gives
+    e^{-i k 2 pi / 1024} and the Taylor polynomials of degree 4 and 5 give
+    1 - cos r and sin r, whose truncation errors are below 2e-18.  The
+    rotation by e^{-i r} is applied as t - t (1 - cos r + i sin r), so that
+    only the last subtraction rounds at the scale of t."""
+    k = np.rint(phase * (_TABLE_SIZE / (2 * math.pi)))
+    r = phase - k * _STEP_HI
+    r -= k * _STEP_LO
+    t = _PHASORS[k.astype(np.intp) & (_TABLE_SIZE - 1)]
+    r2 = r * r
+    z = np.empty(phase.shape, dtype=complex)
+    z.real = r2 * (0.5 - r2 * (1 / 24))
+    z.imag = r * (1.0 - r2 * (1 / 6 - r2 * (1 / 120)))
+    z *= t
+    return np.subtract(t, z, out=t)
+
+
+def member_factor(weight: np.ndarray, phase: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """The output factor weight * exp(-i phase - decay) of one member column.
+
+    ``decay`` is the column's decay integral, shape (n,) or (1,) where
+    every member carries the same one.  A column whose phase is identically
+    0, as it is where the column can hold only a diagonal pair, gets the
+    real weight * exp(-decay).  Otherwise the factor is weight * exp(-decay)
+    times e^{-i phase} from ``_phasor``, which lies within 2.3e-16 of
+    numpy's complex exp; a column with a phase that is not finite, or
+    beyond the table's exact reduction, takes numpy's complex exp, so a
+    non-finite phase gives a non-finite factor."""
+    scale = weight * np.exp(-decay)
+    if phase[0] == 0.0 and not phase.any():  # one read rules out most columns
+        return scale
+    if np.abs(phase).max() <= _PHASE_LIMIT:  # False for NaN
+        rotation = _phasor(phase)
+        rotation *= scale
+        return rotation
+    return scale * np.exp(-1j * phase)
 
 
 @dataclass
@@ -189,9 +263,9 @@ def _reduction_plan(labels: tuple, mirrored: tuple, vanishing: frozenset) -> tup
     an engine forms its plan once.
 
     Returns the live entries in ascending order, the direct terms of each
-    column and pair as (row among the live entries, first term of that
-    row, sign, product key), and the conjugate terms of the mirrored
-    columns, which follow them, as (row, first, sign, (column, pair), key).
+    column and pair as (row among the live entries, sign, product key), and
+    the conjugate terms of the mirrored columns, which follow them, as (row,
+    sign, (column, pair), key).
     """
     direct = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
     mirror = [
@@ -203,17 +277,10 @@ def _reduction_plan(labels: tuple, mirrored: tuple, vanishing: frozenset) -> tup
     ]
     entries = [t[0] for column in direct for terms in column for t in terms] + [t[0] for t in mirror]
     index = tuple(sorted(set(entries)))
-    seen = set()
-
-    def place(entry: int) -> tuple[int, bool]:
-        first = entry not in seen
-        seen.add(entry)
-        return index.index(entry), first
-
     direct = tuple(
-        tuple(tuple((*place(e), sign, key) for e, sign, key in terms) for terms in column) for column in direct
+        tuple(tuple((index.index(e), sign, key) for e, sign, key in terms) for terms in column) for column in direct
     )
-    mirror = tuple((*place(e), sign, piece, key) for e, sign, piece, key in mirror)
+    mirror = tuple((index.index(e), sign, piece, key) for e, sign, piece, key in mirror)
     return index, direct, mirror
 
 
@@ -224,7 +291,10 @@ class EnsembleSnapshot:
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
     sample s.  ``mirrored[k]`` tells whether column k's members carry an
-    implicit (alpha', alpha) partner, added as their conjugate.  The arrays
+    implicit (alpha', alpha) partner, added as their conjugate.  ``decay``
+    holds the decay integrals by column, shape (K, 1) where every member of
+    a column carries the same one (adiabatic mode with configuration-
+    independent rates), else (K, n_samples).  The arrays
     are views of the engine's own, which later steps overwrite in place;
     ``buffer`` is the engine's (16, n_samples) complex element buffer, which
     every ``sample_matrices`` call of that engine overwrites.  ``blocks``
@@ -254,17 +324,18 @@ class EnsembleSnapshot:
     def sample_matrices(self) -> ElementRows:
         """Per-sample subsystem density matrices as their live element rows.
 
-        Every member adds its weight * exp(-i phase - decay), back-rotated
+        Every member adds its factor weight * exp(-i phase - decay)
+        (``member_factor``, which the dense reference shares), back-rotated
         with its own current frame, to its sample's matrix; mirrored members
         also add the Hermitian-conjugate element of the implicit
-        (alpha', alpha) partner.  A column whose phase is identically 0, as
-        it is where the column can hold only a diagonal pair, takes the real
-        weight * exp(-decay) instead, which is cheaper and agrees to an ulp.
+        (alpha', alpha) partner.
 
         Only the entries that the pairs of ``column_labels`` reach are live:
-        a term with an uncoupled block's scalar 0 component is left out.
-        Each live entry sums its terms from +0, the direct ones in
-        member-column order and then the mirrored ones.  A column's terms share the products of two
+        a term with an uncoupled block's scalar 0 component is left out, and
+        so is the piece of a pair that no member of its column holds at this
+        output.  Each live entry sums its terms from +0, the direct ones in
+        member-column order and then the mirrored ones, and an entry that
+        gets no term is +0.  A column's terms share the products of two
         frame components and those products times the column factor, each
         formed once; a term whose slot components carry a minus sign
         (``SLOT_PARTS``) is subtracted.  Negation is exact and a sum started
@@ -276,7 +347,7 @@ class EnsembleSnapshot:
         until this engine's next ``sample_matrices`` call.
         """
         n = self.n_samples
-        weight, phase, decay = (v.reshape(-1, n) for v in (self.weight, self.phase, self.decay))
+        weight, phase = (v.reshape(-1, n) for v in (self.weight, self.phase))
         # each stored block's x and y as rows of its member columns, keyed
         # (block, 0 or 1); an uncoupled block's are the scalars 1 and 0, and
         # a term with the scalar 0 vanishes identically
@@ -291,16 +362,15 @@ class EnsembleSnapshot:
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
         index, direct, mirror = self.plan
         rows = self.buffer[: len(index)]
+        started = [False] * len(index)
 
-        def add(r: int, first: bool, sign: int, value: np.ndarray) -> None:
-            (np.add if sign > 0 else np.subtract)(0.0 if first else rows[r], value, out=rows[r])
+        def add(r: int, sign: int, value: np.ndarray) -> None:
+            (np.add if sign > 0 else np.subtract)(rows[r] if started[r] else 0.0, value, out=rows[r])
+            started[r] = True
 
         conjugates = {}  # factor * product per (column, pair, product key), conjugated
         for k, pairs in enumerate(self.column_labels):
-            if phase[k, 0] == 0.0 and not phase[k].any():  # one read rules out most columns
-                factor = weight[k] * np.exp(-decay[k])
-            else:
-                factor = weight[k] * np.exp(-1j * phase[k] - decay[k])
+            factor = member_factor(weight[k], phase[k], self.decay[k])
             # a column reads only the blocks its labels lie in, which it stores
             column = {
                 key: c[k - offset[key[0]]] if isinstance(c, np.ndarray) else c
@@ -310,19 +380,29 @@ class EnsembleSnapshot:
             products = {}
             for pair, terms in zip(pairs, direct[k]):
                 # a column whose members can hold several labels splits into
-                # one piece per label, zero where a member holds another
-                f = factor if len(pairs) == 1 else np.where(codes[k] == pair[0] * 4 + pair[1], factor, 0.0)
+                # one piece per label held, zero where a member holds another
+                if len(pairs) == 1:
+                    f = factor
+                else:
+                    held = codes[k] == pair[0] * 4 + pair[1]
+                    if not held.any():
+                        continue
+                    f = np.where(held, factor, 0.0)
                 values = {}
-                for r, first, sign, key in terms:
+                for r, sign, key in terms:
                     if key not in values:
                         if key not in products:
                             products[key] = column[key[0]] * column[key[1]]
                         values[key] = f * products[key]
                         if self.mirrored[k]:
                             conjugates[(k, pair), key] = np.conj(values[key])
-                    add(r, first, sign, values[key])
-        for r, first, sign, piece, key in mirror:
-            add(r, first, sign, conjugates[piece, key])
+                    add(r, sign, values[key])
+        for r, sign, piece, key in mirror:
+            if (piece, key) in conjugates:  # else no member holds the piece
+                add(r, sign, conjugates[piece, key])
+        for r in range(len(index)):
+            if not started[r]:
+                rows[r] = 0.0
         return ElementRows(index, rows)
 
 
@@ -419,7 +499,6 @@ class EnsembleState:
         self._mirrored = tuple(a < b or not adiabatic for a, b in pairs)
         n = self.weight.size
         self.phase = np.zeros(n)
-        self.decay_acc = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
         # the reduction's terms follow from the labels and the scalar 0
         # components of uncoupled blocks; the element buffer is this
@@ -467,6 +546,10 @@ class EnsembleState:
             # per-slot rates, read once from sample 0, whose frame vectors
             # ``slot_vectors(blocks0)`` has built: they do not depend on R
             self._gd = np.concatenate([slot_gamma_diag(decay, block)[:, 0] for block in blocks0])
+        # decay integrals by column: with constant rates every member of an
+        # adiabatic column adds the same ones, so the column holds one (K, 1)
+        per_column = adiabatic and self._gdiag_constant
+        self.decay_acc = np.zeros((len(pairs), 1 if per_column else self.n_local))
         self._restore = bp.mass * bp.omega**2
 
         # the columns whose Bohr frequency can be nonzero: those that can
@@ -603,7 +686,6 @@ class EnsembleState:
         over_mass = dt / self.bp.mass
         half_dt = 0.5 * dt
         phase = self.phase.reshape(-1, self.n_local)[self._live.start : self._live.stop]
-        decay = self.decay_acc.reshape(-1, self.n_local)
         for _ in range(n_steps):
             # the half kick that ends one step starts the next: it is cached
             # with the frames, and refreshed wherever q or a label changes
@@ -620,11 +702,11 @@ class EnsembleState:
             omega_old *= half_dt
             phase += omega_old
             if gamma_old is None:  # configuration-independent rates
-                decay += self._coef["dt_gamma"]
+                self.decay_acc += self._coef["dt_gamma"]
             else:
                 gamma_old += self._gamma
                 gamma_old *= half_dt
-                decay += gamma_old
+                self.decay_acc += gamma_old
             if self.mode == "nonadiabatic":
                 self._hop_stage(dt)
             self._step_index += 1
@@ -707,7 +789,7 @@ class EnsembleState:
         # a hit member outside a channel's rows reads a clipped row there,
         # masked off: it cannot hold the channel's source label
         rows = [
-            np.where(masks[side, s][hit], mag[np.clip(hit - lo, 0, mag.size - 1)], 0.0)
+            np.where(masks[side, s][hit], mag[np.minimum(np.maximum(hit - lo, 0), mag.size - 1)], 0.0)
             for side, s, _, lo, _, mag, _ in channels
         ]
         choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)

@@ -33,6 +33,7 @@ from nhqc.propagator import (
     _momentum_jump,
     _open_gamma_channels,
     _slot_entry,
+    member_factor,
     simulate,
 )
 from nhqc.sampler import initial_subsystem, sample_bath_point
@@ -315,8 +316,10 @@ def two_force_verlet(engine, n_steps):
     row with the force c n_k sz_k - M omega^2 q_k evaluated twice per step
     from the frames and labels, before the drift and after it, n_k summed
     from the labels' spin-1 signs, and every pair cache rebuilt for all
-    members after a hop stage."""
+    members after a hop stage.  Returns the decay integrals, which it
+    accumulates per member, whatever the engine's layout of them."""
     bp, dt, n = engine.bp, engine.config.dt, engine.n_local
+    decay = np.zeros(engine.weight.size)
 
     def force(k):
         columns = engine._cols[k]
@@ -342,15 +345,16 @@ def two_force_verlet(engine, n_steps):
         live = engine._live
         engine.phase.reshape(-1, n)[live.start : live.stop] += 0.5 * dt * (omega_old + engine._omega)
         if gamma_old is None:  # constant rates dt (Gamma_aa + Gamma_bb)
-            engine.decay_acc += dt * (engine._gd[engine.alpha] + engine._gd[engine.alpha_prime])
+            decay += dt * (engine._gd[engine.alpha] + engine._gd[engine.alpha_prime])
         else:
-            engine.decay_acc += (0.5 * dt * (gamma_old + engine._gamma)).ravel()
+            decay += (0.5 * dt * (gamma_old + engine._gamma)).ravel()
         if engine.mode == "nonadiabatic":
             engine._hop_stage(dt)
             engine._relabel(np.arange(engine.weight.size))
             engine._refresh_pair_caches()
         engine._step_index += 1
         engine.t = engine._step_index * dt
+    return decay
 
 
 CROSS_BLOCK_DECAY = np.array(
@@ -378,14 +382,40 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
     config = SimConfig(n_steps=60, seed=5, n_samples=32, initial_state=state, mode=mode)
     engine, reference = (EnsembleState(sp, bp, decay, config) for _ in range(2))
     engine.advance(60)
-    two_force_verlet(reference, 60)
+    decay = two_force_verlet(reference, 60)
     if mode == "nonadiabatic":
         assert engine.summary.n_hops > 0
     assert (engine.summary.n_hops, engine.summary.n_frustrated) == (
         reference.summary.n_hops, reference.summary.n_frustrated
     )
-    for name in ("q", "p", "phase", "decay_acc", "weight", "alpha", "alpha_prime"):
+    for name in ("q", "p", "phase", "weight", "alpha", "alpha_prime"):
         assert np.array_equal(getattr(engine, name), getattr(reference, name)), name
+    # a (K, 1) column integral stands for each of its members' own
+    members = np.broadcast_to(engine.decay_acc, (engine.decay_acc.shape[0], config.n_samples))
+    assert np.array_equal(members.ravel(), decay)
+
+
+@pytest.mark.parametrize(
+    "jy,decay,mode,per_column",
+    [
+        # the two adiabatic benchmark models: rates constant in R
+        (-1.0, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "adiabatic", True),
+        (-1.0, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic", True),
+        # block A coupled and |ee>, |gg> decaying at different rates: the
+        # rates follow each member's frame
+        (-0.6, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic", False),
+        # constant rates, but a member's labels, and so its rates, can move
+        (-1.0, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic", False),
+    ],
+)
+def test_decay_integrals_are_per_column_only_for_constant_adiabatic_rates(jy, decay, mode, per_column):
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
+    config = SimConfig(n_steps=10, seed=5, n_samples=16, initial_state=PSI, mode=mode)
+    engine = EnsembleState(sp, PAPER_BP, decay, config)
+    engine.advance(10)
+    n_columns = engine.weight.size // 16
+    assert engine.decay_acc.shape == (n_columns, 1 if per_column else 16)
+    assert engine.snapshot().decay is engine.decay_acc
 
 
 @pytest.mark.parametrize(
@@ -793,6 +823,57 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
     if mode == "nonadiabatic" and not (state_name == "phi" and jy == 1.0):  # phi's block B uncoupled: no hops
         labels = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, config.n_samples)
         assert any(np.unique(column).size > 1 for column in labels)
+
+
+def test_member_factor_phasor_matches_numpy_exp():
+    # unit weight and zero decay leave e^{-i phase} alone on both sides
+    step = 2 * np.pi / 1024
+    rng = np.random.default_rng(19)
+    j = np.arange(-2048, 2048)
+    phase = np.concatenate(
+        [
+            rng.uniform(-1e6, 1e6, 20_000),
+            rng.uniform(-30.0, 30.0, 20_000),
+            j * step,  # every table entry, from either sign
+            (j + 0.5) * step,  # halfway between two entries
+            [0.0, -0.0, 1e-300],
+        ]
+    )
+    # a column with a phase beyond the table's exact reduction takes numpy's exp
+    for phases in (phase, np.array([0.5, 3e6, -1e9])):
+        ones = np.ones(phases.size, dtype=complex)
+        error = np.abs(member_factor(ones, phases, np.zeros(1)) - ones * np.exp(-1j * phases - 0.0))
+        assert error.max() <= 2.3e-16
+
+
+def test_member_factor_matches_numpy_exp_with_weights_and_decay():
+    # relative to |weight| exp(-decay): the phasor's 2.3e-16 plus the
+    # roundings of the products on both sides, each within sqrt(5) u
+    rng = np.random.default_rng(23)
+    n = 20_000
+    weight = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phase = rng.uniform(-1e4, 1e4, n)
+    for decay in (rng.uniform(0.0, 3.0, n), np.array([0.7])):  # per member or per column
+        factor = member_factor(weight, phase, decay)
+        reference = weight * np.exp(-1j * phase - decay)
+        assert np.max(np.abs(factor - reference) / (np.abs(weight) * np.exp(-decay))) <= 1e-15
+    # an identically zero phase takes the real factor
+    zero = np.zeros(n)
+    assert np.array_equal(member_factor(weight, zero, zero), weight * np.exp(-zero))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_phases_give_non_finite_factors_that_validate_rejects():
+    phase = np.array([0.3, np.nan, np.inf, -np.inf, -2.0])
+    factor = member_factor(np.ones(5, dtype=complex), phase, np.zeros(1))
+    assert np.array_equal(np.isfinite(factor), [True, False, False, False, True])
+    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8))
+        engine.advance(5)
+        engine.phase.reshape(-1, 8)[engine._live.start, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_snapshot(engine.snapshot()).validate()
 
 
 def test_element_rows_reuse_the_engine_buffer():
