@@ -2,9 +2,9 @@
 
 The reduced density matrix is the sample mean of per-sample 4x4 matrices;
 statistical errors are standard errors of the mean over the independent
-samples.  Per-sample matrices travel as ``ElementRows``: one contiguous row
-per matrix entry that can be nonzero, every other entry exactly 0.  Within
-a chunk the sums run along those rows, with numpy's pairwise summation for
+samples.  Per-sample matrices are Hermitian and travel as ``ElementRows``:
+one contiguous row per upper-triangle entry that can be nonzero.  Within a
+chunk the sums run along those rows, with numpy's pairwise summation for
 the means.
 Moments are accumulated chunk by chunk with an exact pairwise
 combination rule, so results are bitwise reproducible for a fixed chunk
@@ -33,16 +33,20 @@ __all__ = [
 
 # upper-triangle element order used in CSV columns
 TRIANGLE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+# flat entries of the strict upper triangle and of their transposes
+ABOVE = [i * 4 + j for i, j in TRIANGLE if i != j]
+BELOW = [j * 4 + i for i, j in TRIANGLE if i != j]
 
 
 @dataclass(frozen=True)
 class ElementRows:
-    """Per-sample 4x4 matrices stored as their live element rows.
+    """Per-sample Hermitian 4x4 matrices stored as their live element rows.
 
-    ``index`` holds the flat entries row * 4 + col that can be nonzero, in
-    ascending order, and ``rows`` (len(index), n) their values over the n
-    samples, C-contiguous and complex; every entry not in ``index`` is
-    exactly 0 in every sample.  The record that
+    ``index`` holds the flat entries row * 4 + col, row <= col, that can be
+    nonzero, in ascending order, and ``rows`` (len(index), n) their values
+    over the n samples, C-contiguous and complex; every other upper entry
+    is exactly 0 in every sample, and the lower triangle is the exact
+    conjugate of the upper.  The record that
     ``EnsembleSnapshot.sample_matrices`` returns holds a view of its
     engine's buffer, valid until that engine's next ``sample_matrices``
     call; ``matrices()`` copies it out for a caller that keeps it.
@@ -53,15 +57,21 @@ class ElementRows:
 
     @classmethod
     def from_matrices(cls, matrices: np.ndarray) -> "ElementRows":
-        """All 16 entries of dense matrices, shape (n, 4, 4), as rows."""
-        n = matrices.shape[0]
-        return cls(tuple(range(16)), np.ascontiguousarray(matrices.reshape(n, 16).T, dtype=complex))
+        """The upper triangle of dense matrices, shape (n, 4, 4), as rows.
+
+        Raises ValueError unless every matrix equals its conjugate transpose
+        exactly, so that no lower-triangle value is lost."""
+        if not np.array_equal(matrices, np.conj(matrices).transpose(0, 2, 1)):
+            raise ValueError("per-sample matrices are not exactly Hermitian")
+        upper = tuple(i * 4 + j for i, j in TRIANGLE)
+        return cls(upper, np.ascontiguousarray(matrices.reshape(-1, 16)[:, upper].T, dtype=complex))
 
     def matrices(self) -> np.ndarray:
         """A fresh dense copy, shape (n, 4, 4)."""
         n = self.rows.shape[1]
         out = np.zeros((n, 16), dtype=complex)
         out[:, list(self.index)] = self.rows.T
+        out[:, BELOW] = np.conj(out[:, ABOVE])
         return out.reshape(n, 4, 4)
 
 
@@ -86,7 +96,9 @@ class MomentAccumulator:
         n-long buffer: a full-size temporary is as large as the rows
         themselves, and allocating and releasing it at every output costs
         more than the arithmetic.  A live row whose mean is 0 is checked for
-        being all zero; its scatter is then 0 without the pass.
+        being all zero; its scatter is then 0 without the pass.  The lower
+        triangle's mean is the conjugate of the upper's and its scatter a
+        copy, as the Hermitian rows imply.
         """
         index, rows = samples.index, samples.rows
         n = rows.shape[1]
@@ -100,6 +112,8 @@ class MomentAccumulator:
                 continue
             np.subtract(row, mean[k], out=diff)
             m2[k] = np.einsum("i,i->", flat, flat)
+        mean[BELOW] = np.conj(mean[ABOVE])
+        m2[BELOW] = m2[ABOVE]
         diagonal = [row.real for k, row in zip(index, rows) if k in (0, 5, 10, 15)]
         traces = sum(diagonal[1:], diagonal[0])  # every density matrix has a live diagonal entry
         tmean = float(traces.mean())

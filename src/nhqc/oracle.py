@@ -14,10 +14,11 @@
   dense 4x4 column matrices and as every slot's <sigma_z> on both spins.
 * ``dense_sample_matrices``, the per-sample reduction of an ensemble
   snapshot as one dense sum over every member's four slot-component terms,
-  the reference for ``EnsembleSnapshot.sample_matrices``, which forms only
-  the live element rows from shared products.  It reads the slot layout
-  (``SLOT_ROWS``, ``slot_vectors``) from ``nhqc.adiabatic`` and each
-  column's factor from ``nhqc.propagator.member_factor`` as the engine
+  X + X^dagger folded onto the upper triangle in a plain loop: the
+  reference for ``EnsembleSnapshot.sample_matrices``, which forms only the
+  live upper-triangle rows from its plan and shared products.  It reads the
+  slot layout (``SLOT_ROWS``, ``slot_vectors``) from ``nhqc.adiabatic`` and
+  each column's factor from ``nhqc.propagator.member_factor`` as the engine
   does, so it checks the reduction's arithmetic, not the frames or the
   factor; the factor is checked against numpy's complex exp on its own.
 * ``sstp_step``, the single-member short-time step on that route: a plain
@@ -415,19 +416,19 @@ def slot_sigma_z(blocks: tuple[Block, Block]) -> np.ndarray:
 def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     """Per-sample density matrices of a snapshot, shape (n_samples, 4, 4).
 
-    Every member adds its factor weight * exp(-i phase - decay), formed by
-    the engine's own ``member_factor`` (so this checks the sum, not the
-    factor), times u_a[p] * u_b[q] to entry (row p of slot a, row q of slot
-    b) of its sample's matrix, one member column at a time and in (p, q)
-    order, into zeroed rows; a column whose members hold several labels is
-    split into one piece per label some member holds, zero elsewhere.  The
-    members of a mirrored column (every column in nonadiabatic mode) then
-    add the conjugate of every term at the transposed entry, in the same
-    order, so a sample whose columns are all mirrored gets X + X^dagger,
-    Hermitian by construction.  A term whose two components are both
-    scalars is dropped where their product is 0.  What this checks on its
-    own: which entries each pair reaches, the pieces, the signs, the
-    products and the order of every sum, against the engine's plan and
+    Each sample's matrix is X + X^dagger, X being the sum over its members
+    of the factor weight * exp(-i phase - decay), formed by the engine's own
+    ``member_factor`` (so this checks the sum, not the factor), times
+    u_a[p] * u_b[q] at entry (row p of slot a, row q of slot b).  The sum
+    runs one member column at a time and in (p, q) order, into zeroed rows,
+    and folds onto the upper triangle: a term at (r, c) with r > c adds its
+    conjugate at (c, r).  A diagonal entry then becomes 2 Re of its sum and
+    each lower entry the conjugate of its upper one.  A column whose members
+    hold several labels is split into one piece per label some member
+    holds, zero elsewhere, and a term whose two components are both scalars
+    is dropped where their product is 0.  What this checks on its own:
+    which entries each pair reaches, the pieces, the signs, the products,
+    the fold and the order of every sum, against the engine's plan and
     shared products.
     """
     n = snapshot.n_samples
@@ -440,10 +441,8 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
         for comp in slot_vectors(snapshot.blocks)
     ]
     offset = [columns.start for columns in snapshot.block_columns]
-    out = np.zeros((16, n), dtype=complex)
-    mirror_terms = []
+    out = np.zeros((4, 4, n), dtype=complex)
     for k in range(codes.shape[0]):
-        mirrored = snapshot.mirrored[k]
         comps = [
             None
             if slot is None or k not in snapshot.block_columns[s // 2]
@@ -463,13 +462,15 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
                 if np.ndim(coef) == 0 and coef == 0.0:
                     continue
                 row, col = SLOT_ROWS[a][p], SLOT_ROWS[b][q]
-                val = f * coef
-                out[row * 4 + col] += val
-                if mirrored:
-                    mirror_terms.append((col * 4 + row, val))
-    for dest, val in mirror_terms:
-        out[dest] += np.conj(val)
-    return out.T.reshape(n, 4, 4)
+                if row <= col:
+                    out[row, col] += f * coef
+                else:
+                    out[col, row] += np.conj(f * coef)
+    for row in range(4):
+        out[row, row] = 2.0 * out[row, row].real
+        for col in range(row):
+            out[row, col] = np.conj(out[col, row])
+    return out.transpose(2, 0, 1).copy()
 
 
 # ---------------------------------------------------------------------------

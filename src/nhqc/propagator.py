@@ -1,12 +1,11 @@
 """Sequential short-time propagation of the pair-trajectory ensemble.
 
 Each sampled bath point spawns one member per nonzero initial adiabatic
-element (alpha, alpha') with alpha <= alpha', one per unordered pair; the
-reduction adds the conjugate of the other half.  A member advects
-classically on the mean of its two adiabatic surfaces while accumulating
-the frequency integral of its phase factor and the damping integral of its
-decay factor (trapezoid over each step, consistent with the second-order
-step splitting).  In nonadiabatic mode a single stochastic transition per
+element (alpha, alpha') with alpha <= alpha', one per unordered pair.  A
+member advects classically on the mean of its two adiabatic surfaces while
+accumulating the frequency integral of its phase factor and the damping
+integral of its decay factor (trapezoid over each step, consistent with
+the second-order step splitting).  In nonadiabatic mode a single stochastic transition per
 member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
 momentum-jump rule; that rule is stated only here, in
@@ -56,10 +55,10 @@ must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Both
 weight each member by ``member_factor``, w exp(-i phi - Lambda): one real
 exp per column where the decay integral is per column, and e^{-i phi} from
 a table and short polynomials rather than numpy's complex exp, which calls
-the scalar libm cosine and sine for every element.  Every
-mirrored member also adds its conjugate at the transposed entry.  In
-nonadiabatic mode every column is mirrored, so each sample's matrix is
-Hermitian, not only the mean over samples.
+the scalar libm cosine and sine for every element.  Both modes keep one
+Hermitian rule: every member's (alpha', alpha) partner is implicit and a
+diagonal member starts at half its weight, so each sample's matrix is
+X + X^dagger, of which only the upper triangle is formed.
 """
 
 from __future__ import annotations
@@ -240,48 +239,39 @@ def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.
     return ok, np.copysign(np.sqrt(radicand[ok]), p[ok])
 
 
-def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple]]:
+def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple, bool]]:
     """The terms u_a[p] * u_b[q] of label pair (a, b) in (p, q) order, as
-    (entry row * 4 + col, sign, product key), less those with a component
-    in ``vanishing``.  A component is keyed (block, 0 for x or 1 for y); the
-    key of a product is its two components in sorted order, so x * y and
-    y * x, equal bit for bit, share it."""
+    (upper-triangle entry row * 4 + col, sign, product key, below), less
+    those with a component in ``vanishing``.  A term whose entry lies below
+    the diagonal is folded onto the transposed entry, where its conjugate is
+    added (``below``).  A component is keyed (block, 0 for x or 1 for y);
+    the key of a product is its two components in sorted order, so x * y
+    and y * x, equal bit for bit, share it."""
     terms = []
     for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
         (sa, i), (sb, j) = SLOT_PARTS[a][p], SLOT_PARTS[b][q]
         u, v = (a // 2, i), (b // 2, j)
         if u not in vanishing and v not in vanishing:
-            terms.append((SLOT_ROWS[a][p] * 4 + SLOT_ROWS[b][q], sa * sb, tuple(sorted((u, v)))))
+            r, c = SLOT_ROWS[a][p], SLOT_ROWS[b][q]
+            terms.append((min(r, c) * 4 + max(r, c), sa * sb, tuple(sorted((u, v))), r > c))
     return terms
 
 
-def _reduction_plan(labels: tuple, mirrored: tuple, vanishing: frozenset) -> tuple:
+def _reduction_plan(labels: tuple, vanishing: frozenset) -> tuple:
     """The terms of the member sum for columns that can hold the label
-    pairs ``labels`` (a tuple of pairs per column), of which ``mirrored``
-    carry an implicit conjugate partner.  The pairs a column can hold are
-    fixed at set-up (``EnsembleState``: the slots its two labels reach), so
-    an engine forms its plan once.
+    pairs ``labels`` (a tuple of pairs per column).  The pairs a column can
+    hold are fixed at set-up (``EnsembleState``: the slots its two labels
+    reach), so an engine forms its plan once.
 
-    Returns the live entries in ascending order, the direct terms of each
-    column and pair as (row among the live entries, sign, product key), and
-    the conjugate terms of the mirrored columns, which follow them, as (row,
-    sign, (column, pair), key).
+    Returns the live upper-triangle entries in ascending order and the terms
+    of each column and pair as (row among the live entries, sign, product
+    key, below).
     """
-    direct = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
-    mirror = [
-        (entry % 4 * 4 + entry // 4, sign, (k, pair), key)
-        for k, pairs in enumerate(labels)
-        if mirrored[k]
-        for pair, terms in zip(pairs, direct[k])
-        for entry, sign, key in terms
-    ]
-    entries = [t[0] for column in direct for terms in column for t in terms] + [t[0] for t in mirror]
-    index = tuple(sorted(set(entries)))
-    direct = tuple(
-        tuple(tuple((index.index(e), sign, key) for e, sign, key in terms) for terms in column) for column in direct
+    terms = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
+    index = tuple(sorted({t[0] for column in terms for pair in column for t in pair}))
+    return index, tuple(
+        tuple(tuple((index.index(e), *rest) for e, *rest in pair) for pair in column) for column in terms
     )
-    mirror = tuple((index.index(e), sign, piece, key) for e, sign, piece, key in mirror)
-    return index, direct, mirror
 
 
 @dataclass
@@ -290,11 +280,9 @@ class EnsembleSnapshot:
 
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
-    sample s.  ``mirrored[k]`` tells whether column k's members carry an
-    implicit (alpha', alpha) partner, added as their conjugate.  ``decay``
-    holds the decay integrals by column, shape (K, 1) where every member of
-    a column carries the same one (adiabatic mode with configuration-
-    independent rates), else (K, n_samples).  The arrays
+    sample s.  ``decay`` holds the decay integrals by column, shape (K, 1)
+    where every member of a column carries the same one (adiabatic mode
+    with configuration-independent rates), else (K, n_samples).  The arrays
     are views of the engine's own, which later steps overwrite in place;
     ``buffer`` is the engine's (16, n_samples) complex element buffer, which
     every ``sample_matrices`` call of that engine overwrites.  ``blocks``
@@ -316,31 +304,30 @@ class EnsembleSnapshot:
     decay: np.ndarray
     blocks: tuple[Block | None, Block | None]
     block_columns: tuple[range, range]
-    mirrored: tuple[bool, ...]
     column_labels: tuple[tuple[tuple[int, int], ...], ...]
     plan: tuple
     buffer: np.ndarray
 
     def sample_matrices(self) -> ElementRows:
-        """Per-sample subsystem density matrices as their live element rows.
+        """Per-sample subsystem density matrices as their live upper-triangle
+        element rows.
 
-        Every member adds its factor weight * exp(-i phase - decay)
-        (``member_factor``, which the dense reference shares), back-rotated
-        with its own current frame, to its sample's matrix; mirrored members
-        also add the Hermitian-conjugate element of the implicit
-        (alpha', alpha) partner.
+        Each sample's matrix is X + X^dagger, X summing every member's
+        factor (``member_factor``, which the dense reference shares)
+        back-rotated with its own current frame.  A term of X on entry
+        (r, c) adds its value there when r <= c, else its conjugate at
+        (c, r); a diagonal entry ends as 2 Re of its sum, imaginary part 0.
 
         Only the entries that the pairs of ``column_labels`` reach are live:
         a term with an uncoupled block's scalar 0 component is left out, and
         so is the piece of a pair that no member of its column holds at this
-        output.  Each live entry sums its terms from +0, the direct ones in
-        member-column order and then the mirrored ones, and an entry that
-        gets no term is +0.  A column's terms share the products of two
-        frame components and those products times the column factor, each
-        formed once; a term whose slot components carry a minus sign
-        (``SLOT_PARTS``) is subtracted.  Negation is exact and a sum started
-        at +0 keeps no sign of zero, so every entry equals the dense sum of
-        ``nhqc.oracle.dense_sample_matrices`` bit for bit.
+        output.  Each live entry sums its terms from +0 in member-column
+        order, and an entry that gets no term is +0.  A column's terms share
+        the products of two frame components and those products times the
+        column factor, each formed once; a term whose slot components carry
+        a minus sign (``SLOT_PARTS``) is subtracted.  Negation is exact and a
+        sum started at +0 keeps no sign of zero, so every entry equals the
+        dense sum of ``nhqc.oracle.dense_sample_matrices`` bit for bit.
 
         The live rows fill the first rows of ``buffer`` in ascending entry
         order, and the record returned holds a view of them: it is valid
@@ -360,15 +347,9 @@ class EnsembleSnapshot:
         offset = [columns.start for columns in self.block_columns]
         if any(len(pairs) > 1 for pairs in self.column_labels):
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
-        index, direct, mirror = self.plan
+        index, plan = self.plan
         rows = self.buffer[: len(index)]
         started = [False] * len(index)
-
-        def add(r: int, sign: int, value: np.ndarray) -> None:
-            (np.add if sign > 0 else np.subtract)(rows[r] if started[r] else 0.0, value, out=rows[r])
-            started[r] = True
-
-        conjugates = {}  # factor * product per (column, pair, product key), conjugated
         for k, pairs in enumerate(self.column_labels):
             factor = member_factor(weight[k], phase[k], self.decay[k])
             # a column reads only the blocks its labels lie in, which it stores
@@ -378,7 +359,7 @@ class EnsembleSnapshot:
                 if k in self.block_columns[key[0]]
             }
             products = {}
-            for pair, terms in zip(pairs, direct[k]):
+            for pair, terms in zip(pairs, plan[k]):
                 # a column whose members can hold several labels splits into
                 # one piece per label held, zero where a member holds another
                 if len(pairs) == 1:
@@ -388,37 +369,31 @@ class EnsembleSnapshot:
                     if not held.any():
                         continue
                     f = np.where(held, factor, 0.0)
-                values = {}
-                for r, sign, key in terms:
+                values = {}  # factor * product per product key
+                for r, sign, key, below in terms:
                     if key not in values:
                         if key not in products:
                             products[key] = column[key[0]] * column[key[1]]
                         values[key] = f * products[key]
-                        if self.mirrored[k]:
-                            conjugates[(k, pair), key] = np.conj(values[key])
-                    add(r, sign, values[key])
-        for r, sign, piece, key in mirror:
-            if (piece, key) in conjugates:  # else no member holds the piece
-                add(r, sign, conjugates[piece, key])
-        for r in range(len(index)):
+                    value = np.conj(values[key]) if below else values[key]
+                    (np.add if sign > 0 else np.subtract)(rows[r] if started[r] else 0.0, value, out=rows[r])
+                    started[r] = True
+        for r, entry in enumerate(index):
             if not started[r]:
                 rows[r] = 0.0
+            elif entry % 5 == 0:  # a diagonal entry of X + X^dagger
+                rows[r] = 2.0 * rows[r].real
         return ElementRows(index, rows)
 
 
 class EnsembleState:
     """Vectorized ensemble over samples [sample_start, sample_start + n).
 
-    Member arrays are laid out column by column as in ``EnsembleSnapshot``.
-    Both modes store one member per unordered pair, alpha <= alpha' at the
-    start, and carry its (alpha', alpha) partner implicitly, restored at
-    reduction time as the conjugate (``mirrored``).  In adiabatic mode an
-    off-diagonal pair's partner follows the same trajectory with conjugate
-    phase and identical decay, and a diagonal pair has none.  In
-    nonadiabatic mode every column is mirrored and a diagonal member starts
-    at half its weight, so each sample's matrix is X + X^dagger; this is
-    unbiased, since the exact evolution of each Hermitian part of the
-    initial state stays Hermitian.
+    Member arrays are laid out column by column as in ``EnsembleSnapshot``,
+    one member per unordered pair, alpha <= alpha' at the start, under the
+    module's Hermitian rule.  In nonadiabatic mode that rule is unbiased,
+    since the exact evolution of each Hermitian part of the initial state
+    stays Hermitian.
 
     The bath state is ``q`` and ``p``: block A's normal-mode rows (columns
     ``_cols[0]``) followed by block B's (columns ``_cols[1]``), each a
@@ -491,12 +466,10 @@ class EnsembleState:
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
         # the partners are implicit (see the class docstring): X + X^dagger
-        # counts a mirrored diagonal member twice
+        # counts a diagonal member twice
         weight = elements0[al, ap]
-        if not adiabatic:
-            weight[al == ap] *= 0.5
+        weight[al == ap] *= 0.5
         self.weight = weight.ravel()
-        self._mirrored = tuple(a < b or not adiabatic for a, b in pairs)
         n = self.weight.size
         self.phase = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
@@ -506,7 +479,7 @@ class EnsembleState:
         vanishing = frozenset(
             (k, i) for k, block in enumerate(blocks0) for i, c in enumerate(block.vector) if np.ndim(c) == 0 and c == 0
         )
-        self._plan = _reduction_plan(labels, self._mirrored, vanishing)
+        self._plan = _reduction_plan(labels, vanishing)
         self._buffer = np.empty((16, self.n_local), dtype=complex)
 
         # normal-mode rows of the stored blocks, every column starting from
@@ -832,7 +805,6 @@ class EnsembleState:
             decay=self.decay_acc,
             blocks=self._blocks,
             block_columns=self._cols,
-            mirrored=self._mirrored,
             column_labels=self._labels,
             plan=self._plan,
             buffer=self._buffer,

@@ -65,9 +65,14 @@ def test_projector_decay_trace_at_t10():
     assert np.real(red.trace) == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-10)
 
 
+def hermitian(data):
+    """data + data^dagger for each matrix of data (n, 4, 4): exactly Hermitian."""
+    return data + data.conj().transpose(0, 2, 1)
+
+
 def test_moment_accumulator_combine_matches_whole():
     rng = np.random.default_rng(8)
-    data = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+    data = hermitian(rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4)))
     whole = MomentAccumulator.from_samples(ElementRows.from_matrices(data))
     parts = MomentAccumulator.from_samples(ElementRows.from_matrices(data[:13])).combine(
         MomentAccumulator.from_samples(ElementRows.from_matrices(data[13:]))
@@ -82,7 +87,7 @@ def test_moment_accumulator_combine_matches_whole():
 @pytest.mark.parametrize("n", [1, 2, 40])
 def test_moment_accumulator_matches_plain_definitions(n):
     rng = np.random.default_rng(n)
-    data = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    data = hermitian(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
     acc = MomentAccumulator.from_samples(ElementRows.from_matrices(data))
     mean = data.mean(axis=0)
     m2 = np.sum(np.abs(data - mean) ** 2, axis=0)
@@ -93,6 +98,19 @@ def test_moment_accumulator_matches_plain_definitions(n):
     assert np.allclose(acc.m2, m2, rtol=1e-13, atol=0)
     assert acc.trace_mean == pytest.approx(traces.mean(), rel=1e-13)
     assert acc.trace_m2 == pytest.approx(tm2, rel=1e-13)
+
+
+def test_element_rows_from_matrices_refuse_non_hermitian_input():
+    rng = np.random.default_rng(5)
+    data = hermitian(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
+    record = ElementRows.from_matrices(data)
+    assert record.index == (0, 1, 2, 3, 5, 6, 7, 10, 11, 15)
+    assert record.matrices().tobytes() == data.tobytes()
+    for r, c, value in ((2, 0, 1e-12), (1, 1, 1e-12j)):  # a lower entry, then a diagonal
+        broken = data.copy()
+        broken[1, r, c] += value
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            ElementRows.from_matrices(broken)
 
 
 def test_sample_matrices_are_element_rows_and_reduce_like_a_copy():

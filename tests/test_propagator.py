@@ -256,12 +256,12 @@ def test_member_count_constant():
     assert n0 == 3 * 9  # three slots populated -> nine ordered pairs per sample
     engine.advance(10)
     snap = engine.snapshot()
-    # stored members plus the implicit partners of the mirrored columns
-    assert snap.weight.size + 3 * sum(snap.mirrored) == n0
-    # the same ordered pairs, though every nonadiabatic column is mirrored
+    # stored members plus the implicit partners of the off-diagonal ones
+    assert snap.weight.size + np.count_nonzero(snap.alpha != snap.alpha_prime) == n0
+    # the same ordered pairs in nonadiabatic mode
     config = paper_config(n_samples=3, initial_state=PSI, mode="nonadiabatic")
     nonadiabatic = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
-    assert nonadiabatic.weight.size == snap.weight.size and all(nonadiabatic.snapshot().mirrored)
+    assert nonadiabatic.weight.size == snap.weight.size
     assert nonadiabatic.summary.n_members == n0
     assert np.all((0 <= snap.alpha) & (snap.alpha <= 3))
     assert np.all((0 <= snap.alpha_prime) & (snap.alpha_prime <= 3))
@@ -270,15 +270,16 @@ def test_member_count_constant():
 
 @pytest.mark.parametrize("mode,c", [("adiabatic", 0.24), ("nonadiabatic", 1.5)])
 def test_snapshot_matrices_hermitian(mode, c):
-    # every sample's matrix, not only the mean: a nonadiabatic column's
-    # implicit partners make it X + X^dagger whatever its members hopped to
+    # every sample's matrix, not only the mean: the implicit partners make it
+    # X + X^dagger whatever its members hopped to, bit for bit
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     config = paper_config(n_samples=16, n_steps=40, initial_state=PSI, mode=mode)
     engine = EnsembleState(PAPER_SP, BathParams(c=c, beta=0.1), decay, config)
     engine.advance(40)
     assert (engine.summary.n_hops > 0) == (mode == "nonadiabatic")
     mats = engine.snapshot().sample_matrices().matrices()
-    assert np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) < 1e-14
+    assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
+    assert np.all(np.diagonal(mats, axis1=1, axis2=2).imag == 0)
 
 
 def test_nonadiabatic_reduces_to_adiabatic_without_coupling():
@@ -292,9 +293,10 @@ def test_nonadiabatic_reduces_to_adiabatic_without_coupling():
     ea.advance(30)
     en.advance(30)
     assert en.summary.n_hops == 0
+    # both modes run the one reduction, and no channel opens
     ma = ea.snapshot().sample_matrices().matrices()
     mn = en.snapshot().sample_matrices().matrices()
-    assert np.max(np.abs(ma - mn)) < 1e-13
+    assert ma.tobytes() == mn.tobytes()
 
 
 def test_nonadiabatic_hops_occur_and_stay_finite():
@@ -817,7 +819,9 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
         # the same bits, signs of zero included
         assert record.matrices().tobytes() == reference.tobytes()
         assert np.array_equal(record.matrices(), reference)
-        dead = [e for e in range(16) if e not in record.index]
+        # the index lists upper-triangle entries; a dead one is 0 on both sides
+        assert all(e // 4 <= e % 4 for e in record.index)
+        dead = [r * 4 + c for r, c in np.ndindex(4, 4) if min(r, c) * 4 + max(r, c) not in record.index]
         assert np.all(reference.reshape(-1, 16)[:, dead] == 0)
     assert plans[0] is plans[1]
     if mode == "nonadiabatic" and not (state_name == "phi" and jy == 1.0):  # phi's block B uncoupled: no hops
@@ -887,7 +891,7 @@ def test_element_rows_reuse_the_engine_buffer():
     assert np.shares_memory(second.rows, engine._buffer)
     assert np.shares_memory(first.rows, second.rows)
     # phi lives in block B, and block A is uncoupled at jx = jy
-    assert first.index == second.index == (5, 6, 9, 10)
+    assert first.index == second.index == (5, 6, 10)
     # the earlier record now reads the later output; its copy does not
     assert np.array_equal(first.matrices(), second.matrices())
     assert not np.array_equal(kept, second.matrices())

@@ -103,10 +103,13 @@ def test_initial_subsystem_custom_ket():
 def initial_members(bp, state, seed, n):
     """The engine's members at t = 0: the initial state projected into the
     slot frame of each sampled bath point, as (K, n) arrays of labels and
-    weights (row k holds the k-th pair of every sample)."""
+    initial elements (row k holds the k-th pair of every sample).  A
+    diagonal member starts at half its element, its implicit partner
+    adding the other half."""
     config = SimConfig(n_steps=1, seed=seed, n_samples=n, initial_state=state)
     snap = EnsembleState(PAPER_SP, bp, decay_operator("identity", 0.0), config).snapshot()
-    return snap.alpha.reshape(-1, n), snap.alpha_prime.reshape(-1, n), snap.weight.reshape(-1, n)
+    elements = snap.weight * np.where(snap.alpha == snap.alpha_prime, 2.0, 1.0)
+    return snap.alpha.reshape(-1, n), snap.alpha_prime.reshape(-1, n), elements.reshape(-1, n)
 
 
 def test_initial_condition_trace_preserved():
