@@ -210,10 +210,6 @@ class SimConfig:
             # stored normalized, so the trace starts at 1 to rounding
             object.__setattr__(self, "initial_state", tuple(ket / norm))
 
-    @property
-    def n_outputs(self) -> int:
-        return self.n_steps // self.output_stride + 1
-
 
 def subsystem_hamiltonian(sp: SpinChainParams) -> np.ndarray:
     """Two-spin exchange Hamiltonian in the |ee>,|eg>,|ge>,|gg> basis.

@@ -1,12 +1,12 @@
 """Sequential short-time propagation of the pair-trajectory ensemble.
 
-Each sampled bath point spawns one member per nonzero initial adiabatic
+Each starting bath point spawns one member per nonzero initial adiabatic
 element (alpha, alpha') with alpha <= alpha', one per unordered pair.  A
 member advects classically on the mean of its two adiabatic surfaces while
 accumulating the frequency integral of its phase factor and the damping
 integral of its decay factor (trapezoid over each step, consistent with
-the second-order step splitting).  In nonadiabatic mode a single stochastic transition per
-member per step is sampled from the derivative-coupling and
+the second-order step splitting).  In nonadiabatic mode a single stochastic
+transition per member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
 momentum-jump rule; that rule is stated only here, in
 ``EnsembleState._hop_stage`` and ``_momentum_jump``.  The stage sums each
@@ -14,20 +14,23 @@ channel's label-masked |amplitude| row once for the no-hop total, chooses a
 channel only for the members whose uniform falls below that total, and
 forms decay amplitudes only for the entries where a channel is open.
 
-``EnsembleState`` propagates all members of a sample block at once on the
-closed-form block frames of ``nhqc.adiabatic``, and ``simulate`` reduces it
-chunk by chunk into a time series.  Block A depends on the bath only
-through the normal coordinate q_A = R1 + R2 and block B through
+``EnsembleState`` propagates all members of a run of samples at once on the
+closed-form block frames of ``nhqc.adiabatic``.  Block A depends on the bath
+only through the normal coordinate q_A = R1 + R2 and block B through
 q_B = R1 - R2, and the bath Hamiltonian separates into the two normal
 modes, so the engine's state is per-block rows: q_A with p_A = P1 + P2 and
-q_B with p_B = P1 - P2.  A member column (every sample's k-th pair) can
-hold every pair of the slots its two labels reach, fixed at set-up: labels
-move only in nonadiabatic mode, along a coupled block's derivative coupling
-and the open decay channels.  That one table fixes the blocks a column
-stores (those of its labels), whether its phase moves (some pair is
-off-diagonal), the blocks that feel a force and the reduction's terms.
-Columns are ordered block-A-only, both, then block-B-only, so each block's
-rows are one contiguous view.  Each stored row follows velocity Verlet on
+q_B with p_B = P1 - P2.  The engine samples nothing: ``simulate`` draws each
+chunk's thermal Wigner points (``nhqc.sampler``), starts an engine from
+their rows and reduces it into a time series.
+
+A member column (every sample's k-th pair) can hold every pair of the slots
+its two labels reach, fixed at set-up: labels move only in nonadiabatic
+mode, along a coupled block's derivative coupling and the open decay
+channels.  That one table fixes the blocks a column stores (those of its
+labels), whether its phase moves (some pair is off-diagonal), the blocks
+that feel a force and the reduction's terms.  Columns are ordered
+block-A-only, both, then block-B-only, so each block's rows are one
+contiguous view.  Each stored row follows velocity Verlet on
 
     dp_k/dt = c n_k sz_k - M omega^2 q_k,    dq_k/dt = p_k / M,
 
@@ -387,7 +390,11 @@ class EnsembleSnapshot:
 
 
 class EnsembleState:
-    """Vectorized ensemble over samples [sample_start, sample_start + n).
+    """Vectorized ensemble over samples [sample_start, sample_start + n),
+    started from their normal-mode rows q0 = (q_A, q_B) and p0 = (p_A, p_B),
+    each of shape (n,).  The samples lie in one block of ``CHUNK_SAMPLES``,
+    whose hop stream a nonadiabatic engine reads; a range across two blocks
+    raises ``ValueError``.
 
     Member arrays are laid out column by column as in ``EnsembleSnapshot``,
     one member per unordered pair, alpha <= alpha' at the start, under the
@@ -395,10 +402,9 @@ class EnsembleState:
     since the exact evolution of each Hermitian part of the initial state
     stays Hermitian.
 
-    The bath state is ``q`` and ``p``: block A's normal-mode rows (columns
-    ``_cols[0]``) followed by block B's (columns ``_cols[1]``), each a
-    member-ordered run of its columns; ``_q[k]`` and ``_p[k]`` are block k's
-    views.
+    The bath state is ``q`` and ``p``: block A's rows (columns ``_cols[0]``)
+    followed by block B's (columns ``_cols[1]``), each a member-ordered run
+    of its columns; ``_q[k]`` and ``_p[k]`` are block k's views.
     """
 
     def __init__(
@@ -407,18 +413,20 @@ class EnsembleState:
         bp: BathParams,
         decay: DecaySpec,
         config: SimConfig,
+        q0: tuple[np.ndarray, np.ndarray],
+        p0: tuple[np.ndarray, np.ndarray],
         sample_start: int = 0,
-        n_samples: int | None = None,
     ):
         self.sp, self.bp, self.decay, self.config = sp, bp, decay, config
-        self.n_local = config.n_samples if n_samples is None else n_samples
+        self.n_local = len(q0[0])
+        stop = sample_start + self.n_local
+        if sample_start // CHUNK_SAMPLES != (stop - 1) // CHUNK_SAMPLES:
+            raise ValueError(f"samples [{sample_start}, {stop}) straddle a block of {CHUNK_SAMPLES}")
         self.mode = config.mode
         self.t = 0.0
         self._step_index = 0
         self.summary = RunSummary()
 
-        r0, p0 = sample_bath_point(bp, config.seed, sample_start, self.n_local)
-        q0, pq0 = (r0[0] + r0[1], r0[0] - r0[1]), (p0[0] + p0[1], p0[0] - p0[1])
         blocks0 = tuple(slot_frames(sp, bp, k, q0[k]) for k in range(2))
         comps0 = slot_vectors(blocks0)
         rho0 = initial_subsystem(config.initial_state)
@@ -435,7 +443,7 @@ class EnsembleState:
             # a normalized state always spawns a pair unless its elements
             # overflowed to NaN; an empty ensemble would read trace 0
             raise ValueError(
-                f"trace at t = 0 is 0: samples [{sample_start}, {sample_start + self.n_local}) "
+                f"trace at t = 0 is 0: samples [{sample_start}, {stop}) "
                 "spawn no pair (non-finite initial frames)"
             )
         # the slots a label can move to: none in adiabatic mode; in
@@ -491,22 +499,18 @@ class EnsembleState:
         self._p = (self.p[: sizes[0]], self.p[sizes[0] :])
         for k in range(2):
             self._q[k].reshape(-1, self.n_local)[:] = q0[k]
-            self._p[k].reshape(-1, self.n_local)[:] = pq0[k]
+            self._p[k].reshape(-1, self.n_local)[:] = p0[k]
         self._kick = np.empty_like(self.q)
         self._kick_rows = (self._kick[: sizes[0]], self._kick[sizes[0] :])
         self._scratch = np.empty_like(self.q)
 
         if self.mode == "nonadiabatic":
-            sample_global = np.tile(np.arange(self.n_local), len(pairs)) + sample_start
-            self._hop_chunk = sample_global // CHUNK_SAMPLES
-            # the pair's code alpha * 4 + alpha' while alpha <= alpha'
-            self._hop_offset = (sample_global % CHUNK_SAMPLES) * 16 + self.alpha * 4 + self.alpha_prime
-            # (block, members, their offsets, draw length) for each hop stream
-            self._hop_blocks = []
-            for chunk in np.unique(self._hop_chunk):
-                mask = self._hop_chunk == chunk
-                offsets = self._hop_offset[mask]
-                self._hop_blocks.append((int(chunk), mask, offsets, int(offsets.max()) + 1))
+            # a member reads its block's hop stream at its sample's row there,
+            # offset by its pair's code alpha * 4 + alpha' as set up
+            self._hop_block = sample_start // CHUNK_SAMPLES
+            rows = np.tile(np.arange(self.n_local) + sample_start % CHUNK_SAMPLES, len(pairs))
+            self._hop_offset = rows * 16 + self.alpha * 4 + self.alpha_prime
+            self._hop_draws = int(self._hop_offset.max()) + 1
         # decay expectations are configuration-independent unless a coupled
         # block mixes states that the operator distinguishes
         g = np.real(decay.matrix)
@@ -688,15 +692,12 @@ class EnsembleState:
     # -- stochastic transitions (nonadiabatic mode) ------------------------
 
     def _hop_uniforms(self) -> np.ndarray:
-        """One uniform per (sample, unordered pair) for this step, drawn
-        from streams keyed by fixed sample blocks so the values do not
-        depend on how samples were chunked across workers.  Each block's
-        stream is drawn only up to the last offset read from it."""
-        u = np.empty(self.weight.size)
-        for chunk, mask, offsets, n_draw in self._hop_blocks:
-            stream = block_stream(self.config.seed, HOP_STREAM_TAG, self._step_index, chunk)
-            u[mask] = stream.random(n_draw)[offsets]
-        return u
+        """One uniform per (sample, unordered pair) for this step, from the
+        stream keyed by the engine's fixed sample block, so the values do not
+        depend on how samples were chunked across workers.  The stream is
+        drawn only up to the last offset read from it."""
+        stream = block_stream(self.config.seed, HOP_STREAM_TAG, self._step_index, self._hop_block)
+        return stream.random(self._hop_draws)[self._hop_offset]
 
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
@@ -828,7 +829,9 @@ def _run_metadata(sp, bp, decay, config) -> dict:
 
 def _chunk_accumulate(sp, bp, decay, config, bounds) -> tuple[list[MomentAccumulator], RunSummary]:
     start, stop = bounds
-    engine = EnsembleState(sp, bp, decay, config, sample_start=start, n_samples=stop - start)
+    (r1, r2), (p1, p2) = sample_bath_point(bp, config.seed, start, stop - start)
+    engine = EnsembleState(sp, bp, decay, config, (r1 + r2, r1 - r2), (p1 + p2, p1 - p2), start)
+    del r1, r2, p1, p2  # free the draws before the output loop
     accs = [MomentAccumulator.from_samples(engine.snapshot().sample_matrices())]
     for _ in range(config.n_steps // config.output_stride):
         engine.advance(config.output_stride)
@@ -845,9 +848,9 @@ def simulate(
 ) -> tuple[TimeSeries, RunSummary]:
     """Full pipeline: sample, propagate, reduce to a time series.
 
-    Samples are processed in fixed-size chunks and their statistics combined
-    in chunk order, so the output bytes depend only on the configuration and
-    seed, never on the worker count.
+    Each chunk is one sample block, whose points its worker draws, and the
+    chunks' statistics combine in chunk order, so the output bytes depend
+    only on the configuration and seed, never on the worker count.
     """
     started = time.perf_counter()
     bounds = [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,10 +96,19 @@ def test_force_on_ee_surface_at_origin():
 
 
 def test_force_decoupled_is_harmonic():
+    # at c = 0 block A's levels -jz (1 and 2 in energy order) are degenerate
+    # at every R: their forces warn, the other two's do not
     bp0 = BathParams(c=0.0, beta=0.1)
     frame = build_frame(PAPER_SP, bp0, np.array([1.0, 2.0]))
     for alpha in range(4):
-        f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
+        if alpha in (1, 2):
+            with pytest.warns(DegeneratePairWarning, match=f"level {alpha} "):
+                f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
+            assert caught == []
         assert np.allclose(f, [-1.0, -2.0], atol=1e-12)
 
 

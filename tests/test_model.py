@@ -128,7 +128,6 @@ def test_phase_point_validation():
 def test_sim_config_validation():
     cfg = SimConfig(n_steps=10, seed=1)
     assert cfg.dt == 0.01 and cfg.n_samples == 50_000 and cfg.mode == "adiabatic"
-    assert cfg.n_outputs == 11
     with pytest.raises(ValueError):
         SimConfig(n_steps=10, seed=1, dt=0.0)
     with pytest.raises(ValueError):

@@ -21,8 +21,10 @@ from nhqc.observables import (
     reduce_snapshot,
     write_csv,
 )
-from nhqc.propagator import EnsembleState, simulate
+from nhqc.propagator import simulate
 from nhqc.sampler import initial_subsystem
+
+from engines import sampled_engine
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -36,7 +38,7 @@ def small_config(**kw):
 
 def test_reduce_at_time_zero_is_exact():
     for state in (PHI, PSI):
-        engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=state))
+        engine = sampled_engine(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=state))
         red = reduce_snapshot(engine.snapshot())
         assert np.max(np.abs(red.elements - initial_subsystem(state))) < 1e-13
         assert np.max(red.stderr) < 1e-13
@@ -44,7 +46,7 @@ def test_reduce_at_time_zero_is_exact():
 
 
 def test_identity_decay_trace_at_t1():
-    engine = EnsembleState(
+    engine = sampled_engine(
         PAPER_SP, PAPER_BP, decay_operator("identity", 1.0), small_config(n_steps=100)
     )
     engine.advance(100)
@@ -54,7 +56,7 @@ def test_identity_decay_trace_at_t1():
 
 
 def test_projector_decay_trace_at_t10():
-    engine = EnsembleState(
+    engine = sampled_engine(
         PAPER_SP,
         PAPER_BP,
         decay_operator("projector_ee", 0.1),
@@ -114,7 +116,7 @@ def test_element_rows_from_matrices_refuse_non_hermitian_input():
 
 
 def test_sample_matrices_are_element_rows_and_reduce_like_a_copy():
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=PSI))
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay_operator("identity", 0.3), small_config(initial_state=PSI))
     engine.advance(20)
     record = engine.snapshot().sample_matrices()
     mats = record.matrices()
@@ -136,13 +138,13 @@ def test_decoupled_reconstruction_is_frame_independent():
     # must give the same matrices
     bp0 = BathParams(c=0.0, beta=0.1)
     config = small_config(n_samples=16, n_steps=50)
-    engine = EnsembleState(PAPER_SP, bp0, decay_operator("identity", 0.2), config)
+    engine = sampled_engine(PAPER_SP, bp0, decay_operator("identity", 0.2), config)
     snap0 = engine.snapshot()
     engine.advance(50)
     snap1 = engine.snapshot()
     mats_now = snap1.sample_matrices().matrices()
     # manual reconstruction with the initial frames
-    borrowed = EnsembleState(PAPER_SP, bp0, decay_operator("identity", 0.2), config)
+    borrowed = sampled_engine(PAPER_SP, bp0, decay_operator("identity", 0.2), config)
     borrowed.phase = snap1.phase.copy()
     borrowed.decay_acc = snap1.decay.copy()
     borrowed.weight = snap1.weight.copy()

@@ -38,6 +38,8 @@ from nhqc.propagator import (
 )
 from nhqc.sampler import initial_subsystem, sample_bath_point
 
+from engines import sampled_engine
+
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
 BP0 = BathParams(c=0.0, beta=0.1)
@@ -143,11 +145,10 @@ def paper_config(**kw):
     return SimConfig(**base)
 
 
-def reference_evolution(sp, bp, decay, config, n_steps):
-    """Evolve every nonzero ordered pair of sample 0 with the single-member
-    reference step and reconstruct the sample density matrix."""
-    R, P = sample_bath_point(bp, config.seed, 0, 1)
-    point = PhasePoint(R=R[:, 0], P=P[:, 0])
+def reference_evolution(sp, bp, decay, config, point, n_steps):
+    """Evolve every nonzero ordered pair started at the bath point ``point``
+    with the single-member reference step and reconstruct the sample
+    density matrix."""
     frame0 = build_frame(sp, bp, point.R)
     rho0 = initial_subsystem(config.initial_state)
     elements = frame0.vectors.conj().T @ rho0 @ frame0.vectors
@@ -167,23 +168,35 @@ def reference_evolution(sp, bp, decay, config, n_steps):
     return members, total
 
 
+# hand-picked starting points (R1, R2, P1, P2): two generic ones, one on
+# block A's crossing R1 + R2 = 0, and the origin
+REFERENCE_POINTS = np.array(
+    [[0.9, -0.4, 0.6, 1.3], [-1.7, 0.5, -0.8, 0.2], [1.1, -1.1, 0.7, -0.3], [0.0, 0.0, 0.0, 0.0]]
+)
+
+
 @pytest.mark.filterwarnings("ignore::nhqc.oracle.DegeneratePairWarning")
 @pytest.mark.parametrize("state,decay_kind,g", [(PHI, DecayKind.IDENTITY_UNIFORM, 0.5), (PSI, DecayKind.PROJECTOR_EE, 0.1)])
 def test_engine_matches_reference_route(state, decay_kind, g):
-    # closed-form block engine vs generic eigensolver route, 50 steps
+    # closed-form block engine vs generic eigensolver route from the same
+    # points, 50 steps
     decay = decay_operator(decay_kind, g)
     config = paper_config(initial_state=state)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+    r1, r2, p1, p2 = REFERENCE_POINTS.T
+    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config, (r1 + r2, r1 - r2), (p1 + p2, p1 - p2))
     engine.advance(50)
-    engine_matrix = engine.snapshot().sample_matrices().matrices()[0]
-    _, reference_matrix = reference_evolution(PAPER_SP, PAPER_BP, decay, config, 50)
-    assert np.max(np.abs(engine_matrix - reference_matrix)) < 1e-9
+    matrices = engine.snapshot().sample_matrices().matrices()
+    assert matrices.shape == (len(REFERENCE_POINTS), 4, 4)
+    for (r1, r2, p1, p2), matrix in zip(REFERENCE_POINTS, matrices):
+        point = PhasePoint(R=[r1, r2], P=[p1, p2])
+        _, reference = reference_evolution(PAPER_SP, PAPER_BP, decay, config, point, 50)
+        assert np.max(np.abs(matrix - reference)) < 1e-9
 
 
 def test_engine_identity_decay_is_uniform():
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
     config = paper_config(n_steps=100, n_samples=8)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay, config)
     engine.advance(100)  # t = 1
     snap = engine.snapshot()
     assert np.allclose(snap.decay, 1.0, atol=1e-12)  # rate 2*gamma1 = 1
@@ -192,7 +205,7 @@ def test_engine_identity_decay_is_uniform():
 
 def test_engine_phase_constant_gap_at_zero_coupling():
     config = paper_config(n_steps=100)
-    engine = EnsembleState(PAPER_SP, BP0, GAMMA0, config)
+    engine = sampled_engine(PAPER_SP, BP0, GAMMA0, config)
     engine.advance(100)
     snap = engine.snapshot()
     coher = (snap.alpha == 2) & (snap.alpha_prime == 3)
@@ -209,7 +222,7 @@ def member_rows(engine, k, members):
 
 def test_engine_diagonal_member_conserves_energy():
     config = paper_config(n_steps=1000, seed=3)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, config)
     snap0 = engine.snapshot()
     diag = np.nonzero(snap0.alpha == snap0.alpha_prime)[0][0]
     a = int(snap0.alpha[diag])
@@ -233,7 +246,7 @@ def test_engine_deterministic():
     config = paper_config(n_steps=20, n_samples=5, output_stride=10)
     runs = []
     for _ in range(2):
-        engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+        engine = sampled_engine(PAPER_SP, PAPER_BP, decay, config)
         outputs = []
         for k in range(3):
             if k:
@@ -251,7 +264,7 @@ def test_engine_deterministic():
 
 def test_member_count_constant():
     config = paper_config(n_samples=3, initial_state=PSI)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, config)
     n0 = engine.summary.n_members
     assert n0 == 3 * 9  # three slots populated -> nine ordered pairs per sample
     engine.advance(10)
@@ -260,7 +273,7 @@ def test_member_count_constant():
     assert snap.weight.size + np.count_nonzero(snap.alpha != snap.alpha_prime) == n0
     # the same ordered pairs in nonadiabatic mode
     config = paper_config(n_samples=3, initial_state=PSI, mode="nonadiabatic")
-    nonadiabatic = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
+    nonadiabatic = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, config)
     assert nonadiabatic.weight.size == snap.weight.size
     assert nonadiabatic.summary.n_members == n0
     assert np.all((0 <= snap.alpha) & (snap.alpha <= 3))
@@ -274,7 +287,7 @@ def test_snapshot_matrices_hermitian(mode, c):
     # X + X^dagger whatever its members hopped to, bit for bit
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     config = paper_config(n_samples=16, n_steps=40, initial_state=PSI, mode=mode)
-    engine = EnsembleState(PAPER_SP, BathParams(c=c, beta=0.1), decay, config)
+    engine = sampled_engine(PAPER_SP, BathParams(c=c, beta=0.1), decay, config)
     engine.advance(40)
     assert (engine.summary.n_hops > 0) == (mode == "nonadiabatic")
     mats = engine.snapshot().sample_matrices().matrices()
@@ -288,8 +301,8 @@ def test_nonadiabatic_reduces_to_adiabatic_without_coupling():
     config_n = SimConfig(
         n_steps=30, seed=99, n_samples=6, dt=0.01, initial_state=PHI, mode="nonadiabatic"
     )
-    ea = EnsembleState(PAPER_SP, BP0, GAMMA0, config_a)
-    en = EnsembleState(PAPER_SP, BP0, GAMMA0, config_n)
+    ea = sampled_engine(PAPER_SP, BP0, GAMMA0, config_a)
+    en = sampled_engine(PAPER_SP, BP0, GAMMA0, config_n)
     ea.advance(30)
     en.advance(30)
     assert en.summary.n_hops == 0
@@ -304,7 +317,7 @@ def test_nonadiabatic_hops_occur_and_stay_finite():
     config = SimConfig(
         n_steps=200, seed=5, n_samples=32, dt=0.01, initial_state=PHI, mode="nonadiabatic"
     )
-    engine = EnsembleState(PAPER_SP, strong, GAMMA0, config)
+    engine = sampled_engine(PAPER_SP, strong, GAMMA0, config)
     engine.advance(200)
     assert engine.summary.n_hops > 0
     snap = engine.snapshot()
@@ -382,7 +395,7 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
     # reproduces the step that evaluates the force twice
     sp, bp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5), BathParams(c=c, beta=0.1)
     config = SimConfig(n_steps=60, seed=5, n_samples=32, initial_state=state, mode=mode)
-    engine, reference = (EnsembleState(sp, bp, decay, config) for _ in range(2))
+    engine, reference = (sampled_engine(sp, bp, decay, config) for _ in range(2))
     engine.advance(60)
     decay = two_force_verlet(reference, 60)
     if mode == "nonadiabatic":
@@ -413,7 +426,7 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
 def test_decay_integrals_are_per_column_only_for_constant_adiabatic_rates(jy, decay, mode, per_column):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     config = SimConfig(n_steps=10, seed=5, n_samples=16, initial_state=PSI, mode=mode)
-    engine = EnsembleState(sp, PAPER_BP, decay, config)
+    engine = sampled_engine(sp, PAPER_BP, decay, config)
     engine.advance(10)
     n_columns = engine.weight.size // 16
     assert engine.decay_acc.shape == (n_columns, 1 if per_column else 16)
@@ -431,7 +444,7 @@ def test_constant_rate_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay
     # the step reads only energies and the per-block <sigma_z> rows; x and y
     # are built on first read, here by the reduction
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
-    engine = EnsembleState(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
+    engine = sampled_engine(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
     assert engine._gdiag_constant
     assert not any("vector" in vars(block) for block in engine._blocks if block is not None)
     engine.advance(3)
@@ -450,26 +463,40 @@ def test_simulate_rejects_an_empty_start():
         simulate(PAPER_SP, BathParams(c=1e308, beta=0.1), decay, config)
 
 
-def full_block_hop_uniforms(engine):
-    """Reference for the hop uniforms: every block's stream drawn in full
-    (CHUNK_SAMPLES * 16 uniforms), then read at the members' offsets."""
-    u = np.empty(engine.weight.size)
-    for chunk in np.unique(engine._hop_chunk):
-        seq = np.random.SeedSequence([engine.config.seed, HOP_STREAM_TAG, engine._step_index, int(chunk)])
-        block = np.random.Generator(np.random.Philox(seq)).random(CHUNK_SAMPLES * 16)
-        mask = engine._hop_chunk == chunk
-        u[mask] = block[engine._hop_offset[mask]]
-    return u
+def full_block_hop_uniforms(engine, start, codes):
+    """Reference for the hop uniforms: the stream of the samples' block drawn
+    in full (CHUNK_SAMPLES * 16 uniforms), member k * n + s read at
+    16 ((start + s) mod CHUNK_SAMPLES) plus its pair's code ``codes[k, s]``
+    as set up."""
+    seq = np.random.SeedSequence([engine.config.seed, HOP_STREAM_TAG, engine._step_index, start // CHUNK_SAMPLES])
+    block = np.random.Generator(np.random.Philox(seq)).random(CHUNK_SAMPLES * 16)
+    rows = (start + np.arange(engine.n_local)) % CHUNK_SAMPLES
+    return block[(rows * 16 + codes).ravel()]
 
 
 def test_hop_uniforms_equal_the_full_block_draw():
-    # 200 samples from 8100 straddle the first block boundary
+    # the last 92 samples of the second block
+    start, n = 2 * CHUNK_SAMPLES - 92, 92
     strong = BathParams(c=1.5, beta=0.1)
-    config = SimConfig(n_steps=3, seed=5, n_samples=16_384, initial_state=PSI, mode="nonadiabatic")
-    engine = EnsembleState(PAPER_SP, strong, GAMMA0, config, sample_start=8100, n_samples=200)
+    config = SimConfig(n_steps=3, seed=5, n_samples=2 * CHUNK_SAMPLES, initial_state=PSI, mode="nonadiabatic")
+    engine = sampled_engine(PAPER_SP, strong, GAMMA0, config, start, n)
+    codes = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, n)
     for _ in range(3):
-        assert np.array_equal(engine._hop_uniforms(), full_block_hop_uniforms(engine))
+        assert np.array_equal(engine._hop_uniforms(), full_block_hop_uniforms(engine, start, codes))
         engine.advance(1)
+    assert engine.summary.n_hops > 0
+
+
+@pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
+def test_engine_rejects_samples_across_two_blocks(mode):
+    # a nonadiabatic engine reads one block's hop stream: samples of the next
+    # block would silently read draws of the wrong stream
+    config = SimConfig(n_steps=1, seed=5, n_samples=2 * CHUNK_SAMPLES, initial_state=PSI, mode=mode)
+    rows = (np.zeros(200), np.zeros(200))
+    with pytest.raises(ValueError, match="straddle a block"):
+        EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config, rows, rows, CHUNK_SAMPLES - 100)
+    # ending on the boundary stays inside the first block
+    EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config, rows, rows, CHUNK_SAMPLES - 200)
 
 
 def sandwich_operands():
@@ -534,7 +561,7 @@ def pinned_hop_step(monkeypatch, c, uniform):
         n_steps=1, seed=7, n_samples=40, initial_state=tuple(ket / np.linalg.norm(ket)), mode="nonadiabatic"
     )
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
-    engine = EnsembleState(sp, BathParams(c=c, beta=0.1), decay, config)
+    engine = sampled_engine(sp, BathParams(c=c, beta=0.1), decay, config)
     assert all(block.half_gap is not None for block in engine._blocks) and len(engine._gamma_channels) == 24
     assert engine._cols == (range(10), range(10))
     members = np.arange(engine.weight.size)
@@ -697,7 +724,7 @@ def test_simulate_matches_engine_reduction():
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.2)
     config = paper_config(n_samples=10, n_steps=20, output_stride=10)
     series, summary = simulate(PAPER_SP, PAPER_BP, decay, config)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay, config)
     assert len(series.rows) == 3
     for k, row in enumerate(series.rows):
         if k:
@@ -711,7 +738,7 @@ def test_simulate_matches_engine_reduction():
 def test_decay_integral_monotone_for_psd_operator():
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.3)
     config = paper_config(n_samples=12, n_steps=60, initial_state=PSI)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay, config)
     # snapshots are views of the engine's arrays: keep copies to compare
     previous = engine.snapshot().decay.copy()
     for _ in range(6):
@@ -724,7 +751,7 @@ def test_decay_integral_monotone_for_psd_operator():
 def test_custom_ket_initial_state_runs():
     ket = tuple(np.array([1.0, 1.0, 1.0, 1.0]) / 2.0)
     config = SimConfig(n_steps=40, seed=13, n_samples=6, dt=0.01, initial_state=ket)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, config)
     engine.advance(40)
     red = reduce_snapshot(engine.snapshot())
     assert np.real(red.trace) == pytest.approx(1.0, abs=1e-10)
@@ -802,7 +829,7 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
     # at c = 1.5 nonadiabatic members hop, so a column holds several labels
     bp = BathParams(c=1.5 if mode == "nonadiabatic" else 0.24, beta=0.1)
     config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
-    engine = EnsembleState(sp, bp, decays[decay_name], config)
+    engine = sampled_engine(sp, bp, decays[decay_name], config)
     plans = []
     for steps in (0, 40):
         if steps:
@@ -873,7 +900,7 @@ def test_non_finite_phases_give_non_finite_factors_that_validate_rejects():
     assert np.array_equal(np.isfinite(factor), [True, False, False, False, True])
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
     for bad in (np.nan, np.inf, -np.inf):
-        engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8))
+        engine = sampled_engine(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8))
         engine.advance(5)
         engine.phase.reshape(-1, 8)[engine._live.start, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -882,7 +909,7 @@ def test_non_finite_phases_give_non_finite_factors_that_validate_rejects():
 
 def test_element_rows_reuse_the_engine_buffer():
     decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=32))
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=32))
     first = engine.snapshot().sample_matrices()
     kept = first.matrices()
     engine.advance(5)
@@ -904,7 +931,7 @@ def stored_labels(engine, k):
 
 
 def test_phi_stores_no_block_a_row_at_equal_exchange():
-    engine = EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, paper_config(n_samples=8))
+    engine = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, paper_config(n_samples=8))
     assert engine._cols[0] == range(0) and engine._q[0].size == engine._p[0].size == 0
     assert engine._blocks[0] is None
     assert stored_labels(engine, 1) == {(2, 2), (2, 3), (3, 3)}
@@ -913,7 +940,7 @@ def test_phi_stores_no_block_a_row_at_equal_exchange():
 
 def test_psi_stores_block_a_rows_only_for_its_block_a_labels():
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8, initial_state=PSI))
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay, paper_config(n_samples=8, initial_state=PSI))
     assert stored_labels(engine, 0) == {(0, 0), (0, 2), (0, 3)}
     assert stored_labels(engine, 1) == {(0, 2), (0, 3), (2, 2), (2, 3), (3, 3)}
     assert engine._q[0].size == 3 * 8 and engine._q[1].size == 5 * 8
@@ -929,7 +956,7 @@ def test_psi_stores_block_a_rows_only_for_its_block_a_labels():
 def test_cross_block_decay_stores_both_blocks_where_a_label_can_cross(jy, state):
     config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=state, mode="nonadiabatic")
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
-    engine = EnsembleState(sp, PAPER_BP, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), config)
+    engine = sampled_engine(sp, PAPER_BP, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), config)
     n_columns = engine.weight.size // 8
     if jy == -0.6:
         assert engine._cols == (range(n_columns), range(n_columns))

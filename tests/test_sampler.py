@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nhqc.model import PHI, PSI, BathParams, SimConfig, SpinChainParams, decay_operator
-from nhqc.propagator import EnsembleState
-from nhqc.sampler import bath_sigmas, initial_subsystem, sample_bath_point
+from nhqc.sampler import CHUNK_SAMPLES, bath_sigmas, initial_subsystem, sample_bath_point
+
+from engines import sampled_engine
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -57,17 +58,19 @@ def test_points_do_not_depend_on_the_block_split(start, n):
 
 
 def test_engine_starts_from_the_same_points_at_any_chunk_offset():
-    R_all, P_all = sample_bath_point(PAPER_BP, 5, 0, 16_384)
-    config = SimConfig(n_steps=1, seed=5, n_samples=16_384, initial_state=PSI)
-    engine = EnsembleState(PAPER_SP, PAPER_BP, decay_operator("identity", 0.0), config, 8000, 400)
+    # the last 192 samples of the second block
+    start, n = 2 * CHUNK_SAMPLES - 192, 192
+    R_all, P_all = sample_bath_point(PAPER_BP, 5, 0, 2 * CHUNK_SAMPLES)
+    config = SimConfig(n_steps=1, seed=5, n_samples=2 * CHUNK_SAMPLES, initial_state=PSI)
+    engine = sampled_engine(PAPER_SP, PAPER_BP, decay_operator("identity", 0.0), config, start, n)
     # every column a block stores starts from the normal coordinates of the
     # local samples, in order: q = R1 + R2, p = P1 + P2 for block A and the
     # differences for block B
-    R, P = R_all[:, 8000:8400], P_all[:, 8000:8400]
+    R, P = R_all[:, start : start + n], P_all[:, start : start + n]
     for k, sign in enumerate((1.0, -1.0)):
         assert engine._q[k].size > 0
-        assert np.array_equal(engine._q[k].reshape(-1, 400), np.broadcast_to(R[0] + sign * R[1], (engine._q[k].size // 400, 400)))
-        assert np.array_equal(engine._p[k].reshape(-1, 400), np.broadcast_to(P[0] + sign * P[1], (engine._p[k].size // 400, 400)))
+        assert np.array_equal(engine._q[k].reshape(-1, n), np.broadcast_to(R[0] + sign * R[1], (engine._q[k].size // n, n)))
+        assert np.array_equal(engine._p[k].reshape(-1, n), np.broadcast_to(P[0] + sign * P[1], (engine._p[k].size // n, n)))
 
 
 def test_initial_subsystem_phi():
@@ -107,7 +110,7 @@ def initial_members(bp, state, seed, n):
     diagonal member starts at half its element, its implicit partner
     adding the other half."""
     config = SimConfig(n_steps=1, seed=seed, n_samples=n, initial_state=state)
-    snap = EnsembleState(PAPER_SP, bp, decay_operator("identity", 0.0), config).snapshot()
+    snap = sampled_engine(PAPER_SP, bp, decay_operator("identity", 0.0), config).snapshot()
     elements = snap.weight * np.where(snap.alpha == snap.alpha_prime, 2.0, 1.0)
     return snap.alpha.reshape(-1, n), snap.alpha_prime.reshape(-1, n), elements.reshape(-1, n)
 
