@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,7 @@ class ConfigError(ValueError):
 # keys a configuration may leave out; each takes the default of the run
 # parameter field that ``CONFIG_KEYS`` names for it
 _OPTIONAL = ("mass", "omega", "dt", "samples", "mode", "output_stride")
-_OWNERS = {"bp": BathParams, "config": SimConfig}
-_DEFAULTS = {
-    key: {f.name: f.default for f in fields(_OWNERS[owner])}[attr]
-    for key in _OPTIONAL
-    for _, owner, attr in [CONFIG_KEYS[key]]
-}
-_MANDATORY = [key for key in CONFIG_KEYS if key not in _DEFAULTS]
+_MANDATORY = [key for key in CONFIG_KEYS if key not in _OPTIONAL]
 
 
 def parse_config(source) -> tuple[SpinChainParams, BathParams, DecaySpec, SimConfig]:
@@ -85,20 +79,17 @@ def parse_config(source) -> tuple[SpinChainParams, BathParams, DecaySpec, SimCon
     missing = [k for k in _MANDATORY if k not in values]
     if missing:
         raise ConfigError(f"missing mandatory keys: {', '.join(missing)}")
-    merged = {**_DEFAULTS, **values}
+    # each parameter object takes the fields its keys name; a key the file
+    # leaves out is not passed, so the field's default applies
+    args = {"sp": {}, "bp": {}, "decay": {}, "config": {}}
+    for key, value in values.items():
+        _, owner, attr = CONFIG_KEYS[key]
+        args[owner][attr] = value
     try:
-        sp = SpinChainParams(jx=merged["jx"], jy=merged["jy"], jz=merged["jz"])
-        bp = BathParams(mass=merged["mass"], omega=merged["omega"], c=merged["c"], beta=merged["beta"])
-        decay = decay_operator(merged["gamma_kind"], merged["gamma"])
-        config = SimConfig(
-            n_steps=merged["steps"],
-            seed=merged["seed"],
-            dt=merged["dt"],
-            n_samples=merged["samples"],
-            mode=merged["mode"],
-            initial_state=merged["initial_state"],
-            output_stride=merged["output_stride"],
-        )
+        sp = SpinChainParams(**args["sp"])
+        bp = BathParams(**args["bp"])
+        decay = decay_operator(values["gamma_kind"], values["gamma"])
+        config = SimConfig(**args["config"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return sp, bp, decay, config

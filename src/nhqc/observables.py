@@ -27,7 +27,6 @@ __all__ = [
     "TimeSeries",
     "emit_plot_script",
     "read_csv",
-    "reduce_snapshot",
     "write_csv",
 ]
 
@@ -143,16 +142,6 @@ class MomentAccumulator:
         if self.count > 1:
             return float(np.sqrt(self.trace_m2 / (self.count - 1) / self.count))
         return 0.0
-
-
-def reduce_snapshot(snapshot) -> ReducedDensity:
-    """Average an ensemble snapshot into the subsystem basis.
-
-    Every member contributes weight * exp(-i phase) * exp(-decay) to its
-    adiabatic element, back-rotated with the frame of its own trajectory;
-    contributions are summed per sample, then averaged over samples.
-    """
-    return MomentAccumulator.from_samples(snapshot.sample_matrices()).density()
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@
   engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
-Apart from that slot layout, the member factor and the block solve that
-``frames_at`` wraps (it is what the eigensolver route checks), nothing here
-shares code with
-the ensemble engine, which runs on the closed-form block frames of
-``nhqc.adiabatic`` in normal coordinates and reads them only as each
-slot's two components.
+Apart from that slot layout, the member factor, the block solve that
+``frames_at`` wraps (it is what the eigensolver route checks) and the block
+derivative coupling ``slot_coupling`` that ``oscillator_couplings`` maps to
+oscillator space, nothing here shares code with the ensemble engine, which
+runs on the closed-form block frames of ``nhqc.adiabatic`` in normal
+coordinates and reads them only as each slot's two components.
 """
 
 from __future__ import annotations

@@ -42,8 +42,8 @@ difference of the labels' block means plus their signed half gaps, the
 bath potential V_bath cancelling in it, so the engine never builds V_bath.
 Its velocity-Verlet step evaluates the force once: the force (as the half
 kick) is cached with each member's frequency and decay rate, and these rows
-are rebuilt after every drift and, for the members that hopped, after the
-hop stage.  The adiabatic step restated for a single member on the generic
+are rebuilt after every drift and after every hop stage that draws a
+transition.  The adiabatic step restated for a single member on the generic
 eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
 has no nonadiabatic counterpart.
 
@@ -392,9 +392,10 @@ class EnsembleSnapshot:
 class EnsembleState:
     """Vectorized ensemble over samples [sample_start, sample_start + n),
     started from their normal-mode rows q0 = (q_A, q_B) and p0 = (p_A, p_B),
-    each of shape (n,).  The samples lie in one block of ``CHUNK_SAMPLES``,
-    whose hop stream a nonadiabatic engine reads; a range across two blocks
-    raises ``ValueError``.
+    each of shape (n,) with n >= 1 and sample_start >= 0.  The samples lie
+    in one block of ``CHUNK_SAMPLES``, whose hop stream a nonadiabatic engine
+    reads.  Rows of another shape, a negative start or a range across two
+    blocks raise ``ValueError``.
 
     Member arrays are laid out column by column as in ``EnsembleSnapshot``,
     one member per unordered pair, alpha <= alpha' at the start, under the
@@ -418,6 +419,15 @@ class EnsembleState:
         sample_start: int = 0,
     ):
         self.sp, self.bp, self.decay, self.config = sp, bp, decay, config
+        if len(q0) != 2 or len(p0) != 2:
+            raise ValueError(f"q0 and p0 must hold two rows each (blocks A and B), got {len(q0)} and {len(p0)}")
+        shapes = [np.shape(row) for rows in (q0, p0) for row in rows]
+        if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) != 1:
+            raise ValueError(f"q0 and p0 must be 1-D rows of one length, got shapes {shapes}")
+        if not shapes[0][0]:
+            raise ValueError("q0 and p0 hold no sample")
+        if sample_start < 0:
+            raise ValueError(f"sample_start must be >= 0, got {sample_start}")
         self.n_local = len(q0[0])
         stop = sample_start + self.n_local
         if sample_start // CHUNK_SAMPLES != (stop - 1) // CHUNK_SAMPLES:
@@ -627,35 +637,6 @@ class EnsembleState:
                 part += coef["count", 2 * k + 1][columns.start : columns.stop] * lower
                 gamma[columns.start : columns.stop] += part
 
-    def _refresh_member_rows(self, members: np.ndarray) -> None:
-        """The pair caches of ``members`` alone (nonadiabatic mode), after a
-        transition changed their labels.  Every cached entry is elementwise
-        in its member and formed in the order of ``_refresh_pair_caches``,
-        so this equals a full refresh bit for bit."""
-        n, coef = self.n_local, self._coef
-        omega = coef["mu"].reshape(-1)[members]
-        gamma = None if self._gdiag_constant else np.zeros(members.size)
-        for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
-            if block is None:
-                continue
-            inside = (members >= columns.start * n) & (members < columns.stop * n)
-            sel = members[inside]
-            rows = sel - columns.start * n
-            kick = self._q[k][rows] * -self._restore
-            if self._pulls[k]:
-                kick += coef["cn", k].reshape(-1)[sel] * (block.sz[rows] if isinstance(block.sz, np.ndarray) else block.sz)
-            kick *= 0.5 * self.config.dt
-            self._kick_rows[k][rows] = kick
-            omega[inside] += coef["g", k].reshape(-1)[sel] * block.upper[rows]
-            if gamma is not None:
-                gd = self._gdiag[k]
-                part = coef["count", 2 * k].reshape(-1)[sel] * gd[0, rows]
-                part += coef["count", 2 * k + 1].reshape(-1)[sel] * gd[1, rows]
-                gamma[inside] += part
-        self._omega.reshape(-1)[members - self._live.start * n] = omega
-        if gamma is not None:
-            self._gamma.reshape(-1)[members] = gamma
-
     # -- time stepping ----------------------------------------------------
 
     def advance(self, n_steps: int) -> None:
@@ -786,11 +767,10 @@ class EnsembleState:
             labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
             moved.append(idx)
-        # every cached row is elementwise in its member, so only the rows of
-        # the members that hopped change
-        moved = np.concatenate(moved)
-        self._relabel(moved)
-        self._refresh_member_rows(moved)
+        # the step's own refresh rebuilds the pair caches for the new labels;
+        # ``advance`` has read the spare buffers it swaps in by now
+        self._relabel(np.concatenate(moved))
+        self._refresh_pair_caches()
 
     # -- views -------------------------------------------------------------
 

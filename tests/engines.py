@@ -1,5 +1,8 @@
-"""Engines started from the thermal Wigner points of a configuration's seed."""
+"""Engines started from the thermal Wigner points of a configuration's seed,
+and the reduction of one engine snapshot to its sample-mean density."""
 
+from nhqc.model import ReducedDensity
+from nhqc.observables import MomentAccumulator
 from nhqc.propagator import EnsembleState
 from nhqc.sampler import sample_bath_point
 
@@ -12,3 +15,14 @@ def sampled_engine(sp, bp, decay, config, sample_start=0, n_samples=None):
     n = config.n_samples if n_samples is None else n_samples
     (r1, r2), (p1, p2) = sample_bath_point(bp, config.seed, sample_start, n)
     return EnsembleState(sp, bp, decay, config, (r1 + r2, r1 - r2), (p1 + p2, p1 - p2), sample_start)
+
+
+def reduce_snapshot(snapshot) -> ReducedDensity:
+    """Average an ensemble snapshot into the subsystem basis, as ``simulate``
+    reduces each output of a one-chunk run.
+
+    Every member contributes weight * exp(-i phase) * exp(-decay) to its
+    adiabatic element, back-rotated with the frame of its own trajectory;
+    contributions are summed per sample, then averaged over samples.
+    """
+    return MomentAccumulator.from_samples(snapshot.sample_matrices()).density()

@@ -18,13 +18,12 @@ from nhqc.observables import (
     TimeSeries,
     emit_plot_script,
     read_csv,
-    reduce_snapshot,
     write_csv,
 )
 from nhqc.propagator import simulate
 from nhqc.sampler import initial_subsystem
 
-from engines import sampled_engine
+from engines import reduce_snapshot, sampled_engine
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)

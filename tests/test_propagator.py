@@ -14,7 +14,6 @@ from nhqc.model import (
     SpinChainParams,
     decay_operator,
 )
-from nhqc.observables import reduce_snapshot
 from nhqc.oracle import (
     PairTrajectory,
     PhasePoint,
@@ -38,7 +37,7 @@ from nhqc.propagator import (
 )
 from nhqc.sampler import initial_subsystem, sample_bath_point
 
-from engines import sampled_engine
+from engines import reduce_snapshot, sampled_engine
 
 PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
@@ -499,6 +498,24 @@ def test_engine_rejects_samples_across_two_blocks(mode):
     EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config, rows, rows, CHUNK_SAMPLES - 200)
 
 
+@pytest.mark.parametrize(
+    "q0, p0, start, fault",
+    [
+        ((np.zeros(0), np.zeros(0)), (np.zeros(0), np.zeros(0)), 0, "hold no sample"),
+        ((np.zeros(8), np.zeros(8)), (np.zeros(8), np.zeros(8)), -1, "sample_start must be >= 0, got -1"),
+        ((np.zeros(8), np.zeros(7)), (np.zeros(8), np.zeros(8)), 0, "1-D rows of one length"),
+        ((np.zeros(8), np.zeros(8)), (np.zeros(9), np.zeros(9)), 0, "1-D rows of one length"),
+        ((np.zeros((8, 1)), np.zeros((8, 1))), (np.zeros((8, 1)), np.zeros((8, 1))), 0, "1-D rows of one length"),
+        ((np.zeros(8),) * 3, (np.zeros(8),) * 2, 0, "two rows each"),
+    ],
+    ids=["empty", "negative-start", "unequal-blocks", "unequal-q-p", "2-D", "three-rows"],
+)
+def test_engine_rejects_bad_starting_rows(q0, p0, start, fault):
+    config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=PSI)
+    with pytest.raises(ValueError, match=fault):
+        EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config, q0, p0, start)
+
+
 def sandwich_operands():
     """Densities and decay operators the slot sandwich must reproduce: the
     two preparations, a complex custom ket, and identity, projector and a
@@ -570,7 +587,7 @@ def pinned_hop_step(monkeypatch, c, uniform):
     engine.alpha[flip], engine.alpha_prime[flip] = engine.alpha_prime[flip], engine.alpha[flip]
     engine.weight[flip] = np.conj(engine.weight[flip])
     engine._relabel(flip)
-    engine._refresh_member_rows(flip)
+    engine._refresh_pair_caches()
     monkeypatch.setattr(EnsembleState, "_hop_uniforms", lambda self: np.full(self.weight.size, uniform))
     before = {}
     hop_stage = engine._hop_stage
