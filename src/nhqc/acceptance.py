@@ -1,9 +1,7 @@
 """Acceptance criteria for the simulator, runnable from the CLI and pytest.
 
 Each criterion returns a CriterionResult with a human-readable detail line;
-expensive time series are cached and shared between criteria.  ``quick``
-mode shrinks ensemble sizes for smoke testing and is not the acceptance
-gate.
+expensive time series are cached and shared between criteria.
 """
 
 from __future__ import annotations
@@ -24,7 +22,14 @@ from .model import (
     subsystem_hamiltonian,
 )
 from .observables import write_csv
-from .oracle import analytic_energies, frames_at, slot_sigma_z, solve_quantum, trace_law_projector
+from .oracle import (
+    analytic_energies,
+    frames_at,
+    slot_sigma_z,
+    solve_quantum,
+    trace_law_identity,
+    trace_law_projector,
+)
 from .propagator import simulate
 from .sampler import bath_sigmas, initial_subsystem, sample_bath_point
 
@@ -62,20 +67,20 @@ def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24):
     return _CACHE[key]
 
 
-def criterion_1(quick: bool = False) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Identity-decay trace law at full coupling, plus the runtime target."""
-    samples = 2000 if quick else 50_000
+    samples = 50_000
     budget = 120.0
     worst = 0.0
     slowest = 0.0
     for gamma1 in (0.1, 0.5, 1.0):
         series, _, wall = _cached_run("identity", gamma1, PHI, samples)
         times = series.times()
-        dev = np.max(np.abs(series.traces() - np.exp(-2.0 * gamma1 * times)))
-        worst = max(worst, dev)
+        law = np.array([trace_law_identity(gamma1, t) for t in times])
+        worst = max(worst, float(np.max(np.abs(series.traces() - law))))
         slowest = max(slowest, wall)
     series0, _, wall0 = _cached_run("identity", 0.0, PHI, samples)
-    dev0 = np.max(np.abs(series0.traces() - 1.0))
+    dev0 = float(np.max(np.abs(series0.traces() - 1.0)))
     slowest = max(slowest, wall0)
     passed = worst < 1e-8 and dev0 < 1e-10 and slowest < budget
     return CriterionResult(
@@ -88,9 +93,9 @@ def criterion_1(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_2(quick: bool = False) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Projector-decay trace law with the half plateau."""
-    samples = 2000 if quick else 10_000
+    samples = 10_000
     worst = 0.0
     plateau_gap = None
     for gamma2 in (0.001, 0.01, 0.1):
@@ -100,7 +105,7 @@ def criterion_2(quick: bool = False) -> CriterionResult:
         worst = max(worst, float(np.max(np.abs(series.traces() - law))))
         if gamma2 == 0.1:
             plateau_gap = float(series.traces()[-1] - 0.5)
-    expected_gap = 0.5 * np.exp(-2.0)
+    expected_gap = trace_law_projector(0.1, 10.0, 0.5) - 0.5
     plateau_ok = abs(plateau_gap - expected_gap) < 1e-8
     passed = worst < 1e-8 and plateau_ok
     return CriterionResult(
@@ -112,9 +117,9 @@ def criterion_2(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_3(quick: bool = False) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Bath-decoupled runs reproduce the dense-matrix integrator."""
-    samples = 64 if quick else 256
+    samples = 256
     h_s = subsystem_hamiltonian(REFERENCE_SP)
     worst = 0.0
     for kind, gamma in (("identity", 0.5), ("projector_ee", 0.1)):
@@ -134,12 +139,12 @@ def criterion_3(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_4(quick: bool = False) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """The engine's closed-form frame energies, forces and couplings against
     independent oracles."""
     sp, bp = REFERENCE_SP, REFERENCE_BP
     rng = np.random.default_rng(ACCEPT_SEED)
-    n_energy = 200 if quick else 1000
+    n_energy = 1000
     R = rng.uniform(-10, 10, (2, n_energy))
     levels = np.sort(frames_at(sp, bp, R).energies, axis=0)
     worst_e = max(
@@ -150,7 +155,7 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     # Hellmann-Feynman force of every slot, c <sz_k> - M omega^2 R_k,
     # against central differences of that slot's energy
     h = 1e-5
-    R = rng.uniform(-4, 4, (2, 20 if quick else 100))
+    R = rng.uniform(-4, 4, (2, 100))
     frames = frames_at(sp, bp, R)
     force = bp.c * slot_sigma_z(frames.blocks) - bp.mass * bp.omega**2 * R[:, None, :]
     worst_f = 0.0
@@ -180,15 +185,15 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_5(quick: bool = False) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Bath-sampling variance and 1/sqrt(N) scaling of the stderr."""
-    n_draws = 100_000 if quick else 1_000_000
+    n_draws = 1_000_000
     target = bath_sigmas(REFERENCE_BP)[0] ** 2
     R, P = sample_bath_point(REFERENCE_BP, ACCEPT_SEED + 1, 0, n_draws)
     variances = np.concatenate([R, P]).var(axis=1)
     var_dev = float(np.max(np.abs(variances / target - 1.0)))
 
-    big_samples = 2000 if quick else 50_000
+    big_samples = 50_000
     small_samples = big_samples // 4
     big, _, _ = _cached_run("identity", 0.0, PHI, big_samples)
     small, _, _ = _cached_run("identity", 0.0, PHI, small_samples)
@@ -205,10 +210,10 @@ def criterion_5(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_6(quick: bool = False) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Hermiticity and trace monotonicity on the reference runs."""
-    samples_1 = 2000 if quick else 50_000
-    samples_2 = 2000 if quick else 10_000
+    samples_1 = 50_000
+    samples_2 = 10_000
     worst_h = 0.0
     growth = -np.inf
     for kind, gamma, state, samples in (
@@ -231,9 +236,9 @@ def criterion_6(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_7(quick: bool = False) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Identical output bytes for 1, 2 and 8 worker threads."""
-    samples = 2000 if quick else 20_000
+    samples = 20_000
     config = SimConfig(
         n_steps=100,
         seed=ACCEPT_SEED + 2,
@@ -259,7 +264,7 @@ def criterion_7(quick: bool = False) -> CriterionResult:
     )
 
 
-def run_all(quick: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     checks = (
         criterion_1,
         criterion_2,
@@ -269,4 +274,4 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         criterion_6,
         criterion_7,
     )
-    return [check(quick=quick) for check in checks]
+    return [check() for check in checks]

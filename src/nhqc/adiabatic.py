@@ -45,9 +45,11 @@ vectors are NaN; ``nhqc run`` reports the resulting non-finite curve as an
 invariant violation.
 
 The generic eigensolver route (``nhqc.oracle.build_frame``) cross-checks
-these frames in the test suite, through the oracle's view of both blocks at
-oscillator coordinates R (``nhqc.oracle.frames_at``).  Acceptance criterion
-4 checks their energies against the closed form
+these frames in the test suite: it solves the two blocks of the dense h(R)
+numerically, in the same slot order and gauge, so its energies, vectors and
+couplings equal those of the oracle's view of both blocks at oscillator
+coordinates R (``nhqc.oracle.frames_at``) slot by slot, with no matching
+across crossings.  Acceptance criterion 4 checks their energies against the closed form
 ``nhqc.oracle.analytic_energies`` and their forces against finite
 differences of those energies.
 """

@@ -219,11 +219,11 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
     return 0
 
 
-def check(quick: bool = False) -> int:
+def check() -> int:
     """Run the acceptance criteria and print one verdict line per criterion."""
     from .acceptance import run_all
 
-    results = run_all(quick=quick)
+    results = run_all()
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] criterion {res.number}: {res.name} -- {res.detail}")
@@ -249,15 +249,14 @@ def main(argv=None) -> int:
     p_preset.add_argument("--samples", type=int, default=50_000)
     p_preset.add_argument("--threads", type=int, default=1)
 
-    p_check = sub.add_parser("check", help="run the acceptance suite")
-    p_check.add_argument("--quick", action="store_true", help="reduced sizes (smoke test, not the gate)")
+    sub.add_parser("check", help="run the acceptance suite")
 
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, args.out, threads=args.threads)
     if args.command == "preset":
         return preset(args.name, args.out, seed=args.seed, samples=args.samples, threads=args.threads)
-    return check(quick=args.quick)
+    return check()
 
 
 if __name__ == "__main__":

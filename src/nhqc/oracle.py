@@ -2,10 +2,11 @@
 
 * The bath-decoupled limit (dense-matrix RK4) and the two closed-form trace
   laws, exact answers in the regimes where they exist.
-* The generic eigensolver route: ``build_frame`` diagonalizes the full 4x4
-  dressed Hamiltonian numerically (LAPACK), sorts energies ascending and
-  fixes the eigenvector gauge; Hellmann-Feynman forces, derivative
-  couplings and decay matrices follow from its frames.
+* The generic eigensolver route: ``build_frame`` diagonalizes the two 2x2
+  blocks of the dense dressed Hamiltonian on ``SLOT_ROWS`` numerically
+  (LAPACK), after checking that nothing lies outside them, and returns the
+  levels in slot order and the engine's gauge; Hellmann-Feynman forces,
+  derivative couplings and decay matrices follow from its frames.
 * ``frames_at``, the engine's closed-form blocks solved together at
   oscillator coordinates R (block A on R1 + R2, block B on R1 - R2) with
   V_bath added back: the (4, n) slot energies and (n, 2) derivative
@@ -27,18 +28,18 @@
   engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
-Apart from that slot layout, the member factor, the block solve that
-``frames_at`` wraps (it is what the eigensolver route checks) and the block
-derivative coupling ``slot_coupling`` that ``oscillator_couplings`` maps to
-oscillator space, nothing here shares code with the ensemble engine, which
-runs on the closed-form block frames of ``nhqc.adiabatic`` in normal
-coordinates and reads them only as each slot's two components.
+Apart from the slot layout (which ``build_frame`` reads too), the member
+factor, the block solve that ``frames_at`` wraps (it is what the
+eigensolver route checks) and the block derivative coupling
+``slot_coupling`` that ``oscillator_couplings`` maps to oscillator space,
+nothing here shares code with the ensemble engine, which runs on the
+closed-form block frames of ``nhqc.adiabatic`` in normal coordinates and
+reads them only as each slot's two components.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +60,6 @@ __all__ = [
     "DEGENERACY_TOL",
     "AdiabaticFrame",
     "DegeneratePairError",
-    "DegeneratePairWarning",
-    "GammaAdiabatic",
     "PairTrajectory",
     "PhasePoint",
     "QuantumState",
@@ -72,7 +71,6 @@ __all__ = [
     "dressed_hamiltonian",
     "frame_matrices",
     "frames_at",
-    "frame_permutation",
     "gamma_in_adiabatic",
     "hamiltonian_gradient",
     "hellmann_feynman_force",
@@ -152,16 +150,13 @@ class DegeneratePairError(Exception):
     """Raised when a nonadiabatic coupling is requested across a degeneracy."""
 
 
-class DegeneratePairWarning(UserWarning):
-    """Emitted when a Hellmann-Feynman force touches a degenerate level."""
-
-
 @dataclass(frozen=True)
 class AdiabaticFrame:
     """Eigen-decomposition of the dressed subsystem Hamiltonian at fixed R.
 
-    ``energies`` are ascending (stable tie order); column alpha of ``vectors``
-    is the adiabatic state |alpha;R> expressed in the subsystem basis.
+    ``energies`` (V_bath included) and the columns of ``vectors`` are in
+    slot order: column alpha is slot alpha's state |alpha;R> in the
+    subsystem basis.
     """
 
     R_at: np.ndarray
@@ -189,81 +184,38 @@ def hamiltonian_gradient(bp: BathParams, R: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _resolve_degeneracies(energies: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate eigenvectors inside degenerate groups onto the coupling axes.
+def build_frame(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> AdiabaticFrame:
+    """Diagonalize h(R) block by block, in slot order and the engine's gauge.
 
-    Within each group the vectors are chosen to diagonalize the projection of
-    sz^(1) (then sz^(2) for any remaining tie), ordered by descending
-    expectation value.  For this model that yields exactly |ee>, |gg> at the
-    crossing of block A.
-    """
-    i = 0
-    while i < 4:
-        j = i + 1
-        while j < 4 and energies[j] - energies[i] < DEGENERACY_TOL:
-            j += 1
-        if j - i > 1:
-            sub = vectors[:, i:j]
-            # tiny symmetry-breaking sz2 admixture resolves ties deterministically
-            op = np.diag(SZ1_DIAG + 1e-4 * SZ2_DIAG).astype(complex)
-            proj = sub.conj().T @ op @ sub
-            vals, rot = np.linalg.eigh(proj)
-            order = np.argsort(vals)[::-1]
-            vectors[:, i:j] = sub @ rot[:, order]
-        i = j
-    return energies, vectors
-
-
-def _canonical_gauge(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    lead = np.argmax(np.abs(vectors), axis=0)
-    for col in range(vectors.shape[1]):
-        pivot = vectors[lead[col], col]
-        if abs(pivot) > 0:
-            vectors[:, col] *= np.conj(pivot) / abs(pivot)
-    return vectors
-
-
-def build_frame(
-    sp: SpinChainParams,
-    bp: BathParams,
-    R: np.ndarray,
-    previous: AdiabaticFrame | None = None,
-) -> AdiabaticFrame:
-    """Diagonalize h(R); energies ascending, gauge fixed, optionally phase-
-    aligned against a previous frame for continuity along a trajectory.
-
-    With ``previous`` given, each column is phase-rotated so its overlap with
-    the same column of the previous frame is real positive; columns whose
-    same-index overlap is small (a surface crossing happened in between) keep
-    the canonical gauge, and ``frame_permutation`` recovers the relabeling.
+    Each 2x2 block of h(R) on ``SLOT_ROWS`` goes to ``np.linalg.eigh``; a
+    nonzero entry outside the two blocks is a ``ValueError``.  A block with
+    a nonzero off-diagonal element puts its higher level in the upper slot;
+    a diagonal block keeps its basis states, the first in the upper slot.
+    Each vector is made real positive on its own row (the block's first row
+    for the upper slot, its second for the lower).
     """
     R = np.asarray(R, dtype=float)
     h = dressed_hamiltonian(sp, bp, R)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite Hamiltonian; cannot diagonalize")
-    energies, vectors = np.linalg.eigh(h)
-    energies, vectors = _resolve_degeneracies(energies, vectors)
-    vectors = _canonical_gauge(vectors)
-    if previous is not None:
-        overlaps = np.einsum("ia,ia->a", previous.vectors.conj(), vectors)
-        for col in range(4):
-            if abs(overlaps[col]) > 0.1:
-                vectors[:, col] *= np.conj(overlaps[col]) / abs(overlaps[col])
+    energies = np.empty(4)
+    vectors = np.zeros((4, 4), dtype=complex)
+    outside = np.ones((4, 4), dtype=bool)
+    for k in range(2):
+        rows, slots = np.ix_(SLOT_ROWS[2 * k], SLOT_ROWS[2 * k]), [2 * k, 2 * k + 1]
+        outside[rows] = False
+        block = h[rows]
+        if block[0, 1] == 0:
+            e, v = np.real(np.diag(block)), np.eye(2, dtype=complex)
+        else:
+            e, v = np.linalg.eigh(block)
+            e, v = e[::-1], v[:, ::-1]
+        own = np.diag(v)
+        energies[slots] = e
+        vectors[rows[0], slots] = v * (np.conj(own) / np.abs(own))
+    if np.any(h[outside] != 0):
+        raise ValueError("h(R) has a nonzero entry outside its two slot blocks")
     return AdiabaticFrame(R_at=R, energies=energies, vectors=vectors)
-
-
-def frame_permutation(previous: AdiabaticFrame, current: AdiabaticFrame) -> np.ndarray:
-    """Column of ``current`` continuing each labeled state of ``previous``.
-
-    Returns perm with perm[i] = j such that |<i;R_prev | j;R_now>| is maximal.
-    Raises if the assignment is not a bijection (frames too far apart).
-    """
-    overlap = np.abs(previous.vectors.conj().T @ current.vectors)
-    perm = np.argmax(overlap, axis=1)
-    if len(set(perm.tolist())) != 4:
-        raise ValueError("frames too far apart to track state labels")
-    return perm
 
 
 def analytic_energies(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.ndarray:
@@ -289,34 +241,10 @@ def analytic_energies(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.
 def hellmann_feynman_force(
     sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int
 ) -> np.ndarray:
-    """Force on surface alpha: -<alpha| dh/dR |alpha>.
-
-    Warns (but still answers) when alpha sits within DEGENERACY_TOL of
-    another level, where the adiabatic surface is not differentiable in
-    general.
-    """
-    gaps = np.abs(frame.energies - frame.energies[alpha])
-    gaps[alpha] = np.inf
-    if np.min(gaps) < DEGENERACY_TOL:
-        warnings.warn(
-            f"force on level {alpha} within {DEGENERACY_TOL} of a degeneracy",
-            DegeneratePairWarning,
-            stacklevel=2,
-        )
+    """Force on slot alpha: -<alpha| dh/dR |alpha>."""
     grad = hamiltonian_gradient(bp, frame.R_at)
     vec = frame.vectors[:, alpha]
     return -np.real(np.einsum("i,kij,j->k", vec.conj(), grad, vec))
-
-
-def _coupling_vector(bp: BathParams, frame: AdiabaticFrame, alpha: int, beta: int) -> np.ndarray:
-    gap = frame.energies[beta] - frame.energies[alpha]
-    if abs(gap) < DEGENERACY_TOL:
-        raise DegeneratePairError(
-            f"levels {alpha}, {beta} degenerate within {DEGENERACY_TOL}"
-        )
-    grad = hamiltonian_gradient(bp, frame.R_at)
-    element = np.einsum("i,kij,j->k", frame.vectors[:, alpha].conj(), grad, frame.vectors[:, beta])
-    return element / gap
 
 
 def nonadiabatic_coupling(
@@ -325,24 +253,17 @@ def nonadiabatic_coupling(
     """Derivative coupling d_ab = <a| dh/dR |b> / (E_b - E_a), length 2."""
     if alpha == beta:
         raise ValueError("coupling defined between distinct states")
-    return _coupling_vector(bp, frame, alpha, beta)
+    gap = frame.energies[beta] - frame.energies[alpha]
+    if abs(gap) < DEGENERACY_TOL:
+        raise DegeneratePairError(f"slots {alpha}, {beta} degenerate within {DEGENERACY_TOL}")
+    grad = hamiltonian_gradient(bp, frame.R_at)
+    element = np.einsum("i,kij,j->k", frame.vectors[:, alpha].conj(), grad, frame.vectors[:, beta])
+    return element / gap
 
 
-@dataclass(frozen=True)
-class GammaAdiabatic:
-    """Decay operator in the adiabatic basis, split diagonal/off-diagonal."""
-
-    full: np.ndarray
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-
-def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> GammaAdiabatic:
-    """Rotate the decay operator into the frame and split it."""
-    full = frame.vectors.conj().T @ decay.matrix @ frame.vectors
-    diag = np.real(np.diag(full)).copy()
-    offdiag = full - np.diag(np.diag(full))
-    return GammaAdiabatic(full=full, diag=diag, offdiag=offdiag)
+def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> np.ndarray:
+    """The decay operator in the frame, V^dagger Gamma V, shape (4, 4)."""
+    return frame.vectors.conj().T @ decay.matrix @ frame.vectors
 
 
 @dataclass(frozen=True)
@@ -539,40 +460,28 @@ def sstp_step(
 
     Reference implementation of the engine's adiabatic step: velocity Verlet
     on the mean surface, trapezoidal phase and decay accumulation over the
-    endpoint frames, and state labels tracked through crossings by frame
-    overlap.  The nonadiabatic transition stage has no restatement here.
+    endpoint frames.  The member keeps its slot labels, which run on through
+    every crossing.  The nonadiabatic transition stage has no restatement
+    here.
     """
-    alpha, alpha_p = member.alpha, member.alpha_prime
-    store: dict = {}
+    pair = [member.alpha, member.alpha_prime]
+    frames = [frame]
+
+    def forces(f: AdiabaticFrame) -> list:
+        return [hellmann_feynman_force(sp, bp, f, a) for a in pair]
 
     def mean_force(r_new):
-        nxt = build_frame(sp, bp, r_new, previous=frame)
-        perm = frame_permutation(frame, nxt)
-        store["frame"] = nxt
-        store["perm"] = perm
-        fa = hellmann_feynman_force(sp, bp, nxt, int(perm[alpha]))
-        fb = hellmann_feynman_force(sp, bp, nxt, int(perm[alpha_p]))
-        return 0.5 * (fa + fb)
+        frames.append(build_frame(sp, bp, r_new))
+        f_a, f_b = forces(frames[1])
+        return 0.5 * (f_a + f_b)
 
-    f_a = hellmann_feynman_force(sp, bp, frame, alpha)
-    f_b = hellmann_feynman_force(sp, bp, frame, alpha_p)
-    point = classical_step(member.point, (f_a, f_b), bp, dt, mean_force)
-    nxt: AdiabaticFrame = store["frame"]
-    a1 = int(store["perm"][alpha])
-    b1 = int(store["perm"][alpha_p])
-
-    gad0 = gamma_in_adiabatic(decay, frame)
-    gad1 = gamma_in_adiabatic(decay, nxt)
-    omega0 = frame.energies[alpha] - frame.energies[alpha_p]
-    omega1 = nxt.energies[a1] - nxt.energies[b1]
-    gamma0 = gad0.diag[alpha] + gad0.diag[alpha_p]
-    gamma1 = gad1.diag[a1] + gad1.diag[b1]
-    out = PairTrajectory(
-        alpha=a1,
-        alpha_prime=b1,
+    point = classical_step(member.point, forces(frame), bp, dt, mean_force)
+    omega = [f.energies[pair[0]] - f.energies[pair[1]] for f in frames]
+    gamma = [np.sum(np.real(np.diag(gamma_in_adiabatic(decay, f)))[pair]) for f in frames]
+    out = replace(
+        member,
         point=point,
-        phase=member.phase + 0.5 * dt * (omega0 + omega1),
-        decay=member.decay + 0.5 * dt * (gamma0 + gamma1),
-        weight=member.weight,
+        phase=member.phase + 0.5 * dt * (omega[0] + omega[1]),
+        decay=member.decay + 0.5 * dt * (gamma[0] + gamma[1]),
     )
-    return out, nxt
+    return out, frames[1]

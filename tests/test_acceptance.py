@@ -13,6 +13,7 @@ from nhqc import acceptance
 def _report(result):
     mark = "PASS" if result.passed else "FAIL"
     print(f"\n[{mark}] criterion {result.number}: {result.name} -- {result.detail}")
+    assert type(result.passed) is bool
     assert result.passed, f"criterion {result.number} failed: {result.detail}"
 
 

@@ -1,18 +1,14 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from nhqc.adiabatic import SLOT_ROWS, slot_gamma_diag, slot_vectors
-from nhqc.model import BathParams, DecayKind, SpinChainParams, decay_operator
+from nhqc.model import BathParams, DecayKind, SpinChainParams, coupling_hamiltonian, decay_operator
 from nhqc.oracle import (
     DegeneratePairError,
-    DegeneratePairWarning,
     analytic_energies,
     build_frame,
     dressed_hamiltonian,
     frame_matrices,
-    frame_permutation,
     frames_at,
     gamma_in_adiabatic,
     hellmann_feynman_force,
@@ -24,21 +20,20 @@ PAPER_SP = SpinChainParams(jx=-1.0, jy=-1.0, jz=0.5)
 PAPER_BP = BathParams(c=0.24, beta=0.1)
 
 
-def ee_slot(frame) -> int:
-    """Column of the frame that is the |ee> basis state (exact for jx = jy)."""
-    return int(np.argmax(np.abs(frame.vectors[0, :])))
+# for jx = jy block A is uncoupled: slot 0 is |ee>, slot 1 is |gg>
+EE, GG = 0, 1
 
 
 def test_frame_energies_at_origin():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
-    assert np.allclose(frame.energies, [-1.5, -0.5, -0.5, 2.5], atol=1e-12)
+    assert np.allclose(frame.energies, [-0.5, -0.5, 2.5, -1.5], atol=1e-12)
 
 
 def test_frame_energies_off_origin_closed_form():
     frame = build_frame(PAPER_SP, PAPER_BP, np.array([1.0, 0.0]))
     vb = 0.5
     gap = np.sqrt(4.0 + 0.24**2)
-    expected = np.sort([vb + 0.5 - gap, vb - 0.5 - 0.24, vb - 0.5 + 0.24, vb + 0.5 + gap])
+    expected = [vb - 0.5 - 0.24, vb - 0.5 + 0.24, vb + 0.5 + gap, vb + 0.5 - gap]
     assert np.allclose(frame.energies, expected, atol=1e-12)
 
 
@@ -59,7 +54,7 @@ def test_analytic_energies_match_eigensolver():
     for _ in range(1000):
         R = rng.uniform(-10, 10, 2)
         frame = build_frame(PAPER_SP, PAPER_BP, R)
-        assert np.max(np.abs(frame.energies - analytic_energies(PAPER_SP, PAPER_BP, R))) < 1e-12
+        assert np.max(np.abs(np.sort(frame.energies) - analytic_energies(PAPER_SP, PAPER_BP, R))) < 1e-12
 
 
 def test_analytic_energies_rejects_xy_asymmetry():
@@ -90,36 +85,24 @@ def test_bohr_frequency():
 
 def test_force_on_ee_surface_at_origin():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
-    with pytest.warns(DegeneratePairWarning):
-        f = hellmann_feynman_force(PAPER_SP, PAPER_BP, frame, ee_slot(frame))
+    f = hellmann_feynman_force(PAPER_SP, PAPER_BP, frame, EE)
     assert np.allclose(f, [0.24, 0.24], atol=1e-12)
 
 
 def test_force_decoupled_is_harmonic():
-    # at c = 0 block A's levels -jz (1 and 2 in energy order) are degenerate
-    # at every R: their forces warn, the other two's do not
+    # at c = 0 block A's two slots are degenerate at every R
     bp0 = BathParams(c=0.0, beta=0.1)
     frame = build_frame(PAPER_SP, bp0, np.array([1.0, 2.0]))
     for alpha in range(4):
-        if alpha in (1, 2):
-            with pytest.warns(DegeneratePairWarning, match=f"level {alpha} "):
-                f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
-        else:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
-            assert caught == []
+        f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
         assert np.allclose(f, [-1.0, -2.0], atol=1e-12)
 
 
 def test_force_matches_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-5
-    checked = 0
-    while checked < 25:
+    for _ in range(25):
         R = rng.uniform(-4, 4, 2)
-        if abs(R[0] + R[1]) < 1e-3:  # stay off the block-A degeneracy manifold
-            continue
         frame = build_frame(PAPER_SP, PAPER_BP, R)
         for alpha in range(4):
             f = hellmann_feynman_force(PAPER_SP, PAPER_BP, frame, alpha)
@@ -129,14 +112,13 @@ def test_force_matches_finite_differences():
                 up = build_frame(PAPER_SP, PAPER_BP, R + dR).energies[alpha]
                 dn = build_frame(PAPER_SP, PAPER_BP, R - dR).energies[alpha]
                 assert f[k] == pytest.approx(-(up - dn) / (2 * h), abs=1e-6)
-        checked += 1
 
 
 def test_nonadiabatic_coupling_block_value():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
-    d = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 3, 0)
+    d = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 3, 2)
     assert np.allclose(d, [0.06, -0.06], atol=1e-10)
-    d_rev = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 0, 3)
+    d_rev = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 2, 3)
     assert np.allclose(d_rev, -d.conj(), atol=1e-12)
 
 
@@ -144,13 +126,9 @@ def test_nonadiabatic_coupling_vanishes_outside_block():
     rng = np.random.default_rng(9)
     for _ in range(20):
         R = rng.uniform(-3, 3, 2)
-        if abs(R[0] + R[1]) < 0.05:
-            continue
         frame = build_frame(PAPER_SP, PAPER_BP, R)
-        ee = ee_slot(frame)
-        gg = int(np.argmax(np.abs(frame.vectors[3, :])))
         for other in range(4):
-            for special in (ee, gg):
+            for special in (EE, GG):
                 if other == special:
                     continue
                 try:
@@ -178,38 +156,15 @@ def test_nonadiabatic_coupling_antihermitian():
 def test_nonadiabatic_coupling_degenerate_pair_raises():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
     with pytest.raises(DegeneratePairError):
-        nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 1, 2)
-
-
-def test_gauge_continuity_along_path():
-    # slowly sweep R and keep the gauge aligned with the previous frame
-    frame = build_frame(PAPER_SP, PAPER_BP, np.array([2.0, -1.0]))
-    for i in range(100):
-        R = np.array([2.0 - 0.01 * i, -1.0 + 0.02 * i])
-        nxt = build_frame(PAPER_SP, PAPER_BP, R, previous=frame)
-        perm = frame_permutation(frame, nxt)
-        overlaps = np.einsum("ia,ia->a", frame.vectors.conj(), nxt.vectors[:, perm])
-        assert np.all(np.real(overlaps) > 0.99)
-        frame = nxt
-
-
-def test_frame_permutation_tracks_crossing():
-    # the |ee>/|gg> energies swap order when R1+R2 changes sign
-    before = build_frame(PAPER_SP, PAPER_BP, np.array([0.05, 0.05]))
-    after = build_frame(PAPER_SP, PAPER_BP, np.array([-0.05, -0.05]), previous=before)
-    perm = frame_permutation(before, after)
-    ee_before = ee_slot(before)
-    ee_after = ee_slot(after)
-    assert perm[ee_before] == ee_after
-    assert ee_before != ee_after  # the crossing really swapped sorted positions
+        nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, EE, GG)
 
 
 def test_gamma_identity_any_frame():
     spec = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.7)
     frame = build_frame(PAPER_SP, PAPER_BP, np.array([0.3, -1.2]))
     gad = gamma_in_adiabatic(spec, frame)
-    assert np.allclose(gad.diag, 0.7)
-    assert np.max(np.abs(gad.offdiag)) < 1e-12
+    assert np.allclose(np.real(np.diag(gad)), 0.7)
+    assert np.max(np.abs(gad - np.diag(np.diag(gad)))) < 1e-12
 
 
 def test_gamma_projector_diagonal_in_adiabatic_basis():
@@ -219,11 +174,10 @@ def test_gamma_projector_diagonal_in_adiabatic_basis():
         R = rng.uniform(-4, 4, 2)
         frame = build_frame(PAPER_SP, PAPER_BP, R)
         gad = gamma_in_adiabatic(spec, frame)
-        slot = ee_slot(frame)
         expected = np.zeros(4)
-        expected[slot] = 0.1
-        assert np.allclose(gad.diag, expected, atol=1e-12)
-        assert np.max(np.abs(gad.offdiag)) < 1e-12
+        expected[EE] = 0.1
+        assert np.allclose(np.real(np.diag(gad)), expected, atol=1e-12)
+        assert np.max(np.abs(gad - np.diag(np.diag(gad)))) < 1e-12
 
 
 def test_gamma_random_hermitian_consistency():
@@ -233,29 +187,29 @@ def test_gamma_random_hermitian_consistency():
     frame = build_frame(PAPER_SP, PAPER_BP, np.array([1.1, 0.4]))
     gad = gamma_in_adiabatic(spec, frame)
     direct = frame.vectors.conj().T @ spec.matrix @ frame.vectors
-    assert np.max(np.abs(gad.full - direct)) < 1e-12
-    assert np.max(np.abs(gad.full - gad.full.conj().T)) < 1e-12
-    assert np.max(np.abs(gad.full - (np.diag(gad.diag) + gad.offdiag))) < 1e-14
+    assert np.max(np.abs(gad - direct)) < 1e-12
+    assert np.max(np.abs(gad - gad.conj().T)) < 1e-12
 
 
 def test_gamma_rate_values_and_symmetry():
     frame = build_frame(PAPER_SP, PAPER_BP, np.array([0.2, 0.9]))
     # damping rate of element (a, b): the sum of the two diagonal decay
     # expectations (hbar = 1)
-    gad_id = gamma_in_adiabatic(decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), frame)
+    def diag(spec):
+        return np.real(np.diag(gamma_in_adiabatic(spec, frame)))
+
+    diag_id = diag(decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5))
     for a in range(4):
         for b in range(4):
-            assert gad_id.diag[a] + gad_id.diag[b] == pytest.approx(1.0, abs=1e-14)
-    rate_p = gamma_in_adiabatic(decay_operator(DecayKind.PROJECTOR_EE, 0.1), frame).diag
-    slot = ee_slot(frame)
-    other = (slot + 1) % 4
-    assert rate_p[slot] + rate_p[other] == pytest.approx(0.1, abs=1e-12)
-    assert rate_p[other] + rate_p[other] == pytest.approx(0.0, abs=1e-12)
-    assert rate_p[slot] + rate_p[slot] == pytest.approx(0.2, abs=1e-12)
+            assert diag_id[a] + diag_id[b] == pytest.approx(1.0, abs=1e-14)
+    rate_p = diag(decay_operator(DecayKind.PROJECTOR_EE, 0.1))
+    assert rate_p[EE] + rate_p[GG] == pytest.approx(0.1, abs=1e-12)
+    assert rate_p[GG] + rate_p[GG] == pytest.approx(0.0, abs=1e-12)
+    assert rate_p[EE] + rate_p[EE] == pytest.approx(0.2, abs=1e-12)
     rngm = np.random.default_rng(23)
     m = rngm.normal(size=(4, 4))
-    diag = gamma_in_adiabatic(decay_operator(DecayKind.CUSTOM, matrix=m + m.T), frame).diag
-    rates = diag[:, None] + diag[None, :]
+    rates = diag(decay_operator(DecayKind.CUSTOM, matrix=m + m.T))
+    rates = rates[:, None] + rates[None, :]
     assert np.array_equal(rates, rates.T)
 
 
@@ -267,7 +221,7 @@ def test_gamma_rate_nonnegative_for_psd_operator():
     assert spec.positive_semidefinite
     for _ in range(10):
         frame = build_frame(PAPER_SP, PAPER_BP, rng.uniform(-3, 3, 2))
-        diag = gamma_in_adiabatic(spec, frame).diag
+        diag = np.real(np.diag(gamma_in_adiabatic(spec, frame)))
         assert np.all(diag[:, None] + diag[None, :] >= -1e-12)
 
 
@@ -285,21 +239,6 @@ def test_slot_vectors_scatter_to_the_oracle_frame_matrices(jy):
         for i, c in zip(SLOT_ROWS[s], comps):
             u[:, i, s] = c
     assert np.array_equal(u, frame_matrices(frames.blocks))
-
-
-@pytest.mark.parametrize("sp", [PAPER_SP, SpinChainParams(0.7, -0.4, 0.3)])
-def test_slot_frames_match_build_frame(sp):
-    rng = np.random.default_rng(31)
-    R = rng.uniform(-6, 6, (200, 2))
-    frames = frames_at(sp, PAPER_BP, R.T)
-    u = frame_matrices(frames.blocks)
-    for i in range(R.shape[0]):
-        frame = build_frame(sp, PAPER_BP, R[i])
-        assert np.max(np.abs(np.sort(frames.energies[:, i]) - frame.energies)) < 1e-12
-        h = dressed_hamiltonian(sp, PAPER_BP, R[i])
-        resid = np.max(np.abs(np.real(h) @ u[i] - u[i] * frames.energies[:, i]))
-        assert resid < 1e-10
-        assert np.max(np.abs(u[i].T @ u[i] - np.eye(4))) < 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])  # both signs of both blocks' off-diagonal w
@@ -360,19 +299,37 @@ def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
 
 
 @pytest.mark.parametrize("case", SZ_CASES)
-def test_sz_rows_match_the_eigensolver(case):
+def test_build_frame_equals_the_slot_frames(case):
+    # the eigensolver's per-block frames against the closed form, slot by
+    # slot with no matching or sign fix, q = 0 crossings included: energies,
+    # vectors, both spins' <sigma_z> and the coupled blocks' derivative
+    # couplings
     sp, c = SZ_CASES[case]
     bp = BathParams(c=c, beta=0.1)
-    R = sz_configurations()[:, ::8]
+    R = sz_configurations()
     frames = frames_at(sp, bp, R)
     u = frame_matrices(frames.blocks)
+    sz = slot_sigma_z(frames.blocks)
     for i in range(R.shape[1]):
         frame = build_frame(sp, bp, R[:, i])
-        if np.min(np.diff(frame.energies)) < 1e-6:
-            continue  # a crossing of the uncoupled block: its eigenvectors are not unique
-        col_of_slot = np.argmax(np.abs(u[i].T @ np.real(frame.vectors)), axis=1)
-        sz = SIGMA_Z @ np.abs(frame.vectors[:, col_of_slot]) ** 2
-        assert np.max(np.abs(slot_sigma_z(frames.blocks)[:, :, i] - sz)) < 1e-12
+        assert np.max(np.abs(frame.energies - frames.energies[:, i])) < 1e-12
+        assert np.max(np.abs(frame.vectors - u[i])) < 1e-12
+        assert np.max(np.abs(SIGMA_Z @ np.abs(frame.vectors) ** 2 - sz[:, :, i])) < 1e-12
+        for (a, b), d in frames.couplings.items():
+            assert np.max(np.abs(nonadiabatic_coupling(sp, bp, frame, a, b) - d[i])) < 1e-12
+    coupled = [k for k, w in enumerate((sp.jx - sp.jy, sp.jx + sp.jy)) if w != 0]
+    assert set(frames.couplings) == {p for k in coupled for p in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k))}
+
+
+def test_build_frame_rejects_an_entry_outside_the_slot_blocks(monkeypatch):
+    def leaky(bp, R):
+        h = coupling_hamiltonian(bp, R)
+        h[0, 1] = h[1, 0] = 0.1  # |ee><eg| + h.c. joins the two blocks
+        return h
+
+    monkeypatch.setattr("nhqc.oracle.coupling_hamiltonian", leaky)
+    with pytest.raises(ValueError, match="outside its two slot blocks"):
+        build_frame(PAPER_SP, PAPER_BP, np.array([0.3, -0.2]))
 
 
 def test_slot_gamma_diag_matches_generic():
@@ -386,23 +343,3 @@ def test_slot_gamma_diag_matches_generic():
     for i in range(R.shape[0]):
         direct = np.real(np.einsum("ia,ij,ja->a", u[i], spec.matrix, u[i]))
         assert np.max(np.abs(gd[:, i] - direct)) < 1e-12
-
-
-def test_slot_coupling_matches_generic():
-    rng = np.random.default_rng(41)
-    R = rng.uniform(-4, 4, (30, 2))
-    frames = frames_at(PAPER_SP, PAPER_BP, R.T)
-    couplings = frames.couplings
-    assert set(couplings) == {(2, 3), (3, 2)}  # block A is uncoupled for jx = jy
-    u = frame_matrices(frames.blocks)
-    for i in range(R.shape[0]):
-        frame = build_frame(PAPER_SP, PAPER_BP, R[i])
-        # identify the frame columns of slots 2 and 3 by overlap
-        overlap = u[i].T @ np.real(frame.vectors)
-        col_of_slot = np.argmax(np.abs(overlap), axis=1)
-        sgn2 = np.sign(overlap[2, col_of_slot[2]])
-        sgn3 = np.sign(overlap[3, col_of_slot[3]])
-        d_generic = nonadiabatic_coupling(
-            PAPER_SP, PAPER_BP, frame, int(col_of_slot[2]), int(col_of_slot[3])
-        )
-        assert np.allclose(couplings[(2, 3)][i], sgn2 * sgn3 * np.real(d_generic), atol=1e-10)

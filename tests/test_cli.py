@@ -320,8 +320,8 @@ def test_check_subcommand_reports_lines(monkeypatch, capsys):
         CriterionResult(1, "demo pass", True, "ok"),
         CriterionResult(2, "demo fail", False, "bad"),
     ]
-    monkeypatch.setattr("nhqc.acceptance.run_all", lambda quick=False: fake)
-    code = main(["check", "--quick"])
+    monkeypatch.setattr("nhqc.acceptance.run_all", lambda: fake)
+    code = main(["check"])
     out = capsys.readouterr().out
     assert code == 1
     assert "[PASS] criterion 1" in out and "[FAIL] criterion 2" in out

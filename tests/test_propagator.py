@@ -174,7 +174,6 @@ REFERENCE_POINTS = np.array(
 )
 
 
-@pytest.mark.filterwarnings("ignore::nhqc.oracle.DegeneratePairWarning")
 @pytest.mark.parametrize("state,decay_kind,g", [(PHI, DecayKind.IDENTITY_UNIFORM, 0.5), (PSI, DecayKind.PROJECTOR_EE, 0.1)])
 def test_engine_matches_reference_route(state, decay_kind, g):
     # closed-form block engine vs generic eigensolver route from the same
