@@ -298,27 +298,60 @@ def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
     assert np.max(np.abs(slot_sigma_z(frames.blocks) - eight)) <= FEW_ULP
 
 
+@pytest.mark.parametrize("sp", [PAPER_SP, SpinChainParams(0.7, -0.4, 0.3)])
+def test_slot_frames_match_build_frame(sp):
+    rng = np.random.default_rng(31)
+    R = rng.uniform(-6, 6, (200, 2))
+    frames = frames_at(sp, PAPER_BP, R.T)
+    u = frame_matrices(frames.blocks)
+    for i in range(R.shape[0]):
+        frame = build_frame(sp, PAPER_BP, R[i])
+        assert np.max(np.abs(frames.energies[:, i] - frame.energies)) < 1e-12
+        h = dressed_hamiltonian(sp, PAPER_BP, R[i])
+        resid = np.max(np.abs(np.real(h) @ u[i] - u[i] * frames.energies[:, i]))
+        assert resid < 1e-10
+        assert np.max(np.abs(u[i].T @ u[i] - np.eye(4))) < 1e-12
+
+
 @pytest.mark.parametrize("case", SZ_CASES)
 def test_build_frame_equals_the_slot_frames(case):
     # the eigensolver's per-block frames against the closed form, slot by
-    # slot with no matching or sign fix, q = 0 crossings included: energies,
-    # vectors, both spins' <sigma_z> and the coupled blocks' derivative
-    # couplings
+    # slot with no matching or sign fix, q = 0 crossings included
     sp, c = SZ_CASES[case]
     bp = BathParams(c=c, beta=0.1)
     R = sz_configurations()
     frames = frames_at(sp, bp, R)
     u = frame_matrices(frames.blocks)
-    sz = slot_sigma_z(frames.blocks)
     for i in range(R.shape[1]):
         frame = build_frame(sp, bp, R[:, i])
         assert np.max(np.abs(frame.energies - frames.energies[:, i])) < 1e-12
         assert np.max(np.abs(frame.vectors - u[i])) < 1e-12
+
+
+@pytest.mark.parametrize("case", SZ_CASES)
+def test_sz_rows_match_the_eigensolver(case):
+    # both spins' <sigma_z> per slot, from the eigensolver's vectors
+    sp, c = SZ_CASES[case]
+    bp = BathParams(c=c, beta=0.1)
+    R = sz_configurations()
+    sz = slot_sigma_z(frames_at(sp, bp, R).blocks)
+    for i in range(R.shape[1]):
+        frame = build_frame(sp, bp, R[:, i])
         assert np.max(np.abs(SIGMA_Z @ np.abs(frame.vectors) ** 2 - sz[:, :, i])) < 1e-12
-        for (a, b), d in frames.couplings.items():
-            assert np.max(np.abs(nonadiabatic_coupling(sp, bp, frame, a, b) - d[i])) < 1e-12
-    coupled = [k for k, w in enumerate((sp.jx - sp.jy, sp.jx + sp.jy)) if w != 0]
-    assert set(frames.couplings) == {p for k in coupled for p in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k))}
+
+
+def test_slot_coupling_matches_generic():
+    # the coupled blocks' derivative couplings, slot by slot, in every case
+    for sp, c in SZ_CASES.values():
+        bp = BathParams(c=c, beta=0.1)
+        R = sz_configurations()
+        frames = frames_at(sp, bp, R)
+        coupled = [k for k, w in enumerate((sp.jx - sp.jy, sp.jx + sp.jy)) if w != 0]
+        assert set(frames.couplings) == {p for k in coupled for p in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k))}
+        for i in range(R.shape[1]):
+            frame = build_frame(sp, bp, R[:, i])
+            for (a, b), d in frames.couplings.items():
+                assert np.max(np.abs(nonadiabatic_coupling(sp, bp, frame, a, b) - d[i])) < 1e-12
 
 
 def test_build_frame_rejects_an_entry_outside_the_slot_blocks(monkeypatch):
