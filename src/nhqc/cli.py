@@ -176,8 +176,8 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
     """Run one of the reference sweeps and emit its data and plot script.
 
     Sweeps use the reference couplings (jx = jy = -1, jz = 0.5, c = 0.24,
-    beta = 0.1, dt = 0.01) over t in [0, 10]; with default arguments the
-    result is a pure function of (name, seed).
+    beta = 0.1, dt = 0.01) over t in [0, 10], one row every 20 steps; with
+    default arguments the result is a pure function of (name, seed).
     """
     if name not in PRESETS:
         print(f"error: unknown preset {name!r}", file=sys.stderr)
@@ -191,6 +191,7 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
             dt=0.01,
             n_samples=samples,
             initial_state=state,
+            output_stride=20,
         )
         config = _apply_seed_override(config)
         out = Path(out_dir)

@@ -3,7 +3,7 @@
 The reduced density matrix is the sample mean of per-sample 4x4 matrices;
 statistical errors are standard errors of the mean over the independent
 samples.  Per-sample matrices are Hermitian and travel as ``ElementRows``:
-one contiguous row per upper-triangle entry that can be nonzero.  Within a
+one contiguous real row per real coordinate that can be nonzero.  Within a
 chunk the sums run along those rows, with numpy's pairwise summation for
 the means.
 Moments are accumulated chunk by chunk with an exact pairwise
@@ -39,13 +39,14 @@ BELOW = [j * 4 + i for i, j in TRIANGLE if i != j]
 
 @dataclass(frozen=True)
 class ElementRows:
-    """Per-sample Hermitian 4x4 matrices stored as their live element rows.
+    """Per-sample Hermitian 4x4 matrices stored as real coordinate rows.
 
     ``index`` holds the flat entries row * 4 + col, row <= col, that can be
-    nonzero, in ascending order, and ``rows`` (len(index), n) their values
-    over the n samples, C-contiguous and complex; every other upper entry
-    is exactly 0 in every sample, and the lower triangle is the exact
-    conjugate of the upper.  The record that
+    nonzero, ascending, and ``rows`` (m, n) their real coordinates over the
+    n samples, C-contiguous: the real part of each entry of ``index``, then
+    the imaginary part of each off-diagonal one (``off_diagonal``).  Every
+    other coordinate is exactly 0 in every sample, and the lower triangle
+    is the exact conjugate of the upper.  The record that
     ``EnsembleSnapshot.sample_matrices`` returns holds a view of its
     engine's buffer, valid until that engine's next ``sample_matrices``
     call; ``matrices()`` copies it out for a caller that keeps it.
@@ -53,6 +54,11 @@ class ElementRows:
 
     index: tuple[int, ...]
     rows: np.ndarray
+
+    @property
+    def off_diagonal(self) -> list[int]:
+        """The entries of ``index`` whose imaginary part has a row."""
+        return [e for e in self.index if e % 5]
 
     @classmethod
     def from_matrices(cls, matrices: np.ndarray) -> "ElementRows":
@@ -62,14 +68,17 @@ class ElementRows:
         exactly, so that no lower-triangle value is lost."""
         if not np.array_equal(matrices, np.conj(matrices).transpose(0, 2, 1)):
             raise ValueError("per-sample matrices are not exactly Hermitian")
+        flat = matrices.reshape(-1, 16)
         upper = tuple(i * 4 + j for i, j in TRIANGLE)
-        return cls(upper, np.ascontiguousarray(matrices.reshape(-1, 16)[:, upper].T, dtype=complex))
+        rows = np.concatenate([flat[:, upper].real, flat[:, ABOVE].imag], axis=1)
+        return cls(upper, np.ascontiguousarray(rows.T, dtype=float))
 
     def matrices(self) -> np.ndarray:
         """A fresh dense copy, shape (n, 4, 4)."""
-        n = self.rows.shape[1]
+        n, k = self.rows.shape[1], len(self.index)
         out = np.zeros((n, 16), dtype=complex)
-        out[:, list(self.index)] = self.rows.T
+        out.real[:, list(self.index)] = self.rows[:k].T
+        out.imag[:, self.off_diagonal] = self.rows[k:].T
         out[:, BELOW] = np.conj(out[:, ABOVE])
         return out.reshape(n, 4, 4)
 
@@ -86,34 +95,30 @@ class MomentAccumulator:
 
     @classmethod
     def from_samples(cls, samples: ElementRows) -> "MomentAccumulator":
-        """Moments of per-sample matrices given as element rows.
+        """Moments of per-sample matrices given as real coordinate rows.
 
-        The mean and scatter are taken over the live rows only, which the
-        record may share with its engine (nothing is kept from them); every
-        other entry has mean and scatter exactly 0, as a row of zeros would
-        give.  The scatter is taken one row at a time through one reused
-        n-long buffer: a full-size temporary is as large as the rows
-        themselves, and allocating and releasing it at every output costs
-        more than the arithmetic.  A live row whose mean is 0 is checked for
-        being all zero; its scatter is then 0 without the pass.  The lower
-        triangle's mean is the conjugate of the upper's and its scatter a
-        copy, as the Hermitian rows imply.
+        The mean and scatter are taken over the live coordinate rows only,
+        which the record may share with its engine (nothing is kept from
+        them); every other entry has mean and scatter exactly 0.  Each row's
+        scatter goes through one reused n-long buffer, cheaper than a
+        temporary as large as the rows at every output, and skips a row that
+        is all zero.  An off-diagonal entry's scatter is the sum of its two
+        rows'.  The lower triangle's mean is the conjugate of the upper's and
+        its scatter a copy, as the Hermitian rows imply.
         """
-        index, rows = samples.index, samples.rows
-        n = rows.shape[1]
-        mean = np.zeros(16, dtype=complex)
-        mean[list(index)] = rows.mean(axis=1)
-        diff = np.empty(n, dtype=complex)
-        flat = diff.view(np.float64)  # (re, im) interleaved: one product pass gives |x - mean|^2
-        m2 = np.zeros(16)
-        for k, row in zip(index, rows):
-            if mean[k] == 0 and not row.any():
-                continue
-            np.subtract(row, mean[k], out=diff)
-            m2[k] = np.einsum("i,i->", flat, flat)
-        mean[BELOW] = np.conj(mean[ABOVE])
-        m2[BELOW] = m2[ABOVE]
-        diagonal = [row.real for k, row in zip(index, rows) if k in (0, 5, 10, 15)]
+        index, rows, off = list(samples.index), samples.rows, samples.off_diagonal
+        n, k = rows.shape[1], len(index)
+        means, scatter, diff = rows.mean(axis=1), np.zeros(len(rows)), np.empty(n)
+        for r, row in enumerate(rows):
+            if means[r] != 0 or row.any():
+                np.subtract(row, means[r], out=diff)
+                scatter[r] = np.einsum("i,i->", diff, diff)
+        mean, m2 = np.zeros(16, dtype=complex), np.zeros(16)
+        mean.real[index], mean.imag[off] = means[:k], means[k:]
+        m2[index] = scatter[:k]
+        m2[off] += scatter[k:]
+        mean[BELOW], m2[BELOW] = np.conj(mean[ABOVE]), m2[ABOVE]
+        diagonal = [row for e, row in zip(index, rows) if e % 5 == 0]
         traces = sum(diagonal[1:], diagonal[0])  # every density matrix has a live diagonal entry
         tmean = float(traces.mean())
         tm2 = float(np.sum((traces - tmean) ** 2))
@@ -262,10 +267,10 @@ _COL_RHO22 = (16, 18)
 def emit_plot_script(series_files: list, style: str, labels: list[str] | None = None) -> str:
     """Gnuplot script reproducing one of the four reference figures.
 
-    fig1/fig3 plot the trace, fig2 the |eg> population with a cumulative
-    downward shift of 1.5 per curve, and fig4 both the |ee> and |eg>
-    populations (the source figure is ambiguous about which it shows, so
-    both are provided).
+    Every row of each file is plotted.  fig1/fig3 plot the trace, fig2 the
+    |eg> population with a cumulative downward shift of 1.5 per curve, and
+    fig4 both the |ee> and |eg> populations (the source figure is ambiguous
+    about which it shows, so both are provided).
     """
     import os
 
@@ -287,20 +292,20 @@ def emit_plot_script(series_files: list, style: str, labels: list[str] | None = 
         lines.append("set ylabel 'trace of reduced density matrix'")
         c, e = _COL_TRACE
         for f, lab in zip(series_files, labels):
-            plots.append(f"'{f}' using 1:{c}:{e} every 20 title '{lab}'")
+            plots.append(f"'{f}' using 1:{c}:{e} title '{lab}'")
     elif style == "fig2":
         lines.append("set ylabel 'population of |eg> (curves shifted by -1.5 each)'")
         c, e = _COL_RHO22
         for k, (f, lab) in enumerate(zip(series_files, labels)):
             shift = 1.5 * k
-            plots.append(f"'{f}' using 1:(${c}-{_fmt(shift)}):{e} every 20 title '{lab}'")
+            plots.append(f"'{f}' using 1:(${c}-{_fmt(shift)}):{e} title '{lab}'")
     else:  # fig4
         lines.append("set ylabel 'diagonal populations'")
         for f, lab in zip(series_files, labels):
             c, e = _COL_RHO11
-            plots.append(f"'{f}' using 1:{c}:{e} every 20 title '{lab} |ee>'")
+            plots.append(f"'{f}' using 1:{c}:{e} title '{lab} |ee>'")
             c, e = _COL_RHO22
-            plots.append(f"'{f}' using 1:{c}:{e} every 20 title '{lab} |eg>'")
+            plots.append(f"'{f}' using 1:{c}:{e} title '{lab} |eg>'")
     lines.append("plot \\")
     lines.append(", \\\n".join("    " + p for p in plots))
     lines.append("pause -1")

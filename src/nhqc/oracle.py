@@ -238,18 +238,14 @@ def analytic_energies(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> np.
     return np.sort(levels + vb)
 
 
-def hellmann_feynman_force(
-    sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int
-) -> np.ndarray:
+def hellmann_feynman_force(bp: BathParams, frame: AdiabaticFrame, alpha: int) -> np.ndarray:
     """Force on slot alpha: -<alpha| dh/dR |alpha>."""
     grad = hamiltonian_gradient(bp, frame.R_at)
     vec = frame.vectors[:, alpha]
     return -np.real(np.einsum("i,kij,j->k", vec.conj(), grad, vec))
 
 
-def nonadiabatic_coupling(
-    sp: SpinChainParams, bp: BathParams, frame: AdiabaticFrame, alpha: int, beta: int
-) -> np.ndarray:
+def nonadiabatic_coupling(bp: BathParams, frame: AdiabaticFrame, alpha: int, beta: int) -> np.ndarray:
     """Derivative coupling d_ab = <a| dh/dR |b> / (E_b - E_a), length 2."""
     if alpha == beta:
         raise ValueError("coupling defined between distinct states")
@@ -468,7 +464,7 @@ def sstp_step(
     frames = [frame]
 
     def forces(f: AdiabaticFrame) -> list:
-        return [hellmann_feynman_force(sp, bp, f, a) for a in pair]
+        return [hellmann_feynman_force(bp, f, a) for a in pair]
 
     def mean_force(r_new):
         frames.append(build_frame(sp, bp, r_new))

@@ -51,14 +51,15 @@ In adiabatic mode with configuration-independent decay rates every member
 of a column adds the same rate at every step, so the engine keeps one decay
 integral per column, shape (K, 1), and (K, n) otherwise.
 
-Each output reduces the members to per-sample matrices in an element
-buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
+Each output reduces the members to real coordinates of per-sample matrices
+in a buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
 writing only the entries its members can reach; the dense member sum it
 must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Both
 weight each member by ``member_factor``, w exp(-i phi - Lambda): one real
 exp per column where the decay integral is per column, and e^{-i phi} from
 a table and short polynomials rather than numpy's complex exp, which calls
-the scalar libm cosine and sine for every element.  Both modes keep one
+the scalar libm cosine and sine for every element.  The weights are real
+for a real initial state and decay operator.  Both modes keep one
 Hermitian rule: every member's (alpha', alpha) partner is implicit and a
 diagonal member starts at half its weight, so each sample's matrix is
 X + X^dagger, of which only the upper triangle is formed.
@@ -142,8 +143,8 @@ def _phasor(phase: np.ndarray) -> np.ndarray:
     t = _PHASORS[k.astype(np.intp) & (_TABLE_SIZE - 1)]
     r2 = r * r
     z = np.empty(phase.shape, dtype=complex)
-    z.real = r2 * (0.5 - r2 * (1 / 24))
-    z.imag = r * (1.0 - r2 * (1 / 6 - r2 * (1 / 120)))
+    np.multiply(r2, 0.5 - r2 * (1 / 24), out=z.real)
+    np.multiply(r, 1.0 - r2 * (1 / 6 - r2 * (1 / 120)), out=z.imag)
     z *= t
     return np.subtract(t, z, out=t)
 
@@ -153,12 +154,12 @@ def member_factor(weight: np.ndarray, phase: np.ndarray, decay: np.ndarray) -> n
 
     ``decay`` is the column's decay integral, shape (n,) or (1,) where
     every member carries the same one.  A column whose phase is identically
-    0, as it is where the column can hold only a diagonal pair, gets the
-    real weight * exp(-decay).  Otherwise the factor is weight * exp(-decay)
-    times e^{-i phase} from ``_phasor``, which lies within 2.3e-16 of
-    numpy's complex exp; a column with a phase that is not finite, or
-    beyond the table's exact reduction, takes numpy's complex exp, so a
-    non-finite phase gives a non-finite factor."""
+    0, as it is where the column can hold only a diagonal pair, gets
+    weight * exp(-decay), real where the weights are.  Otherwise the factor
+    is weight * exp(-decay) times e^{-i phase} from ``_phasor``, which lies
+    within 2.3e-16 of numpy's complex exp; a column with a phase that is not
+    finite, or beyond the table's exact reduction, takes numpy's complex
+    exp, so a non-finite phase gives a non-finite factor."""
     scale = weight * np.exp(-decay)
     if phase[0] == 0.0 and not phase.any():  # one read rules out most columns
         return scale
@@ -267,13 +268,21 @@ def _reduction_plan(labels: tuple, vanishing: frozenset) -> tuple:
     reach), so an engine forms its plan once.
 
     Returns the live upper-triangle entries in ascending order and the terms
-    of each column and pair as (row among the live entries, sign, product
-    key, below).
+    of each column and pair as (row, part, sign, product key) on the
+    ``ElementRows`` rows: a term of X adds its value's real part (0) to its
+    entry's real row and, off the diagonal, its imaginary part (1), negated
+    where folded from below, to the entry's imaginary row.
     """
     terms = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
     index = tuple(sorted({t[0] for column in terms for pair in column for t in pair}))
+    order = [(e, 0) for e in index] + [(e, 1) for e in index if e % 5]  # (entry, part) per row
+
+    def coordinates(e: int, sign: int, key: tuple, below: bool) -> list:
+        parts = (0, 1) if e % 5 else (0,)
+        return [(order.index((e, part)), part, -sign if part and below else sign, key) for part in parts]
+
     return index, tuple(
-        tuple(tuple((index.index(e), *rest) for e, *rest in pair) for pair in column) for column in terms
+        tuple(tuple(c for term in pair for c in coordinates(*term)) for pair in column) for column in terms
     )
 
 
@@ -287,7 +296,7 @@ class EnsembleSnapshot:
     where every member of a column carries the same one (adiabatic mode
     with configuration-independent rates), else (K, n_samples).  The arrays
     are views of the engine's own, which later steps overwrite in place;
-    ``buffer`` is the engine's (16, n_samples) complex element buffer, which
+    ``buffer`` is the engine's (16, n_samples) real coordinate buffer, which
     every ``sample_matrices`` call of that engine overwrites.  ``blocks``
     holds the frames of blocks A and B (None where no column stores the
     block), solved on the member columns ``block_columns[k]``,
@@ -312,27 +321,29 @@ class EnsembleSnapshot:
     buffer: np.ndarray
 
     def sample_matrices(self) -> ElementRows:
-        """Per-sample subsystem density matrices as their live upper-triangle
-        element rows.
+        """Per-sample subsystem density matrices as the real coordinate rows
+        of their live upper-triangle entries.
 
         Each sample's matrix is X + X^dagger, X summing every member's
         factor (``member_factor``, which the dense reference shares)
         back-rotated with its own current frame.  A term of X on entry
         (r, c) adds its value there when r <= c, else its conjugate at
-        (c, r); a diagonal entry ends as 2 Re of its sum, imaginary part 0.
+        (c, r); a diagonal entry sums only real parts and ends doubled.  A
+        real factor adds nothing to an imaginary row.
 
         Only the entries that the pairs of ``column_labels`` reach are live:
         a term with an uncoupled block's scalar 0 component is left out, and
         so is the piece of a pair that no member of its column holds at this
-        output.  Each live entry sums its terms from +0 in member-column
-        order, and an entry that gets no term is +0.  A column's terms share
-        the products of two frame components and those products times the
-        column factor, each formed once; a term whose slot components carry
-        a minus sign (``SLOT_PARTS``) is subtracted.  Negation is exact and a
-        sum started at +0 keeps no sign of zero, so every entry equals the
-        dense sum of ``nhqc.oracle.dense_sample_matrices`` bit for bit.
+        output.  Each live coordinate sums its terms from +0 in member-column
+        order, and a coordinate that gets no term is +0.  A column's terms
+        share the products of two frame components and the parts of those
+        products times the column factor, each formed once; a term whose
+        slot components carry a minus sign (``SLOT_PARTS``) is subtracted.
+        Negation is exact and a sum started at +0 keeps no sign of zero, so
+        every coordinate equals the real or imaginary part of the dense sum
+        of ``nhqc.oracle.dense_sample_matrices`` bit for bit.
 
-        The live rows fill the first rows of ``buffer`` in ascending entry
+        The live rows fill the first rows of ``buffer`` in ``ElementRows``
         order, and the record returned holds a view of them: it is valid
         until this engine's next ``sample_matrices`` call.
         """
@@ -351,8 +362,8 @@ class EnsembleSnapshot:
         if any(len(pairs) > 1 for pairs in self.column_labels):
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
         index, plan = self.plan
-        rows = self.buffer[: len(index)]
-        started = [False] * len(index)
+        rows = self.buffer[: len(index) + sum(e % 5 > 0 for e in index)]
+        started = [False] * len(rows)
         for k, pairs in enumerate(self.column_labels):
             factor = member_factor(weight[k], phase[k], self.decay[k])
             # a column reads only the blocks its labels lie in, which it stores
@@ -372,20 +383,23 @@ class EnsembleSnapshot:
                     if not held.any():
                         continue
                     f = np.where(held, factor, 0.0)
-                values = {}  # factor * product per product key
-                for r, sign, key, below in terms:
-                    if key not in values:
+                parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
+                values = {}  # a part of factor * product per (part, product key)
+                for r, part, sign, key in terms:
+                    if part == len(parts):  # a real factor adds no imaginary part
+                        continue
+                    if (part, key) not in values:
                         if key not in products:
                             products[key] = column[key[0]] * column[key[1]]
-                        values[key] = f * products[key]
-                    value = np.conj(values[key]) if below else values[key]
-                    (np.add if sign > 0 else np.subtract)(rows[r] if started[r] else 0.0, value, out=rows[r])
+                        values[part, key] = parts[part] * products[key]
+                    total = rows[r] if started[r] else 0.0
+                    (np.add if sign > 0 else np.subtract)(total, values[part, key], out=rows[r])
                     started[r] = True
-        for r, entry in enumerate(index):
+        for r, row in enumerate(rows):
             if not started[r]:
-                rows[r] = 0.0
-            elif entry % 5 == 0:  # a diagonal entry of X + X^dagger
-                rows[r] = 2.0 * rows[r].real
+                row.fill(0.0)
+            elif r < len(index) and index[r] % 5 == 0:  # a diagonal entry of X + X^dagger
+                row *= 2.0
         return ElementRows(index, rows)
 
 
@@ -483,22 +497,25 @@ class EnsembleState:
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
-        # the partners are implicit (see the class docstring): X + X^dagger
-        # counts a diagonal member twice
-        weight = elements0[al, ap]
+        # weights stay real for real input: a real decay operator's hop
+        # factors are real.  The partners are implicit (see the class
+        # docstring): X + X^dagger counts a diagonal member twice
+        real = not (elements0.imag.any() or decay.matrix.imag.any())
+        weight = (elements0.real if real else elements0)[al, ap]
         weight[al == ap] *= 0.5
         self.weight = weight.ravel()
+        self._gamma_matrix = decay.matrix.real if real else decay.matrix
         n = self.weight.size
         self.phase = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
         # the reduction's terms follow from the labels and the scalar 0
-        # components of uncoupled blocks; the element buffer is this
+        # components of uncoupled blocks; the coordinate buffer is this
         # engine's own, so chunks reduce independently
         vanishing = frozenset(
             (k, i) for k, block in enumerate(blocks0) for i, c in enumerate(block.vector) if np.ndim(c) == 0 and c == 0
         )
         self._plan = _reduction_plan(labels, vanishing)
-        self._buffer = np.empty((16, self.n_local), dtype=complex)
+        self._buffer = np.empty((16, self.n_local))
 
         # normal-mode rows of the stored blocks, every column starting from
         # its sample's point
@@ -723,7 +740,7 @@ class EnsembleState:
                         u: tuple(c[lo - spans[u // 2][0] : hi - spans[u // 2][0]] if np.ndim(c) else c for c in comps[u])
                         for u in key
                     }
-                    amp = dt * _slot_entry(part, self.decay.matrix, *key, hi - lo)
+                    amp = dt * _slot_entry(part, self._gamma_matrix, *key, hi - lo)
                     entries[key] = amp, np.abs(amp)
                 channels.append((0 if side == "ket" else 1, s, t, lo, *entries[key], None))
         if not channels:

@@ -85,7 +85,7 @@ def test_bohr_frequency():
 
 def test_force_on_ee_surface_at_origin():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
-    f = hellmann_feynman_force(PAPER_SP, PAPER_BP, frame, EE)
+    f = hellmann_feynman_force(PAPER_BP, frame, EE)
     assert np.allclose(f, [0.24, 0.24], atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_force_decoupled_is_harmonic():
     bp0 = BathParams(c=0.0, beta=0.1)
     frame = build_frame(PAPER_SP, bp0, np.array([1.0, 2.0]))
     for alpha in range(4):
-        f = hellmann_feynman_force(PAPER_SP, bp0, frame, alpha)
+        f = hellmann_feynman_force(bp0, frame, alpha)
         assert np.allclose(f, [-1.0, -2.0], atol=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_force_matches_finite_differences():
         R = rng.uniform(-4, 4, 2)
         frame = build_frame(PAPER_SP, PAPER_BP, R)
         for alpha in range(4):
-            f = hellmann_feynman_force(PAPER_SP, PAPER_BP, frame, alpha)
+            f = hellmann_feynman_force(PAPER_BP, frame, alpha)
             for k in range(2):
                 dR = np.zeros(2)
                 dR[k] = h
@@ -116,9 +116,9 @@ def test_force_matches_finite_differences():
 
 def test_nonadiabatic_coupling_block_value():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
-    d = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 3, 2)
+    d = nonadiabatic_coupling(PAPER_BP, frame, 3, 2)
     assert np.allclose(d, [0.06, -0.06], atol=1e-10)
-    d_rev = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, 2, 3)
+    d_rev = nonadiabatic_coupling(PAPER_BP, frame, 2, 3)
     assert np.allclose(d_rev, -d.conj(), atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_nonadiabatic_coupling_vanishes_outside_block():
                 if other == special:
                     continue
                 try:
-                    d = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, special, other)
+                    d = nonadiabatic_coupling(PAPER_BP, frame, special, other)
                 except DegeneratePairError:
                     continue
                 assert np.max(np.abs(d)) < 1e-12
@@ -146,8 +146,8 @@ def test_nonadiabatic_coupling_antihermitian():
         for a in range(4):
             for b in range(a + 1, 4):
                 try:
-                    d_ab = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, a, b)
-                    d_ba = nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, b, a)
+                    d_ab = nonadiabatic_coupling(PAPER_BP, frame, a, b)
+                    d_ba = nonadiabatic_coupling(PAPER_BP, frame, b, a)
                 except DegeneratePairError:
                     continue
                 assert np.allclose(d_ba, -d_ab.conj(), atol=1e-12)
@@ -156,7 +156,7 @@ def test_nonadiabatic_coupling_antihermitian():
 def test_nonadiabatic_coupling_degenerate_pair_raises():
     frame = build_frame(PAPER_SP, PAPER_BP, np.zeros(2))
     with pytest.raises(DegeneratePairError):
-        nonadiabatic_coupling(PAPER_SP, PAPER_BP, frame, EE, GG)
+        nonadiabatic_coupling(PAPER_BP, frame, EE, GG)
 
 
 def test_gamma_identity_any_frame():
@@ -351,7 +351,7 @@ def test_slot_coupling_matches_generic():
         for i in range(R.shape[1]):
             frame = build_frame(sp, bp, R[:, i])
             for (a, b), d in frames.couplings.items():
-                assert np.max(np.abs(nonadiabatic_coupling(sp, bp, frame, a, b) - d[i])) < 1e-12
+                assert np.max(np.abs(nonadiabatic_coupling(bp, frame, a, b) - d[i])) < 1e-12
 
 
 def test_build_frame_rejects_an_entry_outside_the_slot_blocks(monkeypatch):

@@ -283,12 +283,15 @@ def test_preset_writes_curves_and_script(tmp_path, capsys):
     ]
     script = (out / "fig3.gp").read_text()
     assert "using 1:2:3" in script
+    assert "every" not in script  # each written row is plotted
     from nhqc.observables import read_csv
 
     for path in csvs:
         series = read_csv(path)
-        assert len(series.rows) == 1001
-        assert series.rows[-1].t == pytest.approx(10.0)
+        # one row every 20 steps of dt = 0.01 over t in [0, 10]
+        assert series.metadata["output_stride"] == "20"
+        assert len(series.rows) == 51
+        assert series.times() == pytest.approx(0.2 * np.arange(51))
 
 
 def test_preset_is_pure_function_of_name_and_seed(tmp_path):

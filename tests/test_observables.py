@@ -85,11 +85,12 @@ def test_moment_accumulator_combine_matches_whole():
     assert np.max(np.abs(d1.stderr - d2.stderr)) < 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 40])
-def test_moment_accumulator_matches_plain_definitions(n):
-    rng = np.random.default_rng(n)
-    data = hermitian(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
-    acc = MomentAccumulator.from_samples(ElementRows.from_matrices(data))
+def check_plain_moments(record):
+    """Check the moments of ``record`` against their plain definitions over
+    its dense matrices, and return them."""
+    data = record.matrices()
+    n = len(data)
+    acc = MomentAccumulator.from_samples(record)
     mean = data.mean(axis=0)
     m2 = np.sum(np.abs(data - mean) ** 2, axis=0)
     traces = np.trace(data, axis1=1, axis2=2).real
@@ -99,6 +100,47 @@ def test_moment_accumulator_matches_plain_definitions(n):
     assert np.allclose(acc.m2, m2, rtol=1e-13, atol=0)
     assert acc.trace_mean == pytest.approx(traces.mean(), rel=1e-13)
     assert acc.trace_m2 == pytest.approx(tm2, rel=1e-13)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_moment_accumulator_matches_plain_definitions(n):
+    rng = np.random.default_rng(n)
+    data = hermitian(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    check_plain_moments(ElementRows.from_matrices(data))
+
+
+def real_coordinate_records(n):
+    """Element rows of n samples: all real (real symmetric matrices, whose
+    imaginary rows are zero, and a diagonal record with no imaginary row at
+    all) and mixed (phi's live entries: two real diagonal rows and one
+    complex coherence)."""
+    rng = np.random.default_rng(n + 100)
+    real = rng.normal(size=(n, 4, 4))
+    return {
+        "real symmetric": ElementRows.from_matrices(real + real.transpose(0, 2, 1)),
+        "real diagonal": ElementRows((0, 5, 10, 15), rng.normal(size=(4, n))),
+        "mixed": ElementRows((5, 6, 10), rng.normal(size=(4, n))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["real symmetric", "real diagonal", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_moments_of_real_coordinate_rows_match_plain_definitions(n, kind):
+    record = real_coordinate_records(n)[kind]
+    assert record.rows.shape == (len(record.index) + len(record.off_diagonal), n)
+    acc = check_plain_moments(record)
+    if kind != "mixed":
+        assert not np.any(acc.mean.imag)
+    if n > 1:  # two halves combine to the whole
+        halves = np.split(record.rows, [n // 2], axis=1)
+        parts = [MomentAccumulator.from_samples(ElementRows(record.index, np.ascontiguousarray(h))) for h in halves]
+        pooled = parts[0].combine(parts[1])
+        assert pooled.count == n
+        assert np.max(np.abs(pooled.mean - acc.mean)) < 1e-13
+        assert np.max(np.abs(pooled.m2 - acc.m2)) < 1e-11
+        assert pooled.trace_mean == pytest.approx(acc.trace_mean, abs=1e-13)
+        assert pooled.trace_m2 == pytest.approx(acc.trace_m2, abs=1e-11)
 
 
 def test_element_rows_from_matrices_refuse_non_hermitian_input():
@@ -106,6 +148,13 @@ def test_element_rows_from_matrices_refuse_non_hermitian_input():
     data = hermitian(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
     record = ElementRows.from_matrices(data)
     assert record.index == (0, 1, 2, 3, 5, 6, 7, 10, 11, 15)
+    assert record.off_diagonal == [1, 2, 3, 6, 7, 11]
+    # real rows: the real parts of the 10 upper entries, then the imaginary
+    # parts of the 6 off-diagonal ones
+    flat = data.reshape(3, 16)
+    assert record.rows.dtype == np.float64 and record.rows.shape == (16, 3)
+    assert np.array_equal(record.rows[:10], flat[:, list(record.index)].real.T)
+    assert np.array_equal(record.rows[10:], flat[:, record.off_diagonal].imag.T)
     assert record.matrices().tobytes() == data.tobytes()
     for r, c, value in ((2, 0, 1e-12), (1, 1, 1e-12j)):  # a lower entry, then a diagonal
         broken = data.copy()
@@ -120,10 +169,15 @@ def test_sample_matrices_are_element_rows_and_reduce_like_a_copy():
     record = engine.snapshot().sample_matrices()
     mats = record.matrices()
     assert mats.shape == (64, 4, 4)
-    assert record.rows.shape == (len(record.index), 64)
-    # contiguous rows of the live entries, ascending: the layout the moments sum
+    # psi reaches |ee> and |eg>, and block B's two states
+    assert record.index == (0, 1, 2, 5, 6, 10) and record.off_diagonal == [1, 2, 6]
+    # contiguous real rows, the layout the moments sum: the real parts of the
+    # live entries, then the imaginary parts of the off-diagonal ones
+    assert record.rows.dtype == np.float64 and record.rows.shape == (9, 64)
     assert record.rows.flags.c_contiguous
-    assert list(record.index) == sorted(set(record.index))
+    flat = mats.reshape(64, 16)
+    assert np.array_equal(record.rows[:6], flat[:, list(record.index)].real.T)
+    assert np.array_equal(record.rows[6:], flat[:, record.off_diagonal].imag.T)
     viewed = MomentAccumulator.from_samples(record)
     copied = MomentAccumulator.from_samples(ElementRows.from_matrices(mats))
     assert np.array_equal(viewed.mean, copied.mean)
@@ -235,6 +289,7 @@ def test_plot_script_fig1(tmp_path):
     assert "set datafile separator ','" in script
     assert script.count("using 1:2:3") == 4
     assert "yerrorlines" in script
+    assert "every" not in script  # each written row is plotted
 
 
 def test_plot_script_fig2_applies_shifts(tmp_path):

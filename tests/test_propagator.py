@@ -872,6 +872,38 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
         assert any(np.unique(column).size > 1 for column in labels)
 
 
+@pytest.mark.parametrize(
+    "state_name,decay_name,mode,dtype",
+    [
+        ("phi", "identity", "adiabatic", np.float64),
+        ("phi", "identity", "nonadiabatic", np.float64),
+        ("psi", "projector", "adiabatic", np.float64),
+        ("psi", "projector", "nonadiabatic", np.float64),
+        ("custom ket", "projector", "adiabatic", np.complex128),
+        ("custom ket", "projector", "nonadiabatic", np.complex128),
+        ("psi", "custom decay", "nonadiabatic", np.complex128),
+    ],
+)
+def test_weights_are_real_exactly_where_the_input_is(state_name, decay_name, mode, dtype):
+    # a real ket and a real decay operator give real weights, whose hop
+    # factors stay real; a complex ket, or a complex decay operator whose
+    # decay channels give complex hop factors, gives complex weights
+    states, decays = _states_and_decays()
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
+    engine = sampled_engine(sp, BathParams(c=1.5, beta=0.1), decays[decay_name], config)
+    start = engine.weight.copy()
+    assert engine.weight.ndim == 1 and engine.weight.dtype == dtype
+    engine.advance(40)
+    assert engine.weight.dtype == dtype
+    assert (engine.summary.n_hops > 0) == (mode == "nonadiabatic")
+    snap = engine.snapshot()
+    assert snap.sample_matrices().matrices().tobytes() == dense_sample_matrices(snap).tobytes()
+    if decay_name == "custom decay":
+        # psi's weights start real; only the hops give them imaginary parts
+        assert not np.any(start.imag) and np.any(engine.weight.imag)
+
+
 def test_member_factor_phasor_matches_numpy_exp():
     # unit weight and zero decay leave e^{-i phase} alone on both sides
     step = 2 * np.pi / 1024
@@ -933,8 +965,12 @@ def test_element_rows_reuse_the_engine_buffer():
     assert np.shares_memory(first.rows, engine._buffer)
     assert np.shares_memory(second.rows, engine._buffer)
     assert np.shares_memory(first.rows, second.rows)
-    # phi lives in block B, and block A is uncoupled at jx = jy
+    # phi lives in block B, and block A is uncoupled at jx = jy: real rows
+    # for the three entries, and an imaginary row for the coherence
     assert first.index == second.index == (5, 6, 10)
+    assert first.off_diagonal == [6]
+    assert engine._buffer.dtype == np.float64 and engine._buffer.shape == (16, 32)
+    assert first.rows.shape == second.rows.shape == (4, 32)
     # the earlier record now reads the later output; its copy does not
     assert np.array_equal(first.matrices(), second.matrices())
     assert not np.array_equal(kept, second.matrices())
