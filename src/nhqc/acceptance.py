@@ -7,7 +7,6 @@ expensive time series are cached and shared between criteria.
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,10 +59,7 @@ def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24):
             initial_state=state,
             output_stride=stride,
         )
-        decay = decay_operator(kind, gamma)
-        started = time.perf_counter()
-        series, summary = simulate(REFERENCE_SP, bp, decay, config)
-        _CACHE[key] = (series, summary, time.perf_counter() - started)
+        _CACHE[key] = simulate(REFERENCE_SP, bp, decay_operator(kind, gamma), config)
     return _CACHE[key]
 
 
@@ -74,14 +70,14 @@ def criterion_1() -> CriterionResult:
     worst = 0.0
     slowest = 0.0
     for gamma1 in (0.1, 0.5, 1.0):
-        series, _, wall = _cached_run("identity", gamma1, PHI, samples)
+        series, summary = _cached_run("identity", gamma1, PHI, samples)
         times = series.times()
         law = np.array([trace_law_identity(gamma1, t) for t in times])
         worst = max(worst, float(np.max(np.abs(series.traces() - law))))
-        slowest = max(slowest, wall)
-    series0, _, wall0 = _cached_run("identity", 0.0, PHI, samples)
+        slowest = max(slowest, summary.wall_time)
+    series0, summary0 = _cached_run("identity", 0.0, PHI, samples)
     dev0 = float(np.max(np.abs(series0.traces() - 1.0)))
-    slowest = max(slowest, wall0)
+    slowest = max(slowest, summary0.wall_time)
     passed = worst < 1e-8 and dev0 < 1e-10 and slowest < budget
     return CriterionResult(
         1,
@@ -99,7 +95,7 @@ def criterion_2() -> CriterionResult:
     worst = 0.0
     plateau_gap = None
     for gamma2 in (0.001, 0.01, 0.1):
-        series, _, _ = _cached_run("projector_ee", gamma2, PSI, samples)
+        series, _ = _cached_run("projector_ee", gamma2, PSI, samples)
         times = series.times()
         law = np.array([trace_law_projector(gamma2, t, 0.5) for t in times])
         worst = max(worst, float(np.max(np.abs(series.traces() - law))))
@@ -124,7 +120,7 @@ def criterion_3() -> CriterionResult:
     worst = 0.0
     for kind, gamma in (("identity", 0.5), ("projector_ee", 0.1)):
         for state in (PHI, PSI):
-            series, _, _ = _cached_run(kind, gamma, state, samples, stride=10, c=0.0)
+            series, _ = _cached_run(kind, gamma, state, samples, stride=10, c=0.0)
             decay = decay_operator(kind, gamma)
             states = solve_quantum(initial_subsystem(state), h_s, decay.matrix, 0.01, 1000)
             for row, k in zip(series.rows, range(0, 1001, 10)):
@@ -195,8 +191,8 @@ def criterion_5() -> CriterionResult:
 
     big_samples = 50_000
     small_samples = big_samples // 4
-    big, _, _ = _cached_run("identity", 0.0, PHI, big_samples)
-    small, _, _ = _cached_run("identity", 0.0, PHI, small_samples)
+    big, _ = _cached_run("identity", 0.0, PHI, big_samples)
+    small, _ = _cached_run("identity", 0.0, PHI, small_samples)
     err_big = big.rows[-1].density.stderr[1, 1]
     err_small = small.rows[-1].density.stderr[1, 1]
     ratio = float(err_small / err_big)
@@ -222,7 +218,7 @@ def criterion_6() -> CriterionResult:
         ("projector_ee", 0.1, PSI, samples_2),
         ("projector_ee", 0.01, PSI, samples_2),
     ):
-        series, _, _ = _cached_run(kind, gamma, state, samples)
+        series, _ = _cached_run(kind, gamma, state, samples)
         for row in series.rows:
             worst_h = max(worst_h, row.density.hermiticity_defect())
         growth = max(growth, float(np.max(np.diff(series.traces()))))

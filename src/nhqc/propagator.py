@@ -9,10 +9,10 @@ the second-order step splitting).  In nonadiabatic mode a single stochastic
 transition per member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
 momentum-jump rule; that rule is stated only here, in
-``EnsembleState._hop_stage`` and ``_momentum_jump``.  The stage sums each
-channel's label-masked |amplitude| row once for the no-hop total, chooses a
-channel only for the members whose uniform falls below that total, and
-forms decay amplitudes only for the entries where a channel is open.
+``EnsembleState._hop_stage`` and ``_momentum_jump``, and which transitions
+exist only in ``_transition_channels``: the engine fixes their table at
+set-up and reads it both for the slots a label can reach and in the hop
+stage.
 
 ``EnsembleState`` propagates all members of a run of samples at once on the
 closed-form block frames of ``nhqc.adiabatic``.  Block A depends on the bath
@@ -25,10 +25,9 @@ their rows and reduces it into a time series.
 
 A member column (every sample's k-th pair) can hold every pair of the slots
 its two labels reach, fixed at set-up: labels move only in nonadiabatic
-mode, along a coupled block's derivative coupling and the open decay
-channels.  That one table fixes the blocks a column stores (those of its
-labels), whether its phase moves (some pair is off-diagonal), the blocks
-that feel a force and the reduction's terms.  Columns are ordered
+mode, along the transitions of ``_transition_channels``.  Those pairs fix
+the blocks a column stores (those of its labels), whether its phase moves
+(some pair is off-diagonal) and the reduction's terms.  Columns are ordered
 block-A-only, both, then block-B-only, so each block's rows are one
 contiguous view.  Each stored row follows velocity Verlet on
 
@@ -200,32 +199,32 @@ def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarr
     return out
 
 
-def _open_gamma_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, int]]:
-    """Off-diagonal decay channels (side, s, t) that can be nonzero, in
-    hop-stage order; the s -> t transition reads entry (s, t) of u^T Gamma u
-    on the ket side and (t, s) on the bra side.  A slot spans the rows of its
-    components other than a scalar 0.0, so an entry opens only where
-    Gamma[i, j] != 0 for rows i, j the two slots span; the identity
-    operator, diagonal in every orthonormal frame, opens none."""
+def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, int, int | tuple]]:
+    """Every transition (side, s, t, source) that can be nonzero, in
+    hop-stage order.  First each coupled block k's derivative coupling,
+    source k: upper to lower slot, then back, ket before bra.  Then the open
+    decay channels, whose s -> t transition reads the entry source = (s, t)
+    of u^T Gamma u on the ket side and (t, s) on the bra side.  A slot spans
+    the rows of its components other than a scalar 0.0, so an entry opens
+    only where Gamma[i, j] != 0 for rows i, j the two slots span; the
+    identity operator, diagonal in every orthonormal frame, opens none."""
+    channels = [
+        (side, s, s ^ 1, s // 2) for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
+    ]
     if decay.kind is DecayKind.IDENTITY_UNIFORM:
-        return []
+        return channels
     spans = [
         [i for i, c in zip(SLOT_ROWS[s], comp) if np.ndim(c) or c != 0.0]
         for s, comp in enumerate(slot_vectors(blocks))
     ]
     m = decay.matrix
-
-    def opens(p: int, q: int) -> bool:
-        return p != q and any(m[i, j] != 0 for i in spans[p] for j in spans[q])
-
-    channels = []
-    for s in range(4):
-        for t in range(4):
-            if opens(s, t):
-                channels.append(("ket", s, t))
-            if opens(t, s):
-                channels.append(("bra", s, t))
-    return channels
+    return channels + [
+        (side, s, t, (p, q))
+        for s in range(4)
+        for t in range(4)
+        for side, p, q in (("ket", s, t), ("bra", t, s))
+        if s != t and any(m[i, j] != 0 for i in spans[p] for j in spans[q])
+    ]
 
 
 def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -471,12 +470,11 @@ class EnsembleState:
                 "spawn no pair (non-finite initial frames)"
             )
         # the slots a label can move to: none in adiabatic mode; in
-        # nonadiabatic mode a coupled block's partner slot and the targets of
-        # the open decay channels, closed transitively.  Every channel runs
-        # both ways, so a diagonal column that cannot move sorts to an end
-        self._gamma_channels = [] if adiabatic else _open_gamma_channels(decay, blocks0)
-        edges = {(s, t) for _, s, t in self._gamma_channels}
-        edges |= {(s, s ^ 1) for s in range(4) if not adiabatic and blocks0[s // 2].half_gap is not None}
+        # nonadiabatic mode the targets of its transitions, closed
+        # transitively.  Every channel runs both ways, so a diagonal column
+        # that cannot move sorts to an end
+        channels = [] if adiabatic else _transition_channels(decay, blocks0)
+        edges = {(s, t) for _, s, t, _ in channels}
         reach = [{s} | {t for u, t in edges if u == s} for s in range(4)]
         for _ in range(2):  # paths of up to four channels, enough for four slots
             reach = [set().union(*(reach[t] for t in r)) for r in reach]
@@ -492,6 +490,15 @@ class EnsembleState:
         pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
         counts = [list(group.values()).count(g) for g in range(3)]
         self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
+        # the hop stage's table: each transition with the members [lo, hi) of
+        # the columns that store the blocks of both its slots, the only ones
+        # that can hold its source label (block A's columns start and stop
+        # first); a channel that no column can take is left out
+        self._channels = []
+        for side, s, t, source in channels:
+            lo, hi = self._cols[max(s, t) // 2].start, self._cols[min(s, t) // 2].stop
+            if lo < hi:
+                self._channels.append((side, s, t, source, lo * self.n_local, hi * self.n_local))
         labels = self._labels = tuple(held[pair] for pair in pairs)
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
@@ -567,12 +574,6 @@ class EnsembleState:
         else:
             shape = (len(pairs), self.n_local)
             self._coef = self._label_coefficients(self.alpha.reshape(shape), self.alpha_prime.reshape(shape))
-        # block k's force term c n_k sz_k, left out where n_k is 0 for every
-        # pair its columns can hold (its <sigma_z> row is then never built)
-        self._pulls = tuple(
-            bp.c != 0 and any(SLOT_SIGN[k][a] + SLOT_SIGN[k][b] != 0 for j in columns for a, b in labels[j])
-            for k, columns in enumerate(self._cols)
-        )
         self._omega_spare = np.empty((len(self._live), self.n_local))
         self._omega = np.empty_like(self._omega_spare)
         if not self._gdiag_constant:
@@ -616,40 +617,35 @@ class EnsembleState:
 
     def _refresh_pair_caches(self) -> None:
         """Half kick, Bohr frequency and (R-dependent) decay rate of every
-        member on the current frames, the latter two into fresh buffers: the
-        previous ones stay readable as the step's starting values."""
-        n, coef, dt = self.n_local, self._coef, self.config.dt
+        member on the current frames, in one pass over the stored blocks,
+        the latter two into fresh buffers: the previous ones stay readable
+        as the step's starting values."""
+        n, coef, dt, live = self.n_local, self._coef, self.config.dt, self._live
+        omega, self._omega_spare = self._omega_spare, self._omega
+        self._omega = omega
+        np.copyto(omega, coef["mu"][live.start : live.stop])
+        if not self._gdiag_constant:
+            gamma, self._gamma_spare = self._gamma_spare, self._gamma
+            self._gamma = gamma
+            gamma.fill(0.0)
         for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
             if block is None:
                 continue
             kick = self._kick_rows[k].reshape(-1, n)
             np.multiply(self._q[k].reshape(-1, n), -self._restore, out=kick)
-            if self._pulls[k]:
-                sz = block.sz.reshape(-1, n) if isinstance(block.sz, np.ndarray) else block.sz
-                term = self._scratch[: kick.size].reshape(kick.shape)
-                np.multiply(coef["cn", k][columns.start : columns.stop], sz, out=term)
-                kick += term
+            sz = block.sz.reshape(-1, n) if isinstance(block.sz, np.ndarray) else block.sz
+            term = self._scratch[: kick.size].reshape(kick.shape)
+            np.multiply(coef["cn", k][columns.start : columns.stop], sz, out=term)
+            kick += term
             kick *= 0.5 * dt
-        omega, self._omega_spare = self._omega_spare, self._omega
-        self._omega = omega
-        live = self._live
-        np.copyto(omega, coef["mu"][live.start : live.stop])
-        for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
             lo, hi = max(live.start, columns.start), min(live.stop, columns.stop)
-            if lo >= hi:
-                continue
-            upper = block.upper.reshape(-1, n)[lo - columns.start : hi - columns.start]
-            term = self._scratch[: upper.size].reshape(upper.shape)
-            np.multiply(coef["g", k][lo:hi], upper, out=term)
-            omega[lo - live.start : hi - live.start] += term
-        if not self._gdiag_constant:
-            gamma, self._gamma_spare = self._gamma_spare, self._gamma
-            self._gamma = gamma
-            gamma.fill(0.0)
-            for k, (gd, columns) in enumerate(zip(self._gdiag, self._cols)):
-                if gd is None:
-                    continue
-                upper, lower = (row.reshape(-1, n) for row in gd)
+            if lo < hi:
+                upper = block.upper.reshape(-1, n)[lo - columns.start : hi - columns.start]
+                term = self._scratch[: upper.size].reshape(upper.shape)
+                np.multiply(coef["g", k][lo:hi], upper, out=term)
+                omega[lo - live.start : hi - live.start] += term
+            if not self._gdiag_constant:
+                upper, lower = (row.reshape(-1, n) for row in self._gdiag[k])
                 part = coef["count", 2 * k][columns.start : columns.stop] * upper
                 part += coef["count", 2 * k + 1][columns.start : columns.stop] * lower
                 gamma[columns.start : columns.stop] += part
@@ -700,57 +696,40 @@ class EnsembleState:
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
 
-        The channels, in order, are the derivative couplings (upper to lower
-        slot, then back, block A first, ket before bra) and the open decay
-        channels, whose amplitudes are formed only for the open (s, t)
-        entries.  Each is a record (side 0 = ket or 1 = bra, source, target,
-        first member, amplitude, |amplitude|, coupling block or None) whose
-        rows cover the members of the columns that store the blocks of both
-        slots; no other member can hold its source label.  Its row is
-        |amplitude| where the side's label, as the stage found it, equals
-        the source, else 0.  One pass sums the rows in channel order into
-        ``total``.  Only a member whose uniform times 1 + total falls below
-        ``total`` hops, on the first channel where the running sum of its
-        rows exceeds that product.  Every other member, frustrated ones
-        included, gets the no-hop factor 1 + total.
+        The transitions are the rows (side, s, t, source, lo, hi) of the
+        set-up table ``_channels``; only the members [lo, hi) can hold the
+        source label s.  Each step forms one amplitude a per distinct source
+        on its members: dt v . d for block k's derivative coupling, negated
+        on its lower to upper slot channel, and dt (u^T Gamma u)[source] for
+        a decay channel.  A channel's row is |a| where the side's label, as
+        the stage found it, equals s, else 0; one pass sums the rows in table
+        order into ``total``.  Only a member whose uniform times 1 + total
+        falls below ``total`` hops, on the first channel where the running
+        sum of its rows exceeds that product, with factor -(1 + total) a / |a|.
+        Every other member, frustrated ones included, gets the no-hop factor
+        1 + total.
         """
-        n = self.weight.size
-        labels = (self.alpha, self.alpha_prime)
-        spans = [(columns.start * self.n_local, columns.stop * self.n_local) for columns in self._cols]
-        channels = []
-        for k, block in enumerate(self._blocks):
-            if block is None or block.half_gap is None:
-                continue
-            amp = dt * (self._p[k] / self.bp.mass * slot_coupling(self.bp, block))
-            mag = np.abs(amp)
-            for s, t, a in ((2 * k, 2 * k + 1, amp), (2 * k + 1, 2 * k, -amp)):
-                channels.append((0, s, t, spans[k][0], a, mag, k))
-                channels.append((1, s, t, spans[k][0], a, mag, k))
-        if self._gamma_channels:
-            comps, entries = slot_vectors(self._blocks), {}
-            for side, s, t in self._gamma_channels:
-                key = (s, t) if side == "ket" else (t, s)
-                lo = max(spans[s // 2][0], spans[t // 2][0])
-                hi = min(spans[s // 2][1], spans[t // 2][1])
-                if lo >= hi:
-                    continue  # no column stores both blocks: no member holds s
-                if key not in entries:
-                    # the two slots' components on the members [lo, hi)
-                    part = {
-                        u: tuple(c[lo - spans[u // 2][0] : hi - spans[u // 2][0]] if np.ndim(c) else c for c in comps[u])
-                        for u in key
-                    }
-                    amp = dt * _slot_entry(part, self._gamma_matrix, *key, hi - lo)
-                    entries[key] = amp, np.abs(amp)
-                channels.append((0 if side == "ket" else 1, s, t, lo, *entries[key], None))
-        if not channels:
+        if not self._channels:
             return
-        masks = {}
-        total = np.zeros(n)
-        for side, s, _, lo, _, mag, _ in channels:
+        labels = {"ket": self.alpha, "bra": self.alpha_prime}
+        amps, masks, comps = {}, {}, None
+        total = np.zeros(self.weight.size)
+        for side, s, _, source, lo, hi in self._channels:
+            if source not in amps:
+                if isinstance(source, int):
+                    amp = dt * (self._p[source] / self.bp.mass * slot_coupling(self.bp, self._blocks[source]))
+                else:  # from the two slots' components on the members [lo, hi)
+                    comps = comps or slot_vectors(self._blocks)
+                    start = [columns.start * self.n_local for columns in self._cols]
+                    part = {
+                        u: tuple(c[lo - start[u // 2] : hi - start[u // 2]] if np.ndim(c) else c for c in comps[u])
+                        for u in source
+                    }
+                    amp = dt * _slot_entry(part, self._gamma_matrix, *source, hi - lo)
+                amps[source] = amp, np.abs(amp)
             if (side, s) not in masks:
                 masks[side, s] = labels[side] == s
-            total[lo : lo + mag.size] += np.where(masks[side, s][lo : lo + mag.size], mag, 0.0)
+            total[lo:hi] += np.where(masks[side, s][lo:hi], amps[source][1], 0.0)
         scale = 1.0 + total
         u = self._hop_uniforms() * scale
         hit = np.flatnonzero(u < total)  # False for NaN: no hop
@@ -761,24 +740,27 @@ class EnsembleState:
         # a hit member outside a channel's rows reads a clipped row there,
         # masked off: it cannot hold the channel's source label
         rows = [
-            np.where(masks[side, s][hit], mag[np.minimum(np.maximum(hit - lo, 0), mag.size - 1)], 0.0)
-            for side, s, _, lo, _, mag, _ in channels
+            np.where(masks[side, s][hit], amps[source][1][np.minimum(np.maximum(hit - lo, 0), hi - lo - 1)], 0.0)
+            for side, s, _, source, lo, hi in self._channels
         ]
         choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)
         moved = []
         for c in np.unique(choice):
-            side, s, t, lo, amp, mag, k = channels[c]
+            side, s, t, source, lo, _ = self._channels[c]
+            amp, mag = amps[source]
+            coupling = isinstance(source, int)
             sel = choice == c
             idx, w = hit[sel], weight0[sel]
             j = idx - lo
-            factor = -scale[idx] * amp[j] / mag[j]
-            if k is not None:
-                energies = self._blocks[k].energies
+            # a reverse coupling channel's -a takes its sign here: (-x)(-a) = xa
+            factor = (scale[idx] if coupling and s % 2 else -scale[idx]) * amp[j] / mag[j]
+            if coupling:
+                energies = self._blocks[source].energies
                 delta_e = energies[t % 2, j] - energies[s % 2, j]
-                ok, p_new = _momentum_jump(self._p[k][j], delta_e, self.bp.mass)
+                ok, p_new = _momentum_jump(self._p[source][j], delta_e, self.bp.mass)
                 self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
                 idx, w, factor = idx[ok], w[ok], factor[ok]
-                self._p[k][j[ok]] = p_new
+                self._p[source][j[ok]] = p_new
             w *= factor  # in place: numpy rounds a one-element complex product differently out of place
             self.weight[idx] = w
             labels[side][idx] = t

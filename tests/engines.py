@@ -1,8 +1,11 @@
 """Engines started from the thermal Wigner points of a configuration's seed,
-and the reduction of one engine snapshot to its sample-mean density."""
+the reduction of one engine snapshot to its sample-mean density, and
+hand-built time series."""
+
+import numpy as np
 
 from nhqc.model import ReducedDensity
-from nhqc.observables import MomentAccumulator
+from nhqc.observables import MomentAccumulator, TimeRecord, TimeSeries
 from nhqc.propagator import EnsembleState
 from nhqc.sampler import sample_bath_point
 
@@ -26,3 +29,11 @@ def reduce_snapshot(snapshot) -> ReducedDensity:
     contributions are summed per sample, then averaged over samples.
     """
     return MomentAccumulator.from_samples(snapshot.sample_matrices()).density()
+
+
+def diagonal_series(times, traces, **metadata) -> TimeSeries:
+    """A time series whose density at times[k] is diag(traces[k], 0, 0, 0),
+    with zero standard errors."""
+    densities = [ReducedDensity(np.diag([trace, 0.0, 0.0, 0.0]).astype(complex), np.zeros((4, 4)), 10) for trace in traces]
+    rows = [TimeRecord(t=t, density=density, trace_stderr=0.0) for t, density in zip(times, densities)]
+    return TimeSeries(rows=rows, metadata=metadata)

@@ -3,9 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from nhqc.cli import ConfigError, check_run_invariants, main, parse_config
+from nhqc.cli import ConfigError, check_run_invariants, main, parse_config, preset
 from nhqc.model import REFERENCE_BP, REFERENCE_SP, BathParams, DecayKind, SimConfig, decay_operator
 from nhqc.propagator import simulate
+
+from engines import diagonal_series
 
 PAPER_LINES = [
     "# reference parameters",
@@ -387,3 +389,26 @@ def test_custom_ket_inside_the_norm_tolerance_starts_at_trace_one(excess):
     config = SimConfig(n_steps=2, seed=3, n_samples=20, initial_state=(1.0 + excess, 0.0, 0.0, 0.0))
     series, _ = simulate(REFERENCE_SP, REFERENCE_BP, decay, config)
     check_run_invariants(series, decay)
+
+
+@pytest.mark.parametrize(
+    "rise, matrix, rejected",
+    [
+        (2e-12, np.eye(4), True),  # above the 1e-12 tolerance under a PSD operator
+        (5e-13, np.eye(4), False),  # within it
+        (2e-12, np.diag([-0.1, 0.1, 0.1, 0.1]), False),  # a negative eigenvalue may raise the trace
+    ],
+)
+def test_check_run_invariants_rejects_a_rising_trace_only_under_a_psd_decay(rise, matrix, rejected):
+    series, decay = diagonal_series([0.0, 0.1], [1.0, 1.0 + rise]), decay_operator("custom", matrix=matrix)
+    if rejected:
+        with pytest.raises(ValueError, match="trace increased under a positive semidefinite decay operator"):
+            check_run_invariants(series, decay)
+    else:
+        check_run_invariants(series, decay)
+
+
+def test_unknown_preset_exits_2(tmp_path, capsys):
+    assert preset("fig9", tmp_path / "p") == 2
+    assert capsys.readouterr().err == "error: unknown preset 'fig9'\n"
+    assert not (tmp_path / "p").exists()

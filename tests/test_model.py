@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nhqc.cli import parse_config
 from nhqc.model import (
     BathParams,
     DecayKind,
+    DecaySpec,
     ReducedDensity,
     SimConfig,
     SpinChainParams,
@@ -13,6 +15,9 @@ from nhqc.model import (
     subsystem_hamiltonian,
 )
 from nhqc.oracle import PhasePoint
+from nhqc.sampler import initial_subsystem
+
+from engines import diagonal_series
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -149,3 +154,31 @@ def test_reduced_density_validation():
         ReducedDensity(skew, np.zeros((4, 4)), 10).validate()
     # a large stderr excuses the same asymmetry
     ReducedDensity(skew, np.full((4, 4), 0.1), 10).validate()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SpinChainParams(jx=-1.0, jy=np.inf, jz=0.5), "jy must be a finite real"),
+        (lambda: BathParams(c=np.nan), "c must be finite"),
+        (lambda: DecaySpec(matrix=np.eye(3), kind=DecayKind.CUSTOM), r"decay matrix must be 4x4, got \(3, 3\)"),
+        (lambda: DecaySpec(matrix=np.full((4, 4), np.nan), kind=DecayKind.CUSTOM), "decay matrix must be finite"),
+        (lambda: decay_operator("custom"), "custom decay operator requires a matrix"),
+        (lambda: SimConfig(n_steps=10, seed=1, initial_state="chi"), "initial_state must be 'phi', 'psi' or a 4-ket"),
+        (lambda: SimConfig(n_steps=10, seed=1, initial_state=(1.0, 0.0, 0.0)), "custom ket must have 4 amplitudes"),
+        (lambda: bath_potential(BathParams(), [1.0, 2.0, 3.0]), r"R must have length 2, got shape \(3,\)"),
+        (lambda: initial_subsystem("chi"), "unknown initial state 'chi'"),
+        (lambda: initial_subsystem(np.ones(3)), "custom ket must have 4 amplitudes"),
+        # a large stderr gets the imaginary diagonal past the Hermiticity check
+        (
+            lambda: ReducedDensity(np.diag([1.0 + 1e-6j, 0.0, 0.0, 0.0]), np.ones((4, 4)), 10).validate(),
+            "trace has imaginary part 1.000e-06",
+        ),
+        (lambda: diagonal_series([0.0, 0.1, 0.1], [1.0] * 3).validate(), "time series must be strictly increasing in t"),
+        (lambda: diagonal_series([0.0, 0.1], [1.0] * 2, steps=10, output_stride=5).validate(), "expected 3 rows, found 2"),
+        (lambda: parse_config("no-such-dir/run.cfg"), "cannot read config"),
+    ],
+)
+def test_bad_input_fails_with_its_message(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

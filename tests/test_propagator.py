@@ -30,8 +30,8 @@ from nhqc.propagator import (
     HOP_STREAM_TAG,
     EnsembleState,
     _momentum_jump,
-    _open_gamma_channels,
     _slot_entry,
+    _transition_channels,
     member_factor,
     simulate,
 )
@@ -544,20 +544,25 @@ def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
         assert np.array_equal(np.transpose(entries, (2, 0, 1)), expected), name
 
 
-def test_open_gamma_channels():
+def test_transition_channels():
     R, _ = sample_bath_point(PAPER_BP, 21, 0, 50)
     frames_ab = frames_at(SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5), PAPER_BP, R).blocks  # both blocks coupled
     frames_b = frames_at(PAPER_SP, PAPER_BP, R).blocks  # block A uncoupled
     identity = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
     projector = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
-    assert _open_gamma_channels(identity, frames_ab) == []
-    assert _open_gamma_channels(projector, frames_b) == []
-    assert _open_gamma_channels(projector, frames_ab) == [
-        ("ket", 0, 1), ("bra", 0, 1), ("ket", 1, 0), ("bra", 1, 0)
+    # each coupled block's derivative coupling, upper to lower slot and back
+    coupling = {k: [(side, s, s ^ 1, k) for s in (2 * k, 2 * k + 1) for side in ("ket", "bra")] for k in range(2)}
+    assert _transition_channels(identity, frames_ab) == coupling[0] + coupling[1]
+    assert _transition_channels(projector, frames_b) == coupling[1]
+    assert _transition_channels(projector, frames_ab) == coupling[0] + coupling[1] + [
+        ("ket", 0, 1, (0, 1)), ("bra", 0, 1, (1, 0)), ("ket", 1, 0, (1, 0)), ("bra", 1, 0, (0, 1))
     ]
     dense = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
-    every = [(side, s, t) for s in range(4) for t in range(4) if s != t for side in ("ket", "bra")]
-    assert _open_gamma_channels(dense, frames_ab) == every  # all 24, in hop-stage order
+    every = [
+        (side, s, t, (s, t) if side == "ket" else (t, s))
+        for s in range(4) for t in range(4) if s != t for side in ("ket", "bra")
+    ]
+    assert _transition_channels(dense, frames_ab) == coupling[0] + coupling[1] + every  # 8 + 24, in hop-stage order
 
 
 def pinned_hop_step(monkeypatch, c, uniform):
@@ -578,7 +583,7 @@ def pinned_hop_step(monkeypatch, c, uniform):
     )
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     engine = sampled_engine(sp, BathParams(c=c, beta=0.1), decay, config)
-    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._gamma_channels) == 24
+    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._channels) == 8 + 24
     assert engine._cols == (range(10), range(10))
     members = np.arange(engine.weight.size)
     # member k * 40 + s is odd exactly where its sample s is
@@ -612,6 +617,12 @@ def dense_decay_entries(before, decay):
     return np.einsum("nip,ij,njq->npq", u, decay.matrix, u)
 
 
+def oscillator_velocity(before, engine):
+    """Each member's oscillator-space velocity (V1, V2) from its normal
+    momenta p_A = P1 + P2 and p_B = P1 - P2, shape (2, n)."""
+    return np.array([before["p"][0] + before["p"][1], before["p"][0] - before["p"][1]]) / (2 * engine.bp.mass)
+
+
 def no_hop_total(before, engine):
     """Sum of |amplitude| over every channel open from each member's labels:
     dt |v . d| for the coupling to the partner slot and dt |(u^T Gamma u)|
@@ -620,8 +631,7 @@ def no_hop_total(before, engine):
     a, b = before["alpha"], before["alpha_prime"]
     ar = np.arange(a.size)
     gs = dense_decay_entries(before, engine.decay)
-    # oscillator-space velocities from the normal momenta P1 +- P2
-    v = np.array([before["p"][0] + before["p"][1], before["p"][0] - before["p"][1]]) / (2 * engine.bp.mass)
+    v = oscillator_velocity(before, engine)
     total = np.zeros(a.size)
     for (s, _), d in oscillator_couplings(engine.bp, before["frames"]).items():
         rate = np.abs(dt * (v[0] * d[:, 0] + v[1] * d[:, 1]))
@@ -663,12 +673,18 @@ def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch)
     e_new = kinetic[1] + energies[PARTNER[source], ar]
     assert np.allclose(e_new[hopped], e_old[hopped], rtol=0, atol=1e-12)
     assert np.array_equal(p_after[:, ~hopped], before["p"][:, ~hopped])
-    # real coupling amplitudes give real factors of modulus 1 + total; a
-    # frustrated member keeps the positive no-hop factor
+    # a hop on the coupling s -> t takes the real factor -(1 + total) a / |a|
+    # with a = dt v . d_st, whose sign flips with the direction (d_ts = -d_st);
+    # a frustrated member keeps the positive no-hop factor 1 + total
+    v = oscillator_velocity(before, engine)
+    amp = np.zeros(n)
+    for (s, _), d in oscillator_couplings(engine.bp, before["frames"]).items():
+        amp = np.where(source == s, v[0] * d[:, 0] + v[1] * d[:, 1], amp)
+    scale = 1.0 + no_hop_total(before, engine)
     ratio = engine.weight / before["weight"]
     assert np.max(np.abs(ratio.imag)) < 1e-12
-    assert np.allclose(np.abs(ratio.real), 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
-    assert np.all(ratio.real[~hopped] > 1.0)
+    assert np.allclose(ratio.real, np.where(hopped, -scale * np.sign(amp), scale), rtol=1e-12, atol=0)
+    assert np.any(hopped & (source % 2 == 0)) and np.any(hopped & (source % 2 == 1))  # both directions
 
 
 def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channel(monkeypatch):
