@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "CONFIG_KEYS",
-    "HERMITICITY_TOL",
     "REFERENCE_BP",
     "REFERENCE_SP",
     "BathParams",
@@ -32,8 +31,6 @@ __all__ = [
     "decay_operator",
     "subsystem_hamiltonian",
 ]
-
-HERMITICITY_TOL = 1e-12
 
 # Pauli z expectation per basis state, first and second spin.
 SZ1_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
@@ -85,25 +82,33 @@ class DecayKind(enum.Enum):
 
     IDENTITY_UNIFORM = "identity"
     PROJECTOR_EE = "projector_ee"
-    CUSTOM = "custom"
+
+
+_DECAY_WORDS = tuple(kind.value for kind in DecayKind)
 
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Hermitian decay operator of the subsystem (adimensional)."""
+    """Hermitian decay operator of the subsystem (adimensional): ``strength``
+    times the identity, or times the projector on |ee>.  ``kind`` may be
+    given as its word; ``matrix`` is built from the two."""
 
-    matrix: np.ndarray
     kind: DecayKind
-    strength: float | None = None
+    strength: float
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"decay matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("decay matrix must be finite")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("decay matrix must be Hermitian")
+        try:
+            object.__setattr__(self, "kind", DecayKind(self.kind))
+        except ValueError:
+            raise ValueError(f"gamma_kind must be one of {_DECAY_WORDS}, got {self.kind!r}") from None
+        if not np.isfinite(self.strength):
+            raise ValueError(f"gamma must be finite, got {self.strength!r}")
+        if self.kind is DecayKind.IDENTITY_UNIFORM:
+            m = self.strength * np.eye(4, dtype=complex)
+        else:
+            m = np.zeros((4, 4), dtype=complex)
+            m[0, 0] = self.strength
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -161,7 +166,7 @@ CONFIG_KEYS = {
     "mass": (float, "bp", "mass"),
     "omega": (float, "bp", "omega"),
     "beta": (float, "bp", "beta"),
-    "gamma_kind": (("identity", "projector_ee"), "decay", "kind"),
+    "gamma_kind": (_DECAY_WORDS, "decay", "kind"),
     "gamma": (float, "decay", "strength"),
     "dt": (float, "config", "dt"),
     "steps": (int, "config", "n_steps"),
@@ -182,7 +187,7 @@ class SimConfig:
     dt: float = 0.01
     n_samples: int = 50_000
     mode: str = "adiabatic"
-    initial_state: str | tuple = PHI
+    initial_state: str = PHI
     output_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -196,19 +201,8 @@ class SimConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        state = self.initial_state
-        if isinstance(state, str):
-            if state not in (PHI, PSI):
-                raise ValueError(f"initial_state must be '{PHI}', '{PSI}' or a 4-ket")
-        else:
-            ket = np.asarray(state, dtype=complex)
-            if ket.shape != (4,):
-                raise ValueError("custom ket must have 4 amplitudes")
-            norm = np.linalg.norm(ket)
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError("custom ket must be normalized to 1 within 1e-12")
-            # stored normalized, so the trace starts at 1 to rounding
-            object.__setattr__(self, "initial_state", tuple(ket / norm))
+        if self.initial_state not in (PHI, PSI):
+            raise ValueError(f"initial_state must be '{PHI}' or '{PSI}', got {self.initial_state!r}")
 
 
 def subsystem_hamiltonian(sp: SpinChainParams) -> np.ndarray:
@@ -251,24 +245,12 @@ def bath_potential(bp: BathParams, R: np.ndarray) -> float:
     return float(0.5 * bp.mass * bp.omega**2 * np.sum(R**2))
 
 
-def decay_operator(kind: DecayKind | str, gamma: float = 0.0, matrix=None) -> DecaySpec:
-    """Build one of the two reference decay operators, or wrap a custom one.
+def decay_operator(kind: DecayKind | str, gamma: float = 0.0) -> DecaySpec:
+    """One of the two reference decay operators at strength gamma.
 
     ``IDENTITY_UNIFORM`` drains every state at the same rate; ``PROJECTOR_EE``
-    drains only the doubly excited state.  A custom matrix is accepted when
-    Hermitian; positivity is reported via ``DecaySpec.positive_semidefinite``
-    but not required.
+    drains only the doubly excited state.  A negative gamma is accepted;
+    positivity is reported via ``DecaySpec.positive_semidefinite`` but not
+    required.
     """
-    if isinstance(kind, str):
-        kind = DecayKind(kind)
-    if not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    if kind is DecayKind.IDENTITY_UNIFORM:
-        return DecaySpec(gamma * np.eye(4, dtype=complex), kind, gamma)
-    if kind is DecayKind.PROJECTOR_EE:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = gamma
-        return DecaySpec(m, kind, gamma)
-    if matrix is None:
-        raise ValueError("custom decay operator requires a matrix")
-    return DecaySpec(np.asarray(matrix, dtype=complex), DecayKind.CUSTOM, None)
+    return DecaySpec(kind, gamma)

@@ -57,11 +57,11 @@ must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Both
 weight each member by ``member_factor``, w exp(-i phi - Lambda): one real
 exp per column where the decay integral is per column, and e^{-i phi} from
 a table and short polynomials rather than numpy's complex exp, which calls
-the scalar libm cosine and sine for every element.  The weights are real
-for a real initial state and decay operator.  Both modes keep one
-Hermitian rule: every member's (alpha', alpha) partner is implicit and a
-diagonal member starts at half its weight, so each sample's matrix is
-X + X^dagger, of which only the upper triangle is formed.
+the scalar libm cosine and sine for every element.  The weights are real.
+Both modes keep one Hermitian rule: every member's (alpha', alpha) partner
+is implicit and a diagonal member starts at half its weight, so each
+sample's matrix is X + X^dagger, of which only the upper triangle is
+formed.
 """
 
 from __future__ import annotations
@@ -153,12 +153,12 @@ def member_factor(weight: np.ndarray, phase: np.ndarray, decay: np.ndarray) -> n
 
     ``decay`` is the column's decay integral, shape (n,) or (1,) where
     every member carries the same one.  A column whose phase is identically
-    0, as it is where the column can hold only a diagonal pair, gets
-    weight * exp(-decay), real where the weights are.  Otherwise the factor
-    is weight * exp(-decay) times e^{-i phase} from ``_phasor``, which lies
-    within 2.3e-16 of numpy's complex exp; a column with a phase that is not
-    finite, or beyond the table's exact reduction, takes numpy's complex
-    exp, so a non-finite phase gives a non-finite factor."""
+    0, as it is where the column can hold only a diagonal pair, gets the
+    real weight * exp(-decay).  Otherwise the factor is weight * exp(-decay)
+    times e^{-i phase} from ``_phasor``, which lies within 2.3e-16 of
+    numpy's complex exp; a column with a phase that is not finite, or beyond
+    the table's exact reduction, takes numpy's complex exp, so a non-finite
+    phase gives a non-finite factor."""
     scale = weight * np.exp(-decay)
     if phase[0] == 0.0 and not phase.any():  # one read rules out most columns
         return scale
@@ -199,32 +199,28 @@ def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarr
     return out
 
 
+def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
+    """Whether the decay operator tells apart the two slots of a coupled
+    block, whose frames mix its basis states: only the projector at
+    gamma != 0 does, in block A when it is coupled.  Exactly then decay
+    rates depend on the bath configuration and decay channels open."""
+    return decay.kind is DecayKind.PROJECTOR_EE and decay.strength != 0 and blocks[0].half_gap is not None
+
+
 def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, int, int | tuple]]:
     """Every transition (side, s, t, source) that can be nonzero, in
     hop-stage order.  First each coupled block k's derivative coupling,
-    source k: upper to lower slot, then back, ket before bra.  Then the open
-    decay channels, whose s -> t transition reads the entry source = (s, t)
-    of u^T Gamma u on the ket side and (t, s) on the bra side.  A slot spans
-    the rows of its components other than a scalar 0.0, so an entry opens
-    only where Gamma[i, j] != 0 for rows i, j the two slots span; the
-    identity operator, diagonal in every orthonormal frame, opens none."""
+    source k: upper to lower slot, then back, ket before bra.  Then the
+    decay channels where the operator mixes block A's slots
+    (``_decay_mixes``): its s -> t transition reads the entry source = (s, t)
+    of u^T Gamma u on the ket side and (t, s) on the bra side.  Every
+    transition takes a slot s to s ^ 1, in its own block."""
     channels = [
         (side, s, s ^ 1, s // 2) for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
     ]
-    if decay.kind is DecayKind.IDENTITY_UNIFORM:
-        return channels
-    spans = [
-        [i for i, c in zip(SLOT_ROWS[s], comp) if np.ndim(c) or c != 0.0]
-        for s, comp in enumerate(slot_vectors(blocks))
-    ]
-    m = decay.matrix
-    return channels + [
-        (side, s, t, (p, q))
-        for s in range(4)
-        for t in range(4)
-        for side, p, q in (("ket", s, t), ("bra", t, s))
-        if s != t and any(m[i, j] != 0 for i in spans[p] for j in spans[q])
-    ]
+    if _decay_mixes(decay, blocks):
+        channels += [("ket", 0, 1, (0, 1)), ("bra", 0, 1, (1, 0)), ("ket", 1, 0, (1, 0)), ("bra", 1, 0, (0, 1))]
+    return channels
 
 
 def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -470,48 +466,41 @@ class EnsembleState:
                 "spawn no pair (non-finite initial frames)"
             )
         # the slots a label can move to: none in adiabatic mode; in
-        # nonadiabatic mode the targets of its transitions, closed
-        # transitively.  Every channel runs both ways, so a diagonal column
-        # that cannot move sorts to an end
+        # nonadiabatic mode the targets of its transitions, each the other
+        # slot of its block.  Every channel runs both ways, so a diagonal
+        # column that cannot move sorts to an end
         channels = [] if adiabatic else _transition_channels(decay, blocks0)
-        edges = {(s, t) for _, s, t, _ in channels}
-        reach = [{s} | {t for u, t in edges if u == s} for s in range(4)]
-        for _ in range(2):  # paths of up to four channels, enough for four slots
-            reach = [set().union(*(reach[t] for t in r)) for r in reach]
+        reach = [{s} | {t for _, u, t, _ in channels if u == s} for s in range(4)]
         # a column can hold every pair of the slots its labels reach, and
-        # stores the blocks of those slots, from that of the lowest to that
-        # of the highest: its group is block A only (0), both (1) or block B
-        # only (2).  Columns run in group order, block A only with its
-        # diagonal pairs first and block B only with them last, so that each
-        # block's columns and the columns that can hold an off-diagonal pair
-        # (whose phase moves) are contiguous
+        # stores the blocks of its labels: its group is block A only (0),
+        # both (1) or block B only (2).  Columns run in group order, block A
+        # only with its diagonal pairs first and block B only with them
+        # last, so that each block's columns and the columns that can hold an
+        # off-diagonal pair (whose phase moves) are contiguous
         held = {(a, b): tuple(sorted((x, y) for x in reach[a] for y in reach[b])) for a, b in pairs}
-        group = {pair: min(held[pair][0]) // 2 + max(held[pair][-1]) // 2 for pair in pairs}
+        group = {(a, b): a // 2 + b // 2 for a, b in pairs}
         pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
         counts = [list(group.values()).count(g) for g in range(3)]
         self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
         # the hop stage's table: each transition with the members [lo, hi) of
-        # the columns that store the blocks of both its slots, the only ones
-        # that can hold its source label (block A's columns start and stop
-        # first); a channel that no column can take is left out
-        self._channels = []
-        for side, s, t, source in channels:
-            lo, hi = self._cols[max(s, t) // 2].start, self._cols[min(s, t) // 2].stop
-            if lo < hi:
-                self._channels.append((side, s, t, source, lo * self.n_local, hi * self.n_local))
+        # the columns that store its block, the only ones that can hold its
+        # source label; a channel that no column can take is left out
+        self._channels = [
+            (side, s, t, source, cols.start * self.n_local, cols.stop * self.n_local)
+            for side, s, t, source in channels
+            if (cols := self._cols[s // 2])
+        ]
         labels = self._labels = tuple(held[pair] for pair in pairs)
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
-        # weights stay real for real input: a real decay operator's hop
-        # factors are real.  The partners are implicit (see the class
+        # the initial elements of both preparations are real, and so are
+        # all hop factors.  The partners are implicit (see the class
         # docstring): X + X^dagger counts a diagonal member twice
-        real = not (elements0.imag.any() or decay.matrix.imag.any())
-        weight = (elements0.real if real else elements0)[al, ap]
+        weight = elements0.real[al, ap]
         weight[al == ap] *= 0.5
         self.weight = weight.ravel()
-        self._gamma_matrix = decay.matrix.real if real else decay.matrix
         n = self.weight.size
         self.phase = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
@@ -547,12 +536,7 @@ class EnsembleState:
             self._hop_draws = int(self._hop_offset.max()) + 1
         # decay expectations are configuration-independent unless a coupled
         # block mixes states that the operator distinguishes
-        g = np.real(decay.matrix)
-        self._gdiag_constant = not any(
-            block.half_gap is not None and (g[i, i] != g[j, j] or g[i, j] != 0.0)
-            for block in blocks0
-            for i, j in [block.rows]
-        )
+        self._gdiag_constant = not _decay_mixes(decay, blocks0)
         if self._gdiag_constant:
             # per-slot rates, read once from sample 0, whose frame vectors
             # ``slot_vectors(blocks0)`` has built: they do not depend on R
@@ -700,14 +684,15 @@ class EnsembleState:
         set-up table ``_channels``; only the members [lo, hi) can hold the
         source label s.  Each step forms one amplitude a per distinct source
         on its members: dt v . d for block k's derivative coupling, negated
-        on its lower to upper slot channel, and dt (u^T Gamma u)[source] for
-        a decay channel.  A channel's row is |a| where the side's label, as
-        the stage found it, equals s, else 0; one pass sums the rows in table
-        order into ``total``.  Only a member whose uniform times 1 + total
-        falls below ``total`` hops, on the first channel where the running
-        sum of its rows exceeds that product, with factor -(1 + total) a / |a|.
-        Every other member, frustrated ones included, gets the no-hop factor
-        1 + total.
+        on its lower to upper slot channel, and for a decay channel
+        dt (u^T Gamma u)[source] = dt gamma u_s[ee] u_t[ee], on block A's
+        rows.  A channel's row is |a| where the side's label, as the stage
+        found it, equals s, else 0; one pass sums the rows in table order
+        into ``total``.  Only a member whose uniform times 1 + total falls
+        below ``total`` hops, on the first channel where the running sum of
+        its rows exceeds that product, with the real factor
+        -(1 + total) a / |a|.  Every other member, frustrated ones included,
+        gets the no-hop factor 1 + total.
         """
         if not self._channels:
             return
@@ -718,14 +703,10 @@ class EnsembleState:
             if source not in amps:
                 if isinstance(source, int):
                     amp = dt * (self._p[source] / self.bp.mass * slot_coupling(self.bp, self._blocks[source]))
-                else:  # from the two slots' components on the members [lo, hi)
+                else:  # |ee> is each block-A slot's first component
                     comps = comps or slot_vectors(self._blocks)
-                    start = [columns.start * self.n_local for columns in self._cols]
-                    part = {
-                        u: tuple(c[lo - start[u // 2] : hi - start[u // 2]] if np.ndim(c) else c for c in comps[u])
-                        for u in source
-                    }
-                    amp = dt * _slot_entry(part, self._gamma_matrix, *source, hi - lo)
+                    u_s, u_t = (comps[slot][0] for slot in source)
+                    amp = dt * ((u_s * self.decay.strength) * u_t)
                 amps[source] = amp, np.abs(amp)
             if (side, s) not in masks:
                 masks[side, s] = labels[side] == s
@@ -761,8 +742,7 @@ class EnsembleState:
                 self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
                 idx, w, factor = idx[ok], w[ok], factor[ok]
                 self._p[source][j[ok]] = p_new
-            w *= factor  # in place: numpy rounds a one-element complex product differently out of place
-            self.weight[idx] = w
+            self.weight[idx] = w * factor
             labels[side][idx] = t
             self.summary.n_hops += int(idx.size)
             moved.append(idx)
@@ -792,17 +772,12 @@ class EnsembleState:
 
 
 def _run_metadata(sp, bp, decay, config) -> dict:
-    """Each ``CONFIG_KEYS`` value of the run as a configuration file states
-    it; a custom decay matrix or ket, which no key can state, reads "custom"."""
+    """Each ``CONFIG_KEYS`` value of the run as a configuration file states it."""
     params = {"sp": sp, "bp": bp, "decay": decay, "config": config}
     metadata = {}
-    for key, (kind, owner, attr) in CONFIG_KEYS.items():
+    for key, (_, owner, attr) in CONFIG_KEYS.items():
         value = getattr(params[owner], attr)
-        if isinstance(value, DecayKind):
-            value = value.value
-        if value is None or (isinstance(kind, tuple) and value not in kind):
-            value = "custom"
-        metadata[key] = value
+        metadata[key] = value.value if isinstance(value, DecayKind) else value
     return metadata
 
 

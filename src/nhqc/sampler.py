@@ -65,25 +65,16 @@ def sample_bath_point(bp: BathParams, seed: int, start: int, n: int) -> tuple[np
     return sigma_r * z[:, :2].T, sigma_p * z[:, 2:].T
 
 
-def initial_subsystem(state) -> np.ndarray:
-    """Initial subsystem density matrix: |phi><phi|, |psi><psi| or a custom ket.
+def initial_subsystem(state: str) -> np.ndarray:
+    """Initial subsystem density matrix |phi><phi| or |psi><psi|.
 
     phi = |eg> and psi = (|ee> - |eg>)/sqrt(2), the two preparations paired
     with the uniform and projector decay operators respectively.
     """
-    if isinstance(state, str):
-        if state == PHI:
-            ket = np.array([0, 1, 0, 0], dtype=complex)
-        elif state == PSI:
-            ket = np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2)
-        else:
-            raise ValueError(f"unknown initial state {state!r}")
+    if state == PHI:
+        ket = np.array([0, 1, 0, 0], dtype=complex)
+    elif state == PSI:
+        ket = np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2)
     else:
-        ket = np.asarray(state, dtype=complex)
-        if ket.shape != (4,):
-            raise ValueError("custom ket must have 4 amplitudes")
-        norm = np.linalg.norm(ket)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("custom ket must be normalized")
+        raise ValueError(f"unknown initial state {state!r}")
     return np.outer(ket, ket.conj())
-

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhqc.cli import ConfigError, check_run_invariants, main, parse_config, preset
-from nhqc.model import REFERENCE_BP, REFERENCE_SP, BathParams, DecayKind, SimConfig, decay_operator
+from nhqc.model import BathParams, DecayKind, SimConfig, decay_operator
 from nhqc.propagator import simulate
 
 from engines import diagonal_series
@@ -380,27 +380,16 @@ def test_preset_rejects_an_empty_start(tmp_path, monkeypatch, capsys):
     assert list(out.glob("*")) == []
 
 
-@pytest.mark.parametrize("excess", [0.9e-12, -0.9e-12])
-def test_custom_ket_inside_the_norm_tolerance_starts_at_trace_one(excess):
-    # SimConfig accepts |norm - 1| <= 1e-12, so the norm squared may be off
-    # by 1.8e-12; the stored ket is normalized, and the run keeps the
-    # t = 0 invariant (trace 1 within 1e-12)
-    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
-    config = SimConfig(n_steps=2, seed=3, n_samples=20, initial_state=(1.0 + excess, 0.0, 0.0, 0.0))
-    series, _ = simulate(REFERENCE_SP, REFERENCE_BP, decay, config)
-    check_run_invariants(series, decay)
-
-
 @pytest.mark.parametrize(
-    "rise, matrix, rejected",
+    "rise, kind, gamma, rejected",
     [
-        (2e-12, np.eye(4), True),  # above the 1e-12 tolerance under a PSD operator
-        (5e-13, np.eye(4), False),  # within it
-        (2e-12, np.diag([-0.1, 0.1, 0.1, 0.1]), False),  # a negative eigenvalue may raise the trace
+        (2e-12, "identity", 1.0, True),  # above the 1e-12 tolerance under a PSD operator
+        (5e-13, "identity", 1.0, False),  # within it
+        (2e-12, "projector_ee", -0.1, False),  # a negative gamma may raise the trace
     ],
 )
-def test_check_run_invariants_rejects_a_rising_trace_only_under_a_psd_decay(rise, matrix, rejected):
-    series, decay = diagonal_series([0.0, 0.1], [1.0, 1.0 + rise]), decay_operator("custom", matrix=matrix)
+def test_check_run_invariants_rejects_a_rising_trace_only_under_a_psd_decay(rise, kind, gamma, rejected):
+    series, decay = diagonal_series([0.0, 0.1], [1.0, 1.0 + rise]), decay_operator(kind, gamma)
     if rejected:
         with pytest.raises(ValueError, match="trace increased under a positive semidefinite decay operator"):
             check_run_invariants(series, decay)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import SLOT_SZ, slot_vectors
+from nhqc.adiabatic import SLOT_SZ, slot_frames, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
@@ -9,7 +9,6 @@ from nhqc.model import (
     REFERENCE_SP,
     BathParams,
     DecayKind,
-    DecaySpec,
     SimConfig,
     SpinChainParams,
     decay_operator,
@@ -370,18 +369,13 @@ def two_force_verlet(engine, n_steps):
     return decay
 
 
-CROSS_BLOCK_DECAY = np.array(
-    [[1.0, 0.1, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.0, 1.0]]
-)
-
-
 @pytest.mark.parametrize(
     "jy,c,state,decay,mode",
     [
         (-1.0, 0.24, PHI, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "adiabatic"),
         (-0.6, 0.24, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic"),
-        # rates constant in R but distinct across blocks, which decay hops cross
-        (-0.6, 1.5, PHI, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), "nonadiabatic"),
+        # rates constant in R, and hops that rewrite every coefficient but the rate
+        (-0.6, 1.5, PHI, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic"),
         (-0.6, 1.5, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic"),
         # block A uncoupled: the (0, 0) column never moves, so the live
         # columns, whose frequencies hops rewrite, start after column 0
@@ -516,19 +510,19 @@ def test_engine_rejects_bad_starting_rows(q0, p0, start, fault):
 
 
 def sandwich_operands():
-    """Densities and decay operators the slot sandwich must reproduce: the
-    two preparations, a complex custom ket, and identity, projector and a
-    complex Hermitian custom decay."""
+    """Matrices the slot sandwich must reproduce: the two preparations, the
+    two decay operators, and a dense complex pure state and Hermitian matrix
+    whose every entry is nonzero."""
     rng = np.random.default_rng(8)
     ket = rng.normal(size=4) + 1j * rng.normal(size=4)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return {
         "phi": initial_subsystem(PHI),
         "psi": initial_subsystem(PSI),
-        "custom ket": initial_subsystem(ket / np.linalg.norm(ket)),
         "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5).matrix,
         "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.1).matrix,
-        "custom decay": DecaySpec(matrix=a @ a.conj().T, kind=DecayKind.CUSTOM).matrix,
+        "dense pure state": np.outer(ket, ket.conj()) / np.vdot(ket, ket).real,
+        "dense hermitian": a @ a.conj().T,
     }
 
 
@@ -557,39 +551,47 @@ def test_transition_channels():
     assert _transition_channels(projector, frames_ab) == coupling[0] + coupling[1] + [
         ("ket", 0, 1, (0, 1)), ("bra", 0, 1, (1, 0)), ("ket", 1, 0, (1, 0)), ("bra", 1, 0, (0, 1))
     ]
-    dense = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
-    every = [
-        (side, s, t, (s, t) if side == "ket" else (t, s))
-        for s in range(4) for t in range(4) if s != t for side in ("ket", "bra")
-    ]
-    assert _transition_channels(dense, frames_ab) == coupling[0] + coupling[1] + every  # 8 + 24, in hop-stage order
+    # the projector's decay channels open at any gamma != 0, and only then
+    negative = decay_operator(DecayKind.PROJECTOR_EE, -0.1)
+    assert _transition_channels(negative, frames_ab) == _transition_channels(projector, frames_ab)
+    closed = decay_operator(DecayKind.PROJECTOR_EE, 0.0)
+    assert _transition_channels(closed, frames_ab) == coupling[0] + coupling[1]
+
+
+def spread_rows(engine, rows):
+    """Per-block rows in the engine's layout (``_q`` or ``_p``) spread over
+    every member, shape (2, n_members): a member's row of block k, or 0
+    where its column does not store block k."""
+    n = engine.n_local
+    out = np.zeros((2, engine.weight.size))
+    for k, columns in enumerate(engine._cols):
+        out[k, columns.start * n : columns.stop * n] = rows[k]
+    return out
 
 
 def pinned_hop_step(monkeypatch, c, uniform):
-    """One nonadiabatic step of a jx = -1, jy = -0.6 engine under a dense
-    complex decay operator (all 8 coupling and 24 decay channels open, so
-    every column stores both blocks over all members), every hop uniform
-    pinned to ``uniform``; the labels, weights, normal momenta (p_A, p_B)
-    and blocks as the hop stage found them, and the engine after it.
+    """One nonadiabatic step of a jx = -1, jy = -0.6 psi engine under the
+    projector decay (8 coupling and 4 decay channels open), every hop
+    uniform pinned to ``uniform``; the labels, weights, normal momenta
+    (p_A, p_B) and both blocks' frames of every member as the hop stage
+    found them (``spread_rows``), and the engine after it.  A member whose
+    column does not store a block reads that block at q = p = 0; none of
+    its labels lies there, so no channel it opens reads it.
 
     The off-diagonal members of every odd sample start flipped to
     (alpha', alpha), a label order hops produce, so that a bra-side channel
     comes first for them."""
-    rng = np.random.default_rng(5)
-    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
-    decay = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
-    config = SimConfig(
-        n_steps=1, seed=7, n_samples=40, initial_state=tuple(ket / np.linalg.norm(ket)), mode="nonadiabatic"
-    )
+    decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
+    config = SimConfig(n_steps=1, seed=7, n_samples=40, initial_state=PSI, mode="nonadiabatic")
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     engine = sampled_engine(sp, BathParams(c=c, beta=0.1), decay, config)
-    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._channels) == 8 + 24
-    assert engine._cols == (range(10), range(10))
+    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._channels) == 8 + 4
+    # psi's ten pairs: three in block A, four across the blocks, three in block B
+    assert engine._cols == (range(7), range(3, 10))
     members = np.arange(engine.weight.size)
     # member k * 40 + s is odd exactly where its sample s is
     flip = members[(members % 2 == 1) & (engine.alpha != engine.alpha_prime)]
     engine.alpha[flip], engine.alpha_prime[flip] = engine.alpha_prime[flip], engine.alpha[flip]
-    engine.weight[flip] = np.conj(engine.weight[flip])
     engine._relabel(flip)
     engine._refresh_pair_caches()
     monkeypatch.setattr(EnsembleState, "_hop_uniforms", lambda self: np.full(self.weight.size, uniform))
@@ -597,12 +599,13 @@ def pinned_hop_step(monkeypatch, c, uniform):
     hop_stage = engine._hop_stage
 
     def recorded(dt):
+        q = spread_rows(engine, engine._q)
         before.update(
             alpha=engine.alpha.copy(),
             alpha_prime=engine.alpha_prime.copy(),
             weight=engine.weight.copy(),
-            p=engine.p.reshape(2, -1).copy(),
-            frames=engine._blocks,
+            p=spread_rows(engine, engine._p),
+            frames=tuple(slot_frames(sp, engine.bp, k, q[k]) for k in range(2)),
         )
         hop_stage(dt)
 
@@ -614,7 +617,7 @@ def pinned_hop_step(monkeypatch, c, uniform):
 def dense_decay_entries(before, decay):
     """u^T Gamma u per member from the oracle's dense frame matrices, shape (n, 4, 4)."""
     u = frame_matrices(before["frames"])
-    return np.einsum("nip,ij,njq->npq", u, decay.matrix, u)
+    return np.einsum("nip,ij,njq->npq", u, decay.matrix.real, u)
 
 
 def oscillator_velocity(before, engine):
@@ -667,7 +670,7 @@ def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch)
     ar = np.arange(n)
     # (V_bath, left out of the block energies, is the same on both sides)
     energies = np.concatenate([block.energies for block in before["frames"]])
-    p_after = engine.p.reshape(2, -1)
+    p_after = spread_rows(engine, engine._p)
     kinetic = [np.sum(p**2, axis=0) / (4 * engine.bp.mass) for p in (before["p"], p_after)]
     e_old = kinetic[0] + energies[source, ar]
     e_new = kinetic[1] + energies[PARTNER[source], ar]
@@ -682,31 +685,32 @@ def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch)
         amp = np.where(source == s, v[0] * d[:, 0] + v[1] * d[:, 1], amp)
     scale = 1.0 + no_hop_total(before, engine)
     ratio = engine.weight / before["weight"]
-    assert np.max(np.abs(ratio.imag)) < 1e-12
-    assert np.allclose(ratio.real, np.where(hopped, -scale * np.sign(amp), scale), rtol=1e-12, atol=0)
+    assert np.allclose(ratio, np.where(hopped, -scale * np.sign(amp), scale), rtol=1e-12, atol=0)
     assert np.any(hopped & (source % 2 == 0)) and np.any(hopped & (source % 2 == 1))  # both directions
 
 
 def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channel(monkeypatch):
     # at c = 0 every coupling amplitude vanishes, so u = 0 hops every member
-    # on the first decay channel its labels open: the lower label moves to
-    # the lowest other slot, ket side first on a tie
+    # with a block-A label on the first decay channel its labels open: the
+    # lower label moves to its partner slot, ket side first on a tie.  A
+    # member with both labels in block B opens no channel
     before, engine = pinned_hop_step(monkeypatch, 0.0, 0.0)
     a, b = before["alpha"], before["alpha_prime"]
-    assert engine.summary.n_hops == engine.weight.size and engine.summary.n_frustrated == 0
-    assert np.any(a > b)  # bra-side hops too
     source = np.minimum(a, b)
-    target = np.where(source == 0, 1, 0)
+    moves = source < 2
+    assert engine.summary.n_hops == np.count_nonzero(moves) > 0 and engine.summary.n_frustrated == 0
+    assert np.any(moves & (a > b))  # bra-side hops too
     ket = a <= b
-    assert np.array_equal(engine.alpha, np.where(ket, target, a))
-    assert np.array_equal(engine.alpha_prime, np.where(ket, b, target))
-    assert np.array_equal(engine.p.reshape(2, -1), before["p"])
+    assert np.array_equal(engine.alpha, np.where(moves & ket, PARTNER[source], a))
+    assert np.array_equal(engine.alpha_prime, np.where(moves & ~ket, PARTNER[source], b))
+    assert np.array_equal(spread_rows(engine, engine._p), before["p"])
     # factor -(1 + total) a / |a|, with a = (u^T Gamma u)[s, t] on the ket
-    # side and [t, s] on the bra side
+    # side and [t, s] on the bra side; the rest keep 1 + total = 1
     ar = np.arange(a.size)
     gs = dense_decay_entries(before, engine.decay)
-    entry = np.where(ket, gs[ar, source, target], gs[ar, target, source])
-    expected = -(1.0 + no_hop_total(before, engine)) * entry / np.abs(entry)
+    entry = np.where(ket, gs[ar, source, PARTNER[source]], gs[ar, PARTNER[source], source])
+    scale = 1.0 + no_hop_total(before, engine)
+    expected = np.where(moves, -scale * np.sign(entry), scale)
     assert np.allclose(engine.weight / before["weight"], expected, rtol=1e-12, atol=0)
 
 
@@ -717,11 +721,10 @@ def test_hop_rule_below_one_never_hops(monkeypatch):
     assert engine.summary.n_hops == 0 and engine.summary.n_frustrated == 0
     assert np.array_equal(engine.alpha, before["alpha"])
     assert np.array_equal(engine.alpha_prime, before["alpha_prime"])
-    assert np.array_equal(engine.p.reshape(2, -1), before["p"])
+    assert np.array_equal(spread_rows(engine, engine._p), before["p"])
     ratio = engine.weight / before["weight"]
-    assert np.max(np.abs(ratio.imag)) < 1e-12
-    assert np.allclose(ratio.real, 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
-    assert np.all(ratio.real > 1.0)
+    assert np.allclose(ratio, 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
+    assert np.all(ratio > 1.0)
 
 
 @pytest.mark.xfail(strict=True, reason="D3: the nonadiabatic trace rises above 1 at gamma = 0")
@@ -780,16 +783,6 @@ def test_decay_integral_monotone_for_psd_operator():
         previous = current
 
 
-def test_custom_ket_initial_state_runs():
-    ket = tuple(np.array([1.0, 1.0, 1.0, 1.0]) / 2.0)
-    config = SimConfig(n_steps=40, seed=13, n_samples=6, dt=0.01, initial_state=ket)
-    engine = sampled_engine(PAPER_SP, PAPER_BP, GAMMA0, config)
-    engine.advance(40)
-    red = reduce_snapshot(engine.snapshot())
-    assert np.real(red.trace) == pytest.approx(1.0, abs=1e-10)
-    red.validate()
-
-
 def test_simulate_thread_invariance(monkeypatch):
     # shrink the chunk size so 40 samples span several chunks
     import nhqc.propagator as prop
@@ -809,7 +802,7 @@ def test_simulate_thread_invariance_nonadiabatic(monkeypatch):
     import nhqc.propagator as prop
 
     monkeypatch.setattr(prop, "CHUNK_SAMPLES", 8)
-    decay = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
+    decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     config = SimConfig(
         n_steps=30, seed=17, n_samples=40, dt=0.01, initial_state=PSI, mode="nonadiabatic", output_stride=15
@@ -838,34 +831,28 @@ def test_simulate_chunking_invariance(monkeypatch):
         assert r1.trace_stderr == pytest.approx(r2.trace_stderr, abs=1e-14)
 
 
-def _states_and_decays():
-    rng = np.random.default_rng(8)
-    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
-    custom = DecaySpec(matrix=sandwich_operands()["custom decay"], kind=DecayKind.CUSTOM)
-    states = {"phi": PHI, "psi": PSI, "custom ket": tuple(ket / np.linalg.norm(ket))}
-    decays = {
-        "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.3),
-        "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.3),
-        "custom decay": custom,
-    }
-    return states, decays
+DECAYS = {
+    "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.3),
+    "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.3),
+}
 
 
 @pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
 @pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
-@pytest.mark.parametrize("decay_name", ["identity", "projector", "custom decay"])
-@pytest.mark.parametrize("state_name", ["phi", "psi", "custom ket"])
-def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_name, jy, mode):
-    states, decays = _states_and_decays()
+@pytest.mark.parametrize("decay_name", ["identity", "projector"])
+@pytest.mark.parametrize("state", [PHI, PSI])
+def test_element_rows_equal_the_dense_reference_bit_for_bit(state, decay_name, jy, mode):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     # at c = 1.5 nonadiabatic members hop, so a column holds several labels
     bp = BathParams(c=1.5 if mode == "nonadiabatic" else 0.24, beta=0.1)
-    config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
-    engine = sampled_engine(sp, bp, decays[decay_name], config)
+    config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=state, mode=mode)
+    engine = sampled_engine(sp, bp, DECAYS[decay_name], config)
     plans = []
     for steps in (0, 40):
         if steps:
             engine.advance(steps)
+        # the weights are real from the start, and every hop factor is real
+        assert engine.weight.dtype == np.float64
         snap = engine.snapshot()
         # every member holds a pair its column can hold, and the plan for
         # those pairs is formed once per engine
@@ -883,41 +870,9 @@ def test_element_rows_equal_the_dense_reference_bit_for_bit(state_name, decay_na
         dead = [r * 4 + c for r, c in np.ndindex(4, 4) if min(r, c) * 4 + max(r, c) not in record.index]
         assert np.all(reference.reshape(-1, 16)[:, dead] == 0)
     assert plans[0] is plans[1]
-    if mode == "nonadiabatic" and not (state_name == "phi" and jy == 1.0):  # phi's block B uncoupled: no hops
+    if mode == "nonadiabatic" and not (state == PHI and jy == 1.0):  # phi's block B uncoupled: no hops
         labels = (engine.alpha * 4 + engine.alpha_prime).reshape(-1, config.n_samples)
         assert any(np.unique(column).size > 1 for column in labels)
-
-
-@pytest.mark.parametrize(
-    "state_name,decay_name,mode,dtype",
-    [
-        ("phi", "identity", "adiabatic", np.float64),
-        ("phi", "identity", "nonadiabatic", np.float64),
-        ("psi", "projector", "adiabatic", np.float64),
-        ("psi", "projector", "nonadiabatic", np.float64),
-        ("custom ket", "projector", "adiabatic", np.complex128),
-        ("custom ket", "projector", "nonadiabatic", np.complex128),
-        ("psi", "custom decay", "nonadiabatic", np.complex128),
-    ],
-)
-def test_weights_are_real_exactly_where_the_input_is(state_name, decay_name, mode, dtype):
-    # a real ket and a real decay operator give real weights, whose hop
-    # factors stay real; a complex ket, or a complex decay operator whose
-    # decay channels give complex hop factors, gives complex weights
-    states, decays = _states_and_decays()
-    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
-    config = SimConfig(n_steps=40, seed=31, n_samples=24, initial_state=states[state_name], mode=mode)
-    engine = sampled_engine(sp, BathParams(c=1.5, beta=0.1), decays[decay_name], config)
-    start = engine.weight.copy()
-    assert engine.weight.ndim == 1 and engine.weight.dtype == dtype
-    engine.advance(40)
-    assert engine.weight.dtype == dtype
-    assert (engine.summary.n_hops > 0) == (mode == "nonadiabatic")
-    snap = engine.snapshot()
-    assert snap.sample_matrices().matrices().tobytes() == dense_sample_matrices(snap).tobytes()
-    if decay_name == "custom decay":
-        # psi's weights start real; only the hops give them imaginary parts
-        assert not np.any(start.imag) and np.any(engine.weight.imag)
 
 
 def test_member_factor_phasor_matches_numpy_exp():
@@ -1014,24 +969,14 @@ def test_psi_stores_block_a_rows_only_for_its_block_a_labels():
     assert engine._q[0].size == 3 * 8 and engine._q[1].size == 5 * 8
 
 
-@pytest.mark.parametrize(
-    "jy,state",
-    [
-        (-0.6, PHI),  # both blocks coupled: every slot reaches every other
-        (-1.0, (0.5, 0.5j, -0.5, 0.5)),  # block A uncoupled: |gg> reaches no other slot
-    ],
-)
-def test_cross_block_decay_stores_both_blocks_where_a_label_can_cross(jy, state):
-    config = SimConfig(n_steps=1, seed=5, n_samples=8, initial_state=state, mode="nonadiabatic")
-    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
-    engine = sampled_engine(sp, PAPER_BP, decay_operator(DecayKind.CUSTOM, matrix=CROSS_BLOCK_DECAY), config)
-    n_columns = engine.weight.size // 8
-    if jy == -0.6:
-        assert engine._cols == (range(n_columns), range(n_columns))
-        assert engine._q[0].size == engine._q[1].size == engine.weight.size
-    else:
-        # the (1, 1) column, |gg> on both sides, stores block A only and its
-        # phase never moves; every other column can reach both blocks
-        assert engine.snapshot().column_labels[0] == ((1, 1),)
-        assert engine._cols == (range(10), range(1, 10))
-        assert 0 not in engine._live
+def test_nonadiabatic_labels_stay_in_their_blocks():
+    # every transition takes a slot to the other slot of its block, so a
+    # column stores only the blocks of its starting labels, in either mode
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    config = SimConfig(n_steps=40, seed=5, n_samples=8, initial_state=PSI, mode="nonadiabatic")
+    engine = sampled_engine(sp, BathParams(c=1.5, beta=0.1), decay_operator(DecayKind.PROJECTOR_EE, 0.1), config)
+    assert engine._cols == (range(7), range(3, 10))
+    start = [(engine.alpha // 2).copy(), (engine.alpha_prime // 2).copy()]
+    engine.advance(40)
+    assert engine.summary.n_hops > 0
+    assert np.array_equal(engine.alpha // 2, start[0]) and np.array_equal(engine.alpha_prime // 2, start[1])

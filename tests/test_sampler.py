@@ -95,14 +95,6 @@ def test_initial_subsystem_is_pure(state):
     assert np.max(np.abs(rho @ rho - rho)) < 1e-14
 
 
-def test_initial_subsystem_custom_ket():
-    ket = np.array([0.5, 0.5, 0.5, 0.5])
-    rho = initial_subsystem(ket)
-    assert np.trace(rho) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        initial_subsystem(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
 def initial_members(bp, state, seed, n):
     """The engine's members at t = 0: the initial state projected into the
     slot frame of each sampled bath point, as (K, n) arrays of labels and
