@@ -12,6 +12,7 @@ is fixed throughout the package as
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,11 @@ class SpinChainParams:
         for name in ("jx", "jy", "jz"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite real")
+        # the blocks' off-diagonal elements; Python floats overflow silently
+        jx, jy = float(self.jx), float(self.jy)
+        for name, value in (("jx + jy", jx + jy), ("jx - jy", jx - jy)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value} from jx = {jx!r}, jy = {jy!r}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not math.isfinite(float(self.dt) * self.n_steps):
+            raise ValueError(f"dt * n_steps must be finite, got {self.dt!r} * {self.n_steps}")
         if self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("n_steps and n_samples must be >= 1")
         if self.output_stride < 1 or self.n_steps % self.output_stride != 0:

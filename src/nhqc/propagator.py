@@ -66,6 +66,7 @@ formed.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -804,7 +805,9 @@ def simulate(
 
     Each chunk is one sample block, whose points its worker draws, and the
     chunks' statistics combine in chunk order, so the output bytes depend
-    only on the configuration and seed, never on the worker count.
+    only on the configuration and seed, never on the worker count.  Each
+    worker runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in every thread.
     """
     started = time.perf_counter()
     bounds = [
@@ -812,8 +815,9 @@ def simulate(
         for s in range(0, config.n_samples, CHUNK_SAMPLES)
     ]
     if threads > 1 and len(bounds) > 1:
+        context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _chunk_accumulate(sp, bp, decay, config, b), bounds))
+            results = list(pool.map(lambda b: context.copy().run(_chunk_accumulate, sp, bp, decay, config, b), bounds))
     else:
         results = [_chunk_accumulate(sp, bp, decay, config, b) for b in bounds]
 

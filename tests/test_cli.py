@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -248,7 +249,16 @@ def test_preset_rejects_threads_below_one(tmp_path, monkeypatch, capsys, threads
 
 
 @pytest.mark.parametrize(
-    "key,value", [("mass", "nan"), ("omega", "inf"), ("beta", "nan"), ("beta", "inf"), ("dt", "nan"), ("gamma", "nan")]
+    "key,value",
+    [
+        ("mass", "nan"),
+        ("omega", "inf"),
+        ("beta", "nan"),
+        ("beta", "inf"),
+        ("dt", "nan"),
+        ("gamma", "nan"),
+        ("gamma_kind", "custom"),  # a word outside the allowed ones fails alike
+    ],
 )
 def test_run_command_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.setattr("nhqc.cli.simulate", refuse_to_simulate)
@@ -332,12 +342,15 @@ def test_check_subcommand_reports_lines(monkeypatch, capsys):
     assert "[PASS] criterion 1" in out and "[FAIL] criterion 2" in out
 
 
-def test_run_command_rejects_a_non_finite_curve(tmp_path, capsys):
+def test_run_command_rejects_a_non_finite_curve(tmp_path, monkeypatch, capsys):
     # c = 1e100 is finite and so are the initial frames (trace 1 at t = 0),
-    # but the dynamics overflow to NaN
+    # but the dynamics overflow to NaN; the run silences numpy's warnings in
+    # the worker threads of its chunks too
+    import nhqc.propagator as prop
+
+    monkeypatch.setattr(prop, "CHUNK_SAMPLES", 4)
     lines = small_run_lines(c=1e100, samples=10, steps=10, output_stride=1, initial_state="psi")
-    with np.errstate(all="ignore"):
-        code, outputs = run_cli(tmp_path, lines, "nan")
+    code, outputs = run_cli(tmp_path, lines, "nan", threads=2)
     assert code == 1 and outputs == []
     err = capsys.readouterr().err
     assert err.startswith("invariant violation:") and "non-finite" in err
@@ -347,8 +360,7 @@ def test_run_command_rejects_a_partly_overflowed_start(tmp_path, capsys):
     # c = 1e308 overflows psi's block-B frames at t = 0: only its |ee> half
     # spawns members, and the trace starts at 1/2
     lines = small_run_lines(c=1e308, samples=10, steps=10, output_stride=1, initial_state="psi")
-    with np.errstate(all="ignore"):
-        code, outputs = run_cli(tmp_path, lines, "half")
+    code, outputs = run_cli(tmp_path, lines, "half")
     assert code == 1 and outputs == []
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: trace at t = 0 is 0.49999")
@@ -359,11 +371,35 @@ def test_run_command_rejects_an_empty_start(tmp_path, capsys, seed):
     # c = 1e308 overflows the initial frames: no pair is spawned, and the
     # trace reads 0 from t = 0 on, which no later check would catch
     lines = small_run_lines(c=1e308, gamma=0.5, samples=10, steps=10, output_stride=1, seed=seed)
-    with np.errstate(all="ignore"):
-        code, outputs = run_cli(tmp_path, lines, "empty")
+    code, outputs = run_cli(tmp_path, lines, "empty")
     assert code == 1 and outputs == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace at t = 0")
+
+
+@pytest.mark.parametrize(
+    "over, code, message",
+    [
+        # the initial frames overflow, so no pair is spawned
+        (
+            {"c": "1e200"},
+            1,
+            "invariant violation: trace at t = 0 is 0: samples [0, 20) spawn no pair (non-finite initial frames)",
+        ),
+        # t would overflow to inf
+        ({"dt": "1e308"}, 2, "error: dt * n_steps must be finite, got 1e+308 * 50"),
+        # block A's off-diagonal element -(jx - jy) would overflow
+        ({"jx": "1e308", "jy": "-1e308"}, 2, "error: jx - jy must be finite, got inf from jx = 1e+308, jy = -1e+308"),
+    ],
+    ids=["c", "dt", "jx-jy"],
+)
+def test_run_command_fails_cleanly_on_overflowing_input(tmp_path, capsys, over, code, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(tmp_path, small_run_lines(**over), "overflow")
+    assert result == (code, [])
+    assert capsys.readouterr().err == message + "\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_preset_rejects_an_empty_start(tmp_path, monkeypatch, capsys):
@@ -372,8 +408,7 @@ def test_preset_rejects_an_empty_start(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "REFERENCE_BP", BathParams(c=1e308, beta=0.1))
     out = tmp_path / "p"
-    with np.errstate(all="ignore"):
-        code = main(["preset", "fig1", "--out", str(out), "--samples", "10", "--seed", "2"])
+    code = main(["preset", "fig1", "--out", str(out), "--samples", "10", "--seed", "2"])
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("invariant violation: trace at t = 0")

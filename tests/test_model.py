@@ -162,6 +162,12 @@ def test_reduced_density_validation():
         (lambda: diagonal_series([0.0, 0.1, 0.1], [1.0] * 3).validate(), "time series must be strictly increasing in t"),
         (lambda: diagonal_series([0.0, 0.1], [1.0] * 2, steps=10, output_stride=5).validate(), "expected 3 rows, found 2"),
         (lambda: parse_config("no-such-dir/run.cfg"), "cannot read config"),
+        (
+            lambda: parse_config(["gamma_kind = custom"]),
+            r"line 1: bad value for 'gamma_kind': must be one of \('identity', 'projector_ee'\)",
+        ),
+        (lambda: SpinChainParams(jx=1e308, jy=1e308, jz=0.0), r"jx \+ jy must be finite, got inf"),
+        (lambda: SimConfig(n_steps=10, seed=1, dt=1e308), r"dt \* n_steps must be finite, got 1e\+308 \* 10"),
     ],
 )
 def test_bad_input_fails_with_its_message(make, message):
