@@ -199,7 +199,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not math.isfinite(float(self.dt) * self.n_steps):
+        if not math.isfinite(float(self.dt) * float(self.n_steps)):  # Python floats overflow silently
             raise ValueError(f"dt * n_steps must be finite, got {self.dt!r} * {self.n_steps}")
         if self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("n_steps and n_samples must be >= 1")
@@ -209,7 +209,7 @@ class SimConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.initial_state not in (PHI, PSI):
+        if not (isinstance(self.initial_state, str) and self.initial_state in (PHI, PSI)):
             raise ValueError(f"initial_state must be '{PHI}' or '{PSI}', got {self.initial_state!r}")
 
 

@@ -61,14 +61,12 @@ def run(point: dict) -> dict:
 
 def main() -> None:
     # one line per output row, so that a regenerated table diffs row by row
-    lines = ['{"settings": ' + json.dumps(SETTINGS) + ', "runs": [']
-    for i, point in enumerate(grid()):
+    runs = []
+    for point in grid():
         result = run(point)
-        rows = result.pop("rows")
-        lines.append(" " + json.dumps(result)[:-1] + ', "rows": [')
-        lines += ["  " + json.dumps(row) + ("," if k < len(rows) - 1 else "") for k, row in enumerate(rows)]
-        lines.append(" ]}" + ("," if i < len(grid()) - 1 else ""))
-    lines.append("]}")
+        rows = ",\n".join("  " + json.dumps(row) for row in result.pop("rows"))
+        runs.append(" " + json.dumps(result)[:-1] + ', "rows": [\n' + rows + "\n ]}")
+    lines = ['{"settings": ' + json.dumps(SETTINGS) + ', "runs": [', ",\n".join(runs), "]}"]
     TABLE.write_text("\n".join(lines) + "\n")
 
 
