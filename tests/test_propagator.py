@@ -834,12 +834,16 @@ def test_simulate_chunking_invariance(monkeypatch):
 DECAYS = {
     "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.3),
     "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.3),
+    # a negative gamma opens the same decay channels with negative rates
+    "projector gamma<0": decay_operator(DecayKind.PROJECTOR_EE, -0.3),
+    # gamma = 0 closes them and leaves the rates constant
+    "projector gamma=0": decay_operator(DecayKind.PROJECTOR_EE, 0.0),
 }
 
 
 @pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
 @pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
-@pytest.mark.parametrize("decay_name", ["identity", "projector"])
+@pytest.mark.parametrize("decay_name", list(DECAYS))
 @pytest.mark.parametrize("state", [PHI, PSI])
 def test_element_rows_equal_the_dense_reference_bit_for_bit(state, decay_name, jy, mode):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
