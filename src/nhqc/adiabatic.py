@@ -32,7 +32,8 @@ which the engine forms its Bohr frequencies as mean differences plus signed
 half gaps.  The energies, the <sigma_z> row and the frame-vector components
 x, y are each built on first read, once per block, by whoever needs them
 (the force where a label pair does not cancel it, the hop stage, the
-reduction, the decay expectations, the derivative couplings).
+reduction, the derivative couplings).  The decay expectations need no frame
+vector: ``slot_gamma_diag`` states them in closed form.
 
 The half gap is formed with one square root in a single n-long buffer, not
 with ``np.hypot``, whose scalar libm call cost six times as much (0.44
@@ -61,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import BathParams, DecaySpec, SpinChainParams
+from .model import BathParams, DecayKind, DecaySpec, SpinChainParams
 
 __all__ = [
     "SLOT_PARTS",
@@ -160,15 +161,20 @@ def slot_frames(sp: SpinChainParams, bp: BathParams, k: int, q: np.ndarray) -> B
     return Block(SLOT_ROWS[2 * k], mean, delta, w, r)
 
 
-def slot_gamma_diag(decay: DecaySpec, block: Block) -> np.ndarray:
-    """Diagonal decay expectations of the block's upper and lower slot,
-    shape (2, n)."""
-    g = np.real(decay.matrix)
-    (i, j), (x, y) = block.rows, block.vector
-    out = np.empty((2, block.delta.size))
-    out[0] = x**2 * g[i, i] + 2 * x * y * g[i, j] + y**2 * g[j, j]
-    out[1] = y**2 * g[i, i] - 2 * x * y * g[i, j] + x**2 * g[j, j]
-    return out
+def slot_gamma_diag(decay: DecaySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's diagonal decay expectation u_s^T Gamma u_s in closed form,
+    as a constant plus a coefficient times block A's upper-slot <sigma_z>
+    sz_A (``Block.sz``): two rows of shape (4,), in slot order.
+
+    The identity gives every slot gamma.  The projector on |ee> gives a slot
+    gamma times its |ee> weight: x^2 = (1 + sz_A) / 2 in block A's upper
+    slot and y^2 = (1 - sz_A) / 2 in its lower slot, since x^2 + y^2 = 1
+    and x^2 - y^2 = delta / r, and 0 in block B, which does not span |ee>.
+    """
+    g = decay.strength
+    if decay.kind is DecayKind.IDENTITY_UNIFORM:
+        return np.full(4, g), np.zeros(4)
+    return np.array([0.5 * g, 0.5 * g, 0.0, 0.0]), np.array([0.5 * g, -0.5 * g, 0.0, 0.0])
 
 
 def slot_vectors(blocks: tuple) -> tuple:

@@ -40,15 +40,19 @@ same code broadcasts either.  The Bohr frequency E_a - E_b is the
 difference of the labels' block means plus their signed half gaps, the
 bath potential V_bath cancelling in it, so the engine never builds V_bath.
 Its velocity-Verlet step evaluates the force once: the force (as the half
-kick) is cached with each member's frequency and decay rate, and these rows
-are rebuilt after every drift and after every hop stage that draws a
-transition.  The adiabatic step restated for a single member on the generic
-eigensolver route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle
-has no nonadiabatic counterpart.
+kick) is cached with each member's frequency, and these rows are rebuilt
+after every drift and after every hop stage that draws a transition.  The
+adiabatic step restated for a single member on the generic eigensolver
+route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no
+nonadiabatic counterpart.
 
-In adiabatic mode with configuration-independent decay rates every member
-of a column adds the same rate at every step, so the engine keeps one decay
-integral per column, shape (K, 1), and (K, n) otherwise.
+A member decays at its two labels' rates, each a constant plus a multiple
+of block A's <sigma_z> sz_A (``slot_gamma_diag``), both fixed per pair at
+set-up: a step adds dt times the constant and, where rates depend on R, the
+trapezoid of the multiple on block A's member columns.  With constant rates
+every member of an adiabatic column adds the same rate at every step, so
+the engine keeps one decay integral per column, shape (K, 1), and (K, n)
+otherwise.
 
 Each output reduces the members to real coordinates of per-sample matrices
 in a buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
@@ -203,8 +207,9 @@ def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarr
 def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
     """Whether the decay operator tells apart the two slots of a coupled
     block, whose frames mix its basis states: only the projector at
-    gamma != 0 does, in block A when it is coupled.  Exactly then decay
-    rates depend on the bath configuration and decay channels open."""
+    gamma != 0 does, in block A when it is coupled.  Exactly then block A's
+    decay rates depend on the bath configuration, through sz_A, and decay
+    channels open between its slots."""
     return decay.kind is DecayKind.PROJECTOR_EE and decay.strength != 0 and blocks[0].half_gap is not None
 
 
@@ -450,9 +455,10 @@ class EnsembleState:
         blocks0 = tuple(slot_frames(sp, bp, k, q0[k]) for k in range(2))
         comps0 = slot_vectors(blocks0)
         rho0 = initial_subsystem(config.initial_state)
-        elements0 = np.empty((4, 4, self.n_local), dtype=complex)
-        for p, q in np.ndindex(4, 4):
-            elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
+        elements0 = np.empty((4, 4, self.n_local))
+        for p in range(4):
+            for q in range(p, 4):
+                elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
 
         adiabatic = self.mode == "adiabatic"
         # a pair p <= q is carried by every sample of the block once its
@@ -499,7 +505,7 @@ class EnsembleState:
         # the initial elements of both preparations are real, and so are
         # all hop factors.  The partners are implicit (see the class
         # docstring): X + X^dagger counts a diagonal member twice
-        weight = elements0.real[al, ap]
+        weight = elements0[al, ap]
         weight[al == ap] *= 0.5
         self.weight = weight.ravel()
         n = self.weight.size
@@ -535,16 +541,15 @@ class EnsembleState:
             rows = np.tile(np.arange(self.n_local) + sample_start % CHUNK_SAMPLES, len(pairs))
             self._hop_offset = rows * 16 + self.alpha * 4 + self.alpha_prime
             self._hop_draws = int(self._hop_offset.max()) + 1
-        # decay expectations are configuration-independent unless a coupled
-        # block mixes states that the operator distinguishes
-        self._gdiag_constant = not _decay_mixes(decay, blocks0)
-        if self._gdiag_constant:
-            # per-slot rates, read once from sample 0, whose frame vectors
-            # ``slot_vectors(blocks0)`` has built: they do not depend on R
-            self._gd = np.concatenate([slot_gamma_diag(decay, block)[:, 0] for block in blocks0])
+        # rates depend on R where the operator mixes block A's slots and a
+        # column stores block A; an uncoupled block A's sz_A is a constant
+        self._rate, self._slope = slot_gamma_diag(decay)
+        self._rates_vary = _decay_mixes(decay, blocks0) and len(self._cols[0]) > 0
+        if blocks0[0].half_gap is None:
+            self._rate = self._rate + self._slope * blocks0[0].sz
         # decay integrals by column: with constant rates every member of an
         # adiabatic column adds the same ones, so the column holds one (K, 1)
-        per_column = adiabatic and self._gdiag_constant
+        per_column = adiabatic and not self._rates_vary
         self.decay_acc = np.zeros((len(pairs), 1 if per_column else self.n_local))
         self._restore = bp.mass * bp.omega**2
 
@@ -561,9 +566,6 @@ class EnsembleState:
             self._coef = self._label_coefficients(self.alpha.reshape(shape), self.alpha_prime.reshape(shape))
         self._omega_spare = np.empty((len(self._live), self.n_local))
         self._omega = np.empty_like(self._omega_spare)
-        if not self._gdiag_constant:
-            self._gamma_spare = np.empty((len(pairs), self.n_local))
-            self._gamma = np.empty_like(self._gamma_spare)
         self._refresh_frames()
         self._refresh_pair_caches()
 
@@ -573,19 +575,16 @@ class EnsembleState:
         """The per-pair coefficients of labels a, b (any matching shapes):
         ``("cn", k)`` = c n_k for block k's force, ``("g", k)`` = the signs of
         block k's half gap in the Bohr frequency, ``"mu"`` = the difference
-        of the labels' block means, and either ``"dt_gamma"`` = dt times the
-        constant decay rate or ``("count", s)`` = how many of the two labels
-        are slot s."""
+        of the labels' block means, ``"dt_rate"`` = dt times the sum of the
+        labels' constant decay rates and, where rates depend on R,
+        ``"slope"`` = dt / 2 times the sum of their sz_A coefficients."""
         means = np.array([block_constants(self.sp, s // 2)[0] for s in range(4)])
-        coef = {"mu": means[a] - means[b]}
+        coef = {"mu": means[a] - means[b], "dt_rate": self.config.dt * (self._rate[a] + self._rate[b])}
         for k in range(2):
             coef["cn", k] = self.bp.c * (SLOT_SIGN[k][a] + SLOT_SIGN[k][b])
             coef["g", k] = SLOT_SIGN[k][a] - SLOT_SIGN[k][b]
-        if self._gdiag_constant:
-            coef["dt_gamma"] = self.config.dt * (self._gd[a] + self._gd[b])
-        else:
-            for s in range(4):
-                coef["count", s] = (a == s).astype(float) + (b == s)
+        if self._rates_vary:
+            coef["slope"] = 0.5 * self.config.dt * (self._slope[a] + self._slope[b])
         return coef
 
     def _relabel(self, members: np.ndarray) -> None:
@@ -597,22 +596,16 @@ class EnsembleState:
 
     def _refresh_frames(self) -> None:
         self._blocks = tuple(slot_frames(self.sp, self.bp, k, q) if q.size else None for k, q in enumerate(self._q))
-        if not self._gdiag_constant:
-            self._gdiag = tuple(None if block is None else slot_gamma_diag(self.decay, block) for block in self._blocks)
 
     def _refresh_pair_caches(self) -> None:
-        """Half kick, Bohr frequency and (R-dependent) decay rate of every
-        member on the current frames, in one pass over the stored blocks,
-        the latter two into fresh buffers: the previous ones stay readable
-        as the step's starting values."""
+        """Half kick and Bohr frequency of every member on the current
+        frames, in one pass over the stored blocks, the latter into a fresh
+        buffer: the previous one stays readable as the step's starting
+        value."""
         n, coef, dt, live = self.n_local, self._coef, self.config.dt, self._live
         omega, self._omega_spare = self._omega_spare, self._omega
         self._omega = omega
         np.copyto(omega, coef["mu"][live.start : live.stop])
-        if not self._gdiag_constant:
-            gamma, self._gamma_spare = self._gamma_spare, self._gamma
-            self._gamma = gamma
-            gamma.fill(0.0)
         for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
             if block is None:
                 continue
@@ -629,40 +622,34 @@ class EnsembleState:
                 term = self._scratch[: upper.size].reshape(upper.shape)
                 np.multiply(coef["g", k][lo:hi], upper, out=term)
                 omega[lo - live.start : hi - live.start] += term
-            if not self._gdiag_constant:
-                upper, lower = (row.reshape(-1, n) for row in self._gdiag[k])
-                part = coef["count", 2 * k][columns.start : columns.stop] * upper
-                part += coef["count", 2 * k + 1][columns.start : columns.stop] * lower
-                gamma[columns.start : columns.stop] += part
 
     # -- time stepping ----------------------------------------------------
 
     def advance(self, n_steps: int) -> None:
-        dt = self.config.dt
+        dt, n = self.config.dt, self.n_local
         over_mass = dt / self.bp.mass
         half_dt = 0.5 * dt
-        phase = self.phase.reshape(-1, self.n_local)[self._live.start : self._live.stop]
+        phase = self.phase.reshape(-1, n)[self._live.start : self._live.stop]
         for _ in range(n_steps):
             # the half kick that ends one step starts the next: it is cached
             # with the frames, and refreshed wherever q or a label changes
             self.p += self._kick
             np.multiply(self.p, over_mass, out=self._scratch)
             self.q += self._scratch
-            omega_old = self._omega
-            gamma_old = None if self._gdiag_constant else self._gamma
+            omega_old, block_a = self._omega, self._blocks[0]
             self._refresh_frames()
             self._refresh_pair_caches()
             self.p += self._kick
-            # the previous frequency and rate buffers are spare from here on
+            # the previous frequency buffer is spare from here on
             omega_old += self._omega
             omega_old *= half_dt
             phase += omega_old
-            if gamma_old is None:  # configuration-independent rates
-                self.decay_acc += self._coef["dt_gamma"]
-            else:
-                gamma_old += self._gamma
-                gamma_old *= half_dt
-                self.decay_acc += gamma_old
+            self.decay_acc += self._coef["dt_rate"]
+            if self._rates_vary:  # the trapezoid of the sz_A term, on block A's columns
+                term = self._scratch[: block_a.delta.size].reshape(-1, n)
+                np.add(block_a.sz.reshape(-1, n), self._blocks[0].sz.reshape(-1, n), out=term)
+                term *= self._coef["slope"][: len(term)]
+                self.decay_acc[: len(term)] += term
             if self.mode == "nonadiabatic":
                 self._hop_stage(dt)
             self._step_index += 1

@@ -66,15 +66,15 @@ def sample_bath_point(bp: BathParams, seed: int, start: int, n: int) -> tuple[np
 
 
 def initial_subsystem(state: str) -> np.ndarray:
-    """Initial subsystem density matrix |phi><phi| or |psi><psi|.
+    """Initial subsystem density matrix |phi><phi| or |psi><psi|, real.
 
     phi = |eg> and psi = (|ee> - |eg>)/sqrt(2), the two preparations paired
     with the uniform and projector decay operators respectively.
     """
     if state == PHI:
-        ket = np.array([0, 1, 0, 0], dtype=complex)
+        ket = np.array([0.0, 1.0, 0.0, 0.0])
     elif state == PSI:
-        ket = np.array([1, -1, 0, 0], dtype=complex) / np.sqrt(2)
+        ket = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
     else:
         raise ValueError(f"unknown initial state {state!r}")
-    return np.outer(ket, ket.conj())
+    return np.outer(ket, ket)

@@ -359,12 +359,24 @@ def test_build_frame_rejects_an_entry_outside_the_slot_blocks(monkeypatch):
         build_frame(PAPER_SP, PAPER_BP, np.array([0.3, -0.2]))
 
 
-@pytest.mark.parametrize("spec", REFERENCE_DECAYS, ids=["identity", "projector"])
-def test_slot_gamma_diag_matches_generic(spec):
+@pytest.mark.parametrize(
+    "sp,spec",
+    [
+        (COUPLED_SP, REFERENCE_DECAYS[0]),
+        (COUPLED_SP, REFERENCE_DECAYS[1]),
+        (COUPLED_SP, decay_operator(DecayKind.PROJECTOR_EE, -0.3)),
+        (COUPLED_SP, decay_operator(DecayKind.PROJECTOR_EE, 0.0)),
+        (COUPLED_SP, decay_operator(DecayKind.IDENTITY_UNIFORM, -0.3)),
+        (PAPER_SP, REFERENCE_DECAYS[1]),  # block A uncoupled: sz_A is the scalar 1
+    ],
+    ids=["identity", "projector", "projector-negative", "projector-zero", "identity-negative", "projector-uncoupled"],
+)
+def test_slot_gamma_diag_matches_generic(sp, spec):
     rng = np.random.default_rng(37)
     R = rng.uniform(-4, 4, (50, 2))
-    frames = frames_at(COUPLED_SP, PAPER_BP, R.T)
-    gd = np.concatenate([slot_gamma_diag(spec, block) for block in frames.blocks])
+    frames = frames_at(sp, PAPER_BP, R.T)
+    constant, coefficient = slot_gamma_diag(spec)
+    gd = constant[:, None] + coefficient[:, None] * np.broadcast_to(frames.blocks[0].sz, len(R))
     u = frame_matrices(frames.blocks)
     for i in range(R.shape[0]):
         direct = np.real(np.einsum("ia,ij,ja->a", u[i], spec.matrix, u[i]))

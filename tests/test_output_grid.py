@@ -3,14 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from output_grid import SETTINGS, TABLE, grid, run
+from output_grid import SETTINGS, TABLE, grid, point_id, run
 
 ELEMENT_TOL = 1e-14
 STDERR_TOL = 1e-16
-
-
-def point_id(point: dict) -> str:
-    return "{mode}-jx{jx}-{gamma_kind}{gamma}-{initial_state}-c{c}".format(**point)
 
 
 @pytest.fixture(scope="module")

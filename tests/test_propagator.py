@@ -328,7 +328,9 @@ def two_force_verlet(engine, n_steps):
     row with the force c n_k sz_k - M omega^2 q_k evaluated twice per step
     from the frames and labels, before the drift and after it, n_k summed
     from the labels' spin-1 signs, and every pair cache rebuilt for all
-    members after a hop stage.  Returns the decay integrals, which it
+    members after a hop stage.  Each member adds dt times its labels'
+    constant decay rates and, where rates vary, the trapezoid of their sz_A
+    coefficients times block A's sz.  Returns the decay integrals, which it
     accumulates per member, whatever the engine's layout of them."""
     bp, dt, n = engine.bp, engine.config.dt, engine.n_local
     decay = np.zeros(engine.weight.size)
@@ -349,17 +351,18 @@ def two_force_verlet(engine, n_steps):
     for _ in range(n_steps):
         kick()
         engine.q += dt / bp.mass * engine.p
-        omega_old, gamma_old = engine._omega.copy(), getattr(engine, "_gamma", None)
-        gamma_old = None if gamma_old is None else gamma_old.copy()
+        omega_old, block_a = engine._omega.copy(), engine._blocks[0]
         engine._refresh_frames()
         engine._refresh_pair_caches()
         kick()
         live = engine._live
         engine.phase.reshape(-1, n)[live.start : live.stop] += 0.5 * dt * (omega_old + engine._omega)
-        if gamma_old is None:  # constant rates dt (Gamma_aa + Gamma_bb)
-            decay += dt * (engine._gd[engine.alpha] + engine._gd[engine.alpha_prime])
-        else:
-            decay += (0.5 * dt * (gamma_old + engine._gamma)).ravel()
+        a, b = engine.alpha, engine.alpha_prime
+        decay += dt * (engine._rate[a] + engine._rate[b])
+        if engine._rates_vary:
+            rows = engine._q[0].size  # block A's columns come first
+            slope = engine._slope[a[:rows]] + engine._slope[b[:rows]]
+            decay[:rows] += 0.5 * dt * slope * (block_a.sz + engine._blocks[0].sz)
         if engine.mode == "nonadiabatic":
             engine._hop_stage(dt)
             engine._relabel(np.arange(engine.weight.size))
@@ -430,20 +433,34 @@ def test_decay_integrals_are_per_column_only_for_constant_adiabatic_rates(jy, de
     [
         (-0.6, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)),  # both blocks coupled
         (-1.0, decay_operator(DecayKind.PROJECTOR_EE, 0.1)),  # block A uncoupled, as in fig3
+        (-0.6, decay_operator(DecayKind.PROJECTOR_EE, 0.1)),  # rates that follow sz_A
     ],
 )
-def test_constant_rate_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay):
-    # the step reads only energies and the per-block <sigma_z> rows; x and y
-    # are built on first read, here by the reduction
+def test_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay):
+    # the step reads only energies and the per-block <sigma_z> rows, decay
+    # rates included; x and y are built on first read, here by the reduction
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     engine = sampled_engine(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
-    assert engine._gdiag_constant
     assert not any("vector" in vars(block) for block in engine._blocks if block is not None)
     engine.advance(3)
     blocks = [block for block in engine._blocks if block is not None]
     assert not any("vector" in vars(block) for block in blocks)
     engine.snapshot().sample_matrices()
     assert all("vector" in vars(block) for block in blocks)
+
+
+def test_constant_decay_integrals_do_not_depend_on_the_chunk():
+    # identity decay at the reference couplings, where block B is coupled:
+    # every rate is exactly gamma, whatever bath points an engine starts from
+    config = SimConfig(n_steps=10, seed=5, n_samples=2 * CHUNK_SAMPLES, initial_state=PHI)
+    decay = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
+    integrals = []
+    for start in (0, 64, 640, 4032, CHUNK_SAMPLES, CHUNK_SAMPLES + 512):
+        engine = sampled_engine(REFERENCE_SP, REFERENCE_BP, decay, config, start, 64)
+        engine.advance(10)
+        assert engine.decay_acc.shape[1] == 1
+        integrals.append(engine.decay_acc.tobytes())
+    assert len(set(integrals)) == 1
 
 
 def test_simulate_rejects_an_empty_start():
