@@ -29,11 +29,12 @@ its block's upper vector (x, y) as ``SLOT_PARTS[s]`` states, and its
 
 Only what every step reads is computed eagerly: delta and the half gap, from
 which the engine forms its Bohr frequencies as mean differences plus signed
-half gaps.  The energies, the <sigma_z> row and the frame-vector components
-x, y are each built on first read, once per block, by whoever needs them
-(the force where a label pair does not cancel it, the hop stage, the
-reduction, the derivative couplings).  The decay expectations need no frame
-vector: ``slot_gamma_diag`` states them in closed form.
+half gaps, and in nonadiabatic mode its hop amplitudes and jump gaps.  The
+<sigma_z> row is built on first read, once per block, where the force or a
+decay rate reads it; the energies and the frame-vector components x, y are
+built only where an output or a check reads them.  The decay expectations
+and the derivative coupling need no frame vector: ``slot_gamma_diag`` and
+``slot_coupling`` state them in closed form.
 
 The half gap is formed with one square root in a single n-long buffer, not
 with ``np.hypot``, whose scalar libm call cost six times as much (0.44
@@ -205,6 +206,10 @@ def slot_coupling(bp: BathParams, block: Block) -> np.ndarray:
     this row times (1, 1) in block A and (1, -1) in block B, and its dot
     product with the velocity is this row times p / M for the block's
     normal momentum p = P1 +- P2.
+
+    On the upper vector (x, y) the row is -c x y / r.  Since
+    x^2 - y^2 = delta / r and 2 x y = w / r, it is -c w / (2 r^2), a closed
+    form in the half gap r that builds no frame vector.
     """
-    x, y = block.vector
-    return -(x * y) * bp.c / block.half_gap
+    r = block.half_gap
+    return (-0.5 * bp.c * block.w) / (r * r)

@@ -29,12 +29,12 @@
   ``nhqc.propagator``.
 
 Apart from the slot layout (which ``build_frame`` reads too), the member
-factor, the block solve that ``frames_at`` wraps (it is what the
-eigensolver route checks) and the block derivative coupling
-``slot_coupling`` that ``oscillator_couplings`` maps to oscillator space,
-nothing here shares code with the ensemble engine, which runs on the
-closed-form block frames of ``nhqc.adiabatic`` in normal coordinates and
-reads them only as each slot's two components.
+factor and the block solve that ``frames_at`` wraps (it is what the
+eigensolver route checks), nothing here shares code with the ensemble
+engine, which runs on the closed-form block frames of ``nhqc.adiabatic`` in
+normal coordinates.  ``oscillator_couplings`` forms each block's derivative
+coupling from its frame vectors, not from the half-gap closed form
+``slot_coupling`` that the engine's hop stage reads.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import SLOT_ROWS, SLOT_SZ, Block, slot_coupling, slot_frames, slot_vectors
+from .adiabatic import SLOT_ROWS, SLOT_SZ, Block, slot_frames, slot_vectors
 from .model import (
     SZ1_DIAG,
     SZ2_DIAG,
@@ -288,12 +288,14 @@ def frames_at(sp: SpinChainParams, bp: BathParams, R: np.ndarray) -> SlotFrames:
 def oscillator_couplings(bp: BathParams, blocks: tuple) -> dict:
     """The within-block derivative couplings of a pair of blocks in
     oscillator space, {(slot_from, slot_to): (n, 2)}: each coupled block's
-    scalar row times (1, 1) in block A and (1, -1) in block B."""
+    scalar row -c x y / r, on its upper vector (x, y), times (1, 1) in
+    block A and (1, -1) in block B."""
     couplings = {}
     for k, block in enumerate(blocks):
         if block.half_gap is None:
             continue
-        row = slot_coupling(bp, block)
+        x, y = block.vector
+        row = -(x * y) * bp.c / block.half_gap
         d = np.stack([row, SLOT_SZ[2 * k][1] * row], axis=1)
         couplings[2 * k, 2 * k + 1] = d
         couplings[2 * k + 1, 2 * k] = -d

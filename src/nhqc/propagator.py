@@ -213,19 +213,18 @@ def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
     return decay.kind is DecayKind.PROJECTOR_EE and decay.strength != 0 and blocks[0].half_gap is not None
 
 
-def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, int, int | tuple]]:
-    """Every transition (side, s, t, source) that can be nonzero, in
-    hop-stage order.  First each coupled block k's derivative coupling,
-    source k: upper to lower slot, then back, ket before bra.  Then the
-    decay channels where the operator mixes block A's slots
-    (``_decay_mixes``): its s -> t transition reads the entry source = (s, t)
-    of u^T Gamma u on the ket side and (t, s) on the bra side.  Every
-    transition takes a slot s to s ^ 1, in its own block."""
+def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, str]]:
+    """Every transition (side, s, kind) that can be nonzero, in hop-stage
+    order; each takes the side's label s to its partner slot s ^ 1, in its
+    block s // 2.  First each coupled block's derivative coupling: upper to
+    lower slot, then back, ket before bra.  Then, in the same order, block
+    A's decay channels where the operator mixes its slots
+    (``_decay_mixes``)."""
     channels = [
-        (side, s, s ^ 1, s // 2) for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
+        (side, s, "coupling") for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
     ]
     if _decay_mixes(decay, blocks):
-        channels += [("ket", 0, 1, (0, 1)), ("bra", 0, 1, (1, 0)), ("ket", 1, 0, (1, 0)), ("bra", 1, 0, (0, 1))]
+        channels += [(side, s, "decay") for s in (0, 1) for side in ("ket", "bra")]
     return channels
 
 
@@ -477,7 +476,7 @@ class EnsembleState:
         # slot of its block.  Every channel runs both ways, so a diagonal
         # column that cannot move sorts to an end
         channels = [] if adiabatic else _transition_channels(decay, blocks0)
-        reach = [{s} | {t for _, u, t, _ in channels if u == s} for s in range(4)]
+        reach = [{s} | {u ^ 1 for _, u, _ in channels if u == s} for s in range(4)]
         # a column can hold every pair of the slots its labels reach, and
         # stores the blocks of its labels: its group is block A only (0),
         # both (1) or block B only (2).  Columns run in group order, block A
@@ -493,8 +492,8 @@ class EnsembleState:
         # the columns that store its block, the only ones that can hold its
         # source label; a channel that no column can take is left out
         self._channels = [
-            (side, s, t, source, cols.start * self.n_local, cols.stop * self.n_local)
-            for side, s, t, source in channels
+            (side, s, kind, cols.start * self.n_local, cols.stop * self.n_local)
+            for side, s, kind in channels
             if (cols := self._cols[s // 2])
         ]
         labels = self._labels = tuple(held[pair] for pair in pairs)
@@ -668,70 +667,61 @@ class EnsembleState:
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
 
-        The transitions are the rows (side, s, t, source, lo, hi) of the
-        set-up table ``_channels``; only the members [lo, hi) can hold the
-        source label s.  Each step forms one amplitude a per distinct source
-        on its members: dt v . d for block k's derivative coupling, negated
-        on its lower to upper slot channel, and for a decay channel
-        dt (u^T Gamma u)[source] = dt gamma u_s[ee] u_t[ee], on block A's
-        rows.  A channel's row is |a| where the side's label, as the stage
-        found it, equals s, else 0; one pass sums the rows in table order
-        into ``total``.  Only a member whose uniform times 1 + total falls
-        below ``total`` hops, on the first channel where the running sum of
-        its rows exceeds that product, with the real factor
-        -(1 + total) a / |a|.  Every other member, frustrated ones included,
-        gets the no-hop factor 1 + total.
+        The transitions are the rows (side, s, kind, lo, hi) of the set-up
+        table ``_channels``; only the members [lo, hi) can hold the source
+        label s, whose block k = s // 2 they store.  Each amplitude a is a
+        closed form in block k's half gap r on its rows, so the stage builds
+        no frame vector and no energy row.  A derivative coupling's is
+        dt (p_k / M) ``slot_coupling``, negated on the lower to upper slot
+        channel.  Every decay channel shares one, on block A's rows:
+        dt (u^T Gamma u)[s, s ^ 1] = dt gamma x (-y) = -dt gamma w / (2 r),
+        since 2 x y = w / r.  The stage fills one table, channels x
+        members, of |a| where the side's label, as the stage found it,
+        equals s, else 0; ``total`` is its column sum in table order.  Only
+        a member whose uniform times 1 + total falls below ``total`` hops,
+        on the first channel where the running sum of its column exceeds
+        that product, with the real factor -(1 + total) a / |a|; a coupling
+        hop also jumps p_k across the gap -+2r.  Every other member,
+        frustrated ones included, gets the no-hop factor 1 + total.
         """
         if not self._channels:
             return
         labels = {"ket": self.alpha, "bra": self.alpha_prime}
-        amps, masks, comps = {}, {}, None
-        total = np.zeros(self.weight.size)
-        for side, s, _, source, lo, hi in self._channels:
-            if source not in amps:
-                if isinstance(source, int):
-                    amp = dt * (self._p[source] / self.bp.mass * slot_coupling(self.bp, self._blocks[source]))
-                else:  # |ee> is each block-A slot's first component
-                    comps = comps or slot_vectors(self._blocks)
-                    u_s, u_t = (comps[slot][0] for slot in source)
-                    amp = dt * ((u_s * self.decay.strength) * u_t)
-                amps[source] = amp, np.abs(amp)
-            if (side, s) not in masks:
-                masks[side, s] = labels[side] == s
-            total[lo:hi] += np.where(masks[side, s][lo:hi], amps[source][1], 0.0)
+        amps = {}  # (signed, absolute) amplitude rows by (kind, block)
+        table = np.zeros((len(self._channels), self.weight.size))
+        for row, (side, s, kind, lo, hi) in zip(table, self._channels):
+            k = s // 2
+            if (kind, k) not in amps:
+                block = self._blocks[k]
+                if kind == "coupling":
+                    amp = dt * (self._p[k] / self.bp.mass * slot_coupling(self.bp, block))
+                else:
+                    amp = (-0.5 * dt * self.decay.strength * block.w) / block.half_gap
+                amps[kind, k] = amp, np.abs(amp)
+            np.copyto(row[lo:hi], amps[kind, k][1], where=labels[side][lo:hi] == s)
+        total = table.sum(axis=0)
         scale = 1.0 + total
         u = self._hop_uniforms() * scale
         hit = np.flatnonzero(u < total)  # False for NaN: no hop
-        weight0 = self.weight[hit]
-        self.weight *= scale  # the no-hop factor; hops overwrite theirs below
+        self.weight *= scale  # the no-hop factor; a hop also takes the sign of -a
         if not hit.size:
             return
-        # a hit member outside a channel's rows reads a clipped row there,
-        # masked off: it cannot hold the channel's source label
-        rows = [
-            np.where(masks[side, s][hit], amps[source][1][np.minimum(np.maximum(hit - lo, 0), hi - lo - 1)], 0.0)
-            for side, s, _, source, lo, hi in self._channels
-        ]
-        choice = np.argmax(u[hit] < np.cumsum(rows, axis=0), axis=0)
+        choice = np.argmax(u[hit] < np.cumsum(table[:, hit], axis=0), axis=0)
         moved = []
         for c in np.unique(choice):
-            side, s, t, source, lo, _ = self._channels[c]
-            amp, mag = amps[source]
-            coupling = isinstance(source, int)
-            sel = choice == c
-            idx, w = hit[sel], weight0[sel]
-            j = idx - lo
-            # a reverse coupling channel's -a takes its sign here: (-x)(-a) = xa
-            factor = (scale[idx] if coupling and s % 2 else -scale[idx]) * amp[j] / mag[j]
-            if coupling:
-                energies = self._blocks[source].energies
-                delta_e = energies[t % 2, j] - energies[s % 2, j]
-                ok, p_new = _momentum_jump(self._p[source][j], delta_e, self.bp.mass)
+            side, s, kind, lo, _ = self._channels[c]
+            idx = hit[choice == c]
+            j, k = idx - lo, s // 2
+            amp = amps[kind, k][0][j]
+            if kind == "coupling":
+                amp = -amp if s % 2 else amp
+                r = self._blocks[k].half_gap[j]
+                ok, p_new = _momentum_jump(self._p[k][j], 2.0 * r if s % 2 else -(2.0 * r), self.bp.mass)
                 self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
-                idx, w, factor = idx[ok], w[ok], factor[ok]
-                self._p[source][j[ok]] = p_new
-            self.weight[idx] = w * factor
-            labels[side][idx] = t
+                idx, amp = idx[ok], amp[ok]
+                self._p[k][j[ok]] = p_new
+            self.weight[idx[amp > 0]] *= -1.0
+            labels[side][idx] = s ^ 1
             self.summary.n_hops += int(idx.size)
             moved.append(idx)
         # the step's own refresh rebuilds the pair caches for the new labels;

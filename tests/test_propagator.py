@@ -436,17 +436,21 @@ def test_decay_integrals_are_per_column_only_for_constant_adiabatic_rates(jy, de
         (-0.6, decay_operator(DecayKind.PROJECTOR_EE, 0.1)),  # rates that follow sz_A
     ],
 )
-def test_adiabatic_steps_leave_the_frame_vectors_unbuilt(jy, decay):
-    # the step reads only energies and the per-block <sigma_z> rows, decay
-    # rates included; x and y are built on first read, here by the reduction
+@pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
+def test_steps_leave_the_frame_vectors_and_energies_unbuilt(jy, decay, mode):
+    # a step reads only the half gaps and the per-block <sigma_z> rows: the
+    # force, the decay rates and the hop stage's amplitudes and jump gaps.
+    # x and y are built on first read, here by the reduction
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
-    engine = sampled_engine(sp, PAPER_BP, decay, SimConfig(n_steps=3, seed=5, n_samples=16, initial_state=PSI))
+    config = SimConfig(n_steps=10, seed=5, n_samples=16, initial_state=PSI, mode=mode)
+    engine = sampled_engine(sp, PAPER_BP, decay, config)
     assert not any("vector" in vars(block) for block in engine._blocks if block is not None)
-    engine.advance(3)
+    engine.advance(10)
+    assert (engine.summary.n_hops > 0) == (mode == "nonadiabatic")
     blocks = [block for block in engine._blocks if block is not None]
-    assert not any("vector" in vars(block) for block in blocks)
+    assert not any({"vector", "energies"} & set(vars(block)) for block in blocks)
     engine.snapshot().sample_matrices()
-    assert all("vector" in vars(block) for block in blocks)
+    assert all("vector" in vars(block) and "energies" not in vars(block) for block in blocks)
 
 
 def test_constant_decay_integrals_do_not_depend_on_the_chunk():
@@ -562,11 +566,12 @@ def test_transition_channels():
     identity = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5)
     projector = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     # each coupled block's derivative coupling, upper to lower slot and back
-    coupling = {k: [(side, s, s ^ 1, k) for s in (2 * k, 2 * k + 1) for side in ("ket", "bra")] for k in range(2)}
+    coupling = {k: [(side, s, "coupling") for s in (2 * k, 2 * k + 1) for side in ("ket", "bra")] for k in range(2)}
     assert _transition_channels(identity, frames_ab) == coupling[0] + coupling[1]
     assert _transition_channels(projector, frames_b) == coupling[1]
+    # then block A's decay channels, in the same order
     assert _transition_channels(projector, frames_ab) == coupling[0] + coupling[1] + [
-        ("ket", 0, 1, (0, 1)), ("bra", 0, 1, (1, 0)), ("ket", 1, 0, (1, 0)), ("bra", 1, 0, (0, 1))
+        ("ket", 0, "decay"), ("bra", 0, "decay"), ("ket", 1, "decay"), ("bra", 1, "decay")
     ]
     # the projector's decay channels open at any gamma != 0, and only then
     negative = decay_operator(DecayKind.PROJECTOR_EE, -0.1)
