@@ -205,11 +205,8 @@ def slot_coupling(bp: BathParams, block: Block) -> np.ndarray:
     (+1 in block A, -1 in block B), so the coupling in oscillator space is
     this row times (1, 1) in block A and (1, -1) in block B, and its dot
     product with the velocity is this row times p / M for the block's
-    normal momentum p = P1 +- P2.
-
-    On the upper vector (x, y) the row is -c x y / r.  Since
-    x^2 - y^2 = delta / r and 2 x y = w / r, it is -c w / (2 r^2), a closed
-    form in the half gap r that builds no frame vector.
+    normal momentum p = P1 +- P2.  On the upper vector (x, y) the row is
+    -c x y / r = -c w / (2 r^2), since 2 x y = w / r: no frame vector.
     """
     r = block.half_gap
     return (-0.5 * bp.c * block.w) / (r * r)

@@ -142,7 +142,7 @@ def run(config_path, out_dir, threads: int = 1) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.mode == "nonadiabatic":
-        warning = "mode = nonadiabatic is unvalidated and biased: its trace rises above the exact law"
+        warning = "mode = nonadiabatic is unvalidated against an exact answer, and its weights grow noisy"
         print(f"warning: {warning}", file=sys.stderr)
     try:
         # an overflow shows as a non-finite curve, which the check reports
@@ -159,7 +159,7 @@ def run(config_path, out_dir, threads: int = 1) -> int:
     print(
         f"final trace {np.real(last.density.trace):.6f} +- {last.trace_stderr:.2e} at t={last.t:g}; "
         f"{summary.n_members} members, "
-        f"{summary.n_hops} hops ({summary.n_frustrated} frustrated), "
+        f"{summary.n_hops} hops ({summary.n_frustrated} member-steps with an uphill hop closed), "
         f"wall time {summary.wall_time:.1f} s"
     )
     return 0

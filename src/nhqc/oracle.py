@@ -32,9 +32,8 @@ Apart from the slot layout (which ``build_frame`` reads too), the member
 factor and the block solve that ``frames_at`` wraps (it is what the
 eigensolver route checks), nothing here shares code with the ensemble
 engine, which runs on the closed-form block frames of ``nhqc.adiabatic`` in
-normal coordinates.  ``oscillator_couplings`` forms each block's derivative
-coupling from its frame vectors, not from the half-gap closed form
-``slot_coupling`` that the engine's hop stage reads.
+normal coordinates; ``oscillator_couplings`` forms the derivative couplings
+from the frame vectors, not from the engine's ``slot_coupling``.
 """
 
 from __future__ import annotations

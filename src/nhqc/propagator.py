@@ -8,7 +8,9 @@ integral of its decay factor (trapezoid over each step, consistent with
 the second-order step splitting).  In nonadiabatic mode a single stochastic
 transition per member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
-momentum-jump rule; that rule is stated only here, in
+momentum-jump rule, so that a member's expected weight after the stage
+follows the first-order transition operator 1 - dt J exactly (Mac Kernan,
+Ciccotti and Kapral, JCP 116, 2346 (2002)).  That rule is stated only in
 ``EnsembleState._hop_stage`` and ``_momentum_jump``, and which transitions
 exist only in ``_transition_channels``: the engine fixes their table at
 set-up and reads it both for the slots a label can reach and in the hop
@@ -178,7 +180,9 @@ def member_factor(weight: np.ndarray, phase: np.ndarray, decay: np.ndarray) -> n
 class RunSummary:
     """Bookkeeping attached to every run.  ``n_members`` counts the ordered
     pairs the ensemble represents: each stored member, plus its implicit
-    (alpha', alpha) partner where alpha != alpha', the same in both modes."""
+    (alpha', alpha) partner where alpha != alpha', the same in both modes.
+    ``n_frustrated`` counts the member-steps at which a held label met a
+    closed uphill row of the hop stage (``EnsembleState._hop_stage``)."""
 
     n_members: int = 0
     n_hops: int = 0
@@ -215,11 +219,9 @@ def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
 
 def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, str]]:
     """Every transition (side, s, kind) that can be nonzero, in hop-stage
-    order; each takes the side's label s to its partner slot s ^ 1, in its
-    block s // 2.  First each coupled block's derivative coupling: upper to
-    lower slot, then back, ket before bra.  Then, in the same order, block
-    A's decay channels where the operator mixes its slots
-    (``_decay_mixes``)."""
+    order, each from the side's label s to s ^ 1: each coupled block's
+    derivative coupling, upper to lower slot, then back, ket before bra;
+    then, in the same order, block A's decay channels if ``_decay_mixes``."""
     channels = [
         (side, s, "coupling") for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
     ]
@@ -228,19 +230,16 @@ def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[
     return channels
 
 
-def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shift normal momenta p (k,) of the hopping block to absorb the energy
-    gaps delta_e (k,).  Returns the allowed mask and the new momenta of the
-    allowed members, shape (count,); a frustrated member lacks the kinetic
-    energy p^2 / (4M) of its block's normal mode for an uphill transition.
+def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> np.ndarray:
+    """The normal momenta p (k,) of the hopping block shifted to absorb the
+    energy gaps delta_e (k,), which the hop stage lets only a member whose
+    normal mode's kinetic energy p^2 / (4M) covers them take.
 
     A within-block derivative coupling lies along the block's normal axis,
     (1, 1) or (1, -1) in oscillator space, so the jump along it changes that
     block's p alone, to sign(p) sqrt(p^2 - 4 M delta_e), and leaves the
     other block's momentum as it was."""
-    radicand = p * p - 4.0 * mass * delta_e
-    ok = radicand >= 0.0
-    return ok, np.copysign(np.sqrt(radicand[ok]), p[ok])
+    return np.copysign(np.sqrt(p * p - 4.0 * mass * delta_e), p)
 
 
 def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple, bool]]:
@@ -670,35 +669,46 @@ class EnsembleState:
         The transitions are the rows (side, s, kind, lo, hi) of the set-up
         table ``_channels``; only the members [lo, hi) can hold the source
         label s, whose block k = s // 2 they store.  Each amplitude a is a
-        closed form in block k's half gap r on its rows, so the stage builds
-        no frame vector and no energy row.  A derivative coupling's is
-        dt (p_k / M) ``slot_coupling``, negated on the lower to upper slot
-        channel.  Every decay channel shares one, on block A's rows:
-        dt (u^T Gamma u)[s, s ^ 1] = dt gamma x (-y) = -dt gamma w / (2 r),
-        since 2 x y = w / r.  The stage fills one table, channels x
-        members, of |a| where the side's label, as the stage found it,
-        equals s, else 0; ``total`` is its column sum in table order.  Only
-        a member whose uniform times 1 + total falls below ``total`` hops,
-        on the first channel where the running sum of its column exceeds
-        that product, with the real factor -(1 + total) a / |a|; a coupling
-        hop also jumps p_k across the gap -+2r.  Every other member,
-        frustrated ones included, gets the no-hop factor 1 + total.
+        closed form in block k's half gap r, so the stage builds no frame
+        vector and no energy row: dt (p_k / M) ``slot_coupling`` for the
+        derivative coupling, negated from the lower to the upper slot, and
+        for every decay channel, on block A, dt (u^T Gamma u)[s, s ^ 1] =
+        dt gamma x (-y) = -dt gamma w / (2 r).  One table, channels x
+        members, holds |a| where the side's label, as the stage found it,
+        equals s, else 0; an uphill coupling row (s odd) is also closed (0)
+        where p_k^2 - 4 M (2 r) < 0, the radicand of ``_momentum_jump``.
+        ``total`` is its column sum.  Only a member whose uniform times
+        1 + total falls below ``total`` hops, on the first channel where the
+        running sum of its column exceeds that product, with the real factor
+        -(1 + total) a / |a| and, on a coupling, the jump across the gap
+        -+2r; every other member gets the no-hop factor 1 + total, so its
+        expected weight is w with no hop and -a w on each open channel.
         """
         if not self._channels:
             return
         labels = {"ket": self.alpha, "bra": self.alpha_prime}
         amps = {}  # (signed, absolute) amplitude rows by (kind, block)
+        closed = {}  # by block: where its uphill coupling row is closed
+        frustrated = np.zeros(self.weight.size, dtype=bool)
         table = np.zeros((len(self._channels), self.weight.size))
         for row, (side, s, kind, lo, hi) in zip(table, self._channels):
             k = s // 2
             if (kind, k) not in amps:
                 block = self._blocks[k]
                 if kind == "coupling":
-                    amp = dt * (self._p[k] / self.bp.mass * slot_coupling(self.bp, block))
+                    p = self._p[k]
+                    amp = dt * (p / self.bp.mass * slot_coupling(self.bp, block))
+                    closed[k] = (p * p - 4.0 * self.bp.mass * (2.0 * block.half_gap) < 0.0) & (amp != 0.0)
                 else:
                     amp = (-0.5 * dt * self.decay.strength * block.w) / block.half_gap
                 amps[kind, k] = amp, np.abs(amp)
-            np.copyto(row[lo:hi], amps[kind, k][1], where=labels[side][lo:hi] == s)
+            held = labels[side][lo:hi] == s
+            if kind == "coupling" and s % 2:
+                met = held & closed[k]
+                frustrated[lo:hi] |= met
+                held ^= met
+            np.copyto(row[lo:hi], amps[kind, k][1], where=held)
+        self.summary.n_frustrated += int(np.count_nonzero(frustrated))
         total = table.sum(axis=0)
         scale = 1.0 + total
         u = self._hop_uniforms() * scale
@@ -707,7 +717,6 @@ class EnsembleState:
         if not hit.size:
             return
         choice = np.argmax(u[hit] < np.cumsum(table[:, hit], axis=0), axis=0)
-        moved = []
         for c in np.unique(choice):
             side, s, kind, lo, _ = self._channels[c]
             idx = hit[choice == c]
@@ -716,17 +725,13 @@ class EnsembleState:
             if kind == "coupling":
                 amp = -amp if s % 2 else amp
                 r = self._blocks[k].half_gap[j]
-                ok, p_new = _momentum_jump(self._p[k][j], 2.0 * r if s % 2 else -(2.0 * r), self.bp.mass)
-                self.summary.n_frustrated += int(idx.size - np.count_nonzero(ok))
-                idx, amp = idx[ok], amp[ok]
-                self._p[k][j[ok]] = p_new
+                self._p[k][j] = _momentum_jump(self._p[k][j], 2.0 * r if s % 2 else -(2.0 * r), self.bp.mass)
             self.weight[idx[amp > 0]] *= -1.0
             labels[side][idx] = s ^ 1
-            self.summary.n_hops += int(idx.size)
-            moved.append(idx)
+        self.summary.n_hops += int(hit.size)
         # the step's own refresh rebuilds the pair caches for the new labels;
         # ``advance`` has read the spare buffers it swaps in by now
-        self._relabel(np.concatenate(moved))
+        self._relabel(hit)
         self._refresh_pair_caches()
 
     # -- views -------------------------------------------------------------

@@ -74,26 +74,14 @@ def test_classical_step_rejects_bad_dt():
 
 def test_momentum_jump_zero_gap():
     p = np.array([0.2])  # p_A = P1 + P2 of P = (0.3, -0.1)
-    ok, shifted = _momentum_jump(p, np.array([0.0]), 1.0)
-    assert ok.tolist() == [True]
-    assert np.allclose(shifted, p)
-
-
-def test_momentum_jump_frustrated():
-    # the first member lacks the kinetic energy p^2 / 4M of its normal mode;
-    # the second has it
-    p = np.array([0.2, 3.0])
-    ok, shifted = _momentum_jump(p, np.array([1.0, 1.0]), 1.0)
-    assert ok.tolist() == [False, True]
-    assert shifted.shape == (1,)
+    assert np.allclose(_momentum_jump(p, np.array([0.0]), 1.0), p)
 
 
 def test_momentum_jump_downhill_conserves_energy():
     P0 = np.array([0.4, -0.2])
     p_a, p_b = P0[0] + P0[1], P0[0] - P0[1]  # a block-B coupling lies along (1, -1)
     delta_e = -4.0  # downhill
-    ok, shifted = _momentum_jump(np.array([p_b]), np.array([delta_e]), 1.0)
-    assert ok.tolist() == [True]
+    shifted = _momentum_jump(np.array([p_b]), np.array([delta_e]), 1.0)
     P1 = np.array([p_a + shifted[0], p_a - shifted[0]]) / 2
     dhat = np.array([1.0, -1.0]) / np.sqrt(2.0)
     assert abs(P1 @ dhat) > abs(P0 @ dhat)
@@ -127,11 +115,12 @@ def test_momentum_jump_equals_the_oscillator_space_rule():
     row = rng.choice([1.0, -1.0], n) * rng.uniform(0.01, 2.0, n)
     d = np.stack([row, sign * row], axis=1)
     delta_e = rng.normal(scale=0.5, size=n)
-    ok_2d, P_2d = momentum_jump_2d(P, d, delta_e, mass)
-    p_k, p_other = P[0] + sign * P[1], P[0] - sign * P[1]
-    ok, p_new = _momentum_jump(p_k, delta_e, mass)
+    ok, P_2d = momentum_jump_2d(P, d, delta_e, mass)
     assert 0 < np.count_nonzero(~ok) < n
-    assert np.array_equal(ok, ok_2d)
+    # the hop stage closes the uphill rows the jump cannot pay for, so
+    # _momentum_jump sees only allowed members
+    p_k, p_other = P[0] + sign * P[1], P[0] - sign * P[1]
+    p_new = _momentum_jump(p_k[ok], delta_e[ok], mass)
     s = sign[ok]
     assert np.allclose(p_new, P_2d[0] + s * P_2d[1], rtol=1e-12, atol=0)
     assert np.allclose(p_other[ok], P_2d[0] - s * P_2d[1], rtol=1e-12, atol=0)
@@ -591,18 +580,12 @@ def spread_rows(engine, rows):
     return out
 
 
-def pinned_hop_step(monkeypatch, c, uniform):
-    """One nonadiabatic step of a jx = -1, jy = -0.6 psi engine under the
-    projector decay (8 coupling and 4 decay channels open), every hop
-    uniform pinned to ``uniform``; the labels, weights, normal momenta
-    (p_A, p_B) and both blocks' frames of every member as the hop stage
-    found them (``spread_rows``), and the engine after it.  A member whose
-    column does not store a block reads that block at q = p = 0; none of
-    its labels lies there, so no channel it opens reads it.
-
-    The off-diagonal members of every odd sample start flipped to
-    (alpha', alpha), a label order hops produce, so that a bra-side channel
-    comes first for them."""
+def staged_engine(c):
+    """A jx = -1, jy = -0.6 psi engine under the projector decay (8 coupling
+    and 4 decay channels open) after its first step's drift, where its hop
+    stage would run next.  The off-diagonal members of every odd sample
+    start flipped to (alpha', alpha), a label order hops produce, so that a
+    bra-side channel comes first for them."""
     decay = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     config = SimConfig(n_steps=1, seed=7, n_samples=40, initial_state=PSI, mode="nonadiabatic")
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
@@ -616,23 +599,39 @@ def pinned_hop_step(monkeypatch, c, uniform):
     engine.alpha[flip], engine.alpha_prime[flip] = engine.alpha_prime[flip], engine.alpha[flip]
     engine._relabel(flip)
     engine._refresh_pair_caches()
-    monkeypatch.setattr(EnsembleState, "_hop_uniforms", lambda self: np.full(self.weight.size, uniform))
-    before = {}
-    hop_stage = engine._hop_stage
-
-    def recorded(dt):
-        q = spread_rows(engine, engine._q)
-        before.update(
-            alpha=engine.alpha.copy(),
-            alpha_prime=engine.alpha_prime.copy(),
-            weight=engine.weight.copy(),
-            p=spread_rows(engine, engine._p),
-            frames=tuple(slot_frames(sp, engine.bp, k, q[k]) for k in range(2)),
-        )
-        hop_stage(dt)
-
-    engine._hop_stage = recorded
+    engine._hop_stage = lambda dt: None
     engine.advance(1)
+    del engine._hop_stage
+    return engine
+
+
+def hop_stage_input(engine):
+    """The labels, weights, normal momenta (p_A, p_B) and both blocks' frames
+    of every member as the hop stage finds them (``spread_rows``).  A member
+    whose column does not store a block reads that block at q = p = 0; none
+    of its labels lies there, so no channel it opens reads it."""
+    q = spread_rows(engine, engine._q)
+    return dict(
+        alpha=engine.alpha.copy(),
+        alpha_prime=engine.alpha_prime.copy(),
+        weight=engine.weight.copy(),
+        p=spread_rows(engine, engine._p),
+        frames=tuple(slot_frames(engine.sp, engine.bp, k, q[k]) for k in range(2)),
+    )
+
+
+def run_hop_stage(engine, uniforms):
+    """Run the engine's hop stage once, member k drawing ``uniforms[k]``."""
+    engine._hop_uniforms = lambda: uniforms
+    engine._hop_stage(engine.config.dt)
+
+
+def pinned_hop_step(c, uniform):
+    """The hop stage input of ``staged_engine(c)``, and the engine after its
+    stage ran with every uniform pinned to ``uniform``."""
+    engine = staged_engine(c)
+    before = hop_stage_input(engine)
+    run_hop_stage(engine, np.full(engine.weight.size, uniform))
     return before, engine
 
 
@@ -648,75 +647,99 @@ def oscillator_velocity(before, engine):
     return np.array([before["p"][0] + before["p"][1], before["p"][0] - before["p"][1]]) / (2 * engine.bp.mass)
 
 
-def no_hop_total(before, engine):
-    """Sum of |amplitude| over every channel open from each member's labels:
-    dt |v . d| for the coupling to the partner slot and dt |(u^T Gamma u)|
-    for each decay channel, ket side (s, t) and bra side (t, s)."""
-    dt = engine.config.dt
-    a, b = before["alpha"], before["alpha_prime"]
-    ar = np.arange(a.size)
-    gs = dense_decay_entries(before, engine.decay)
+def open_channels(before, engine):
+    """The channels open from each member's labels as the hop stage found
+    them, from the oracle's frames of a ``staged_engine``: per member a list
+    of (side, s, kind, a) in the stage's order, each taking the side's label
+    s to its partner slot with amplitude a != 0; and per side, where the
+    member's label met a closed uphill row.
+
+    The derivative couplings come first, by source slot s, ket before bra:
+    a = dt v . d_st.  An uphill one (s odd) is closed where its nonzero a
+    meets p_k^2 < 4 M (E_t - E_s), on the frames' energies.  Then block A's
+    projector decay channels in the same order: a = dt (u^T Gamma u)[s, t]
+    on the ket side and [t, s] on the bra side."""
+    dt, mass, n = engine.config.dt, engine.bp.mass, before["weight"].size
+    labels = {"ket": before["alpha"], "bra": before["alpha_prime"]}
     v = oscillator_velocity(before, engine)
-    total = np.zeros(a.size)
-    for (s, _), d in oscillator_couplings(engine.bp, before["frames"]).items():
-        rate = np.abs(dt * (v[0] * d[:, 0] + v[1] * d[:, 1]))
-        total += rate * ((a == s).astype(float) + (b == s))
-    for t in range(4):
-        total += np.where(a != t, np.abs(dt * gs[ar, a, t]), 0.0)
-        total += np.where(b != t, np.abs(dt * gs[ar, t, b]), 0.0)
-    return total
+    energies = np.concatenate([block.energies for block in before["frames"]])  # (4, n), less V_bath
+    rows, closed = [], {side: np.zeros(n, dtype=bool) for side in labels}
+    for (s, t), d in sorted(oscillator_couplings(engine.bp, before["frames"]).items()):
+        a = dt * (v[0] * d[:, 0] + v[1] * d[:, 1])
+        p = before["p"][s // 2]
+        shut = (p * p < 4.0 * mass * (energies[t] - energies[s])) & (a != 0)
+        for side in labels:
+            closed[side] |= shut & (labels[side] == s)
+            rows.append((side, s, "coupling", a, ~shut))
+    gs, ar = dense_decay_entries(before, engine.decay), np.arange(n)
+    for s in (0, 1):
+        for side in labels:
+            a = dt * (gs[ar, s, s ^ 1] if side == "ket" else gs[ar, s ^ 1, s])
+            rows.append((side, s, "decay", a, True))
+    channels = [[] for _ in range(n)]
+    for side, s, kind, a, allowed in rows:
+        for m in np.flatnonzero((labels[side] == s) & allowed & (a != 0)):
+            channels[m].append((side, s, kind, a[m]))
+    return channels, closed
+
+
+def no_hop_total(channels):
+    """Each member's sum of |a| over its open channels (``open_channels``)."""
+    return np.array([sum(abs(a) for *_, a in open_) for open_ in channels])
 
 
 PARTNER = np.array([1, 0, 3, 2])  # the other slot of the same block
 
 
-def test_hop_rule_at_zero_uniforms_takes_the_first_coupling_channel(monkeypatch):
-    # u = 0 hops every member on the first channel its labels open: the
-    # coupling from the lower label to its partner slot, ket side first on a
-    # tie; a frustrated member lacks the energy for it and keeps its labels
-    before, engine = pinned_hop_step(monkeypatch, 0.24, 0.0)
+def test_hop_rule_at_zero_uniforms_takes_the_first_open_channel():
+    # u = 0 hops every member that opens a channel on the first one in the
+    # stage's order: most take the coupling from the lower label to its
+    # partner slot, ket side first on a tie.  A member that lacks the energy
+    # for an uphill coupling finds it closed and takes the next open channel
+    before, engine = pinned_hop_step(0.24, 0.0)
     a, b = before["alpha"], before["alpha_prime"]
     n = engine.weight.size
     assert n == 10 * 40
-    summary = engine.summary
-    assert summary.n_hops > 0 and summary.n_frustrated > 0
-    assert summary.n_hops + summary.n_frustrated == n
+    channels, closed = open_channels(before, engine)
+    frustrated = closed["ket"] | closed["bra"]
     hopped = (engine.alpha != a) | (engine.alpha_prime != b)
-    assert np.count_nonzero(hopped) == summary.n_hops
-    assert np.any(hopped & (a > b))  # bra-side hops too
-    ket = a <= b
-    assert np.array_equal(engine.alpha[hopped], np.where(ket, PARTNER[a], a)[hopped])
-    assert np.array_equal(engine.alpha_prime[hopped], np.where(ket, b, PARTNER[b])[hopped])
-    # the jump conserves the energy on the hopping label's surfaces
-    source = np.minimum(a, b)
+    assert np.array_equal(hopped, [bool(open_) for open_ in channels])
+    assert engine.summary.n_hops == np.count_nonzero(hopped) > 0
+    assert engine.summary.n_frustrated == np.count_nonzero(frustrated) > 0
+    assert np.any(frustrated & hopped)  # past a closed row, on a later channel
+    first = [open_[0] if open_ else ("ket", 0, "none", 0.0) for open_ in channels]
+    ket = np.array([side == "ket" for side, *_ in first])
+    source = np.array([s for _, s, _, _ in first])
+    coupling = np.array([kind == "coupling" for *_, kind, _ in first]) & hopped
+    amp = np.array([a_ for *_, a_ in first])
+    assert np.any(hopped & ~ket)  # bra-side hops too
+    assert np.any(coupling & (source % 2 == 0)) and np.any(coupling & (source % 2 == 1))  # both directions
+    assert np.any(hopped & ~coupling)  # decay hops too
+    assert np.array_equal(engine.alpha[hopped], np.where(ket, PARTNER[source], a)[hopped])
+    assert np.array_equal(engine.alpha_prime[hopped], np.where(ket, b, PARTNER[source])[hopped])
+    # a coupling hop conserves the energy on the hopping label's surfaces
+    # (V_bath, left out of the block energies, is the same on both sides);
+    # every other member keeps its momenta
     ar = np.arange(n)
-    # (V_bath, left out of the block energies, is the same on both sides)
     energies = np.concatenate([block.energies for block in before["frames"]])
     p_after = spread_rows(engine, engine._p)
     kinetic = [np.sum(p**2, axis=0) / (4 * engine.bp.mass) for p in (before["p"], p_after)]
     e_old = kinetic[0] + energies[source, ar]
     e_new = kinetic[1] + energies[PARTNER[source], ar]
-    assert np.allclose(e_new[hopped], e_old[hopped], rtol=0, atol=1e-12)
-    assert np.array_equal(p_after[:, ~hopped], before["p"][:, ~hopped])
-    # a hop on the coupling s -> t takes the real factor -(1 + total) a / |a|
-    # with a = dt v . d_st, whose sign flips with the direction (d_ts = -d_st);
-    # a frustrated member keeps the positive no-hop factor 1 + total
-    v = oscillator_velocity(before, engine)
-    amp = np.zeros(n)
-    for (s, _), d in oscillator_couplings(engine.bp, before["frames"]).items():
-        amp = np.where(source == s, v[0] * d[:, 0] + v[1] * d[:, 1], amp)
-    scale = 1.0 + no_hop_total(before, engine)
+    assert np.allclose(e_new[coupling], e_old[coupling], rtol=0, atol=1e-12)
+    assert np.array_equal(p_after[:, ~coupling], before["p"][:, ~coupling])
+    # a hop takes the real factor -(1 + total) a / |a|, the rest 1 + total
+    scale = 1.0 + no_hop_total(channels)
     ratio = engine.weight / before["weight"]
     assert np.allclose(ratio, np.where(hopped, -scale * np.sign(amp), scale), rtol=1e-12, atol=0)
-    assert np.any(hopped & (source % 2 == 0)) and np.any(hopped & (source % 2 == 1))  # both directions
 
 
-def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channel(monkeypatch):
+def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channel():
     # at c = 0 every coupling amplitude vanishes, so u = 0 hops every member
     # with a block-A label on the first decay channel its labels open: the
     # lower label moves to its partner slot, ket side first on a tie.  A
     # member with both labels in block B opens no channel
-    before, engine = pinned_hop_step(monkeypatch, 0.0, 0.0)
+    before, engine = pinned_hop_step(0.0, 0.0)
     a, b = before["alpha"], before["alpha_prime"]
     source = np.minimum(a, b)
     moves = source < 2
@@ -731,25 +754,95 @@ def test_hop_rule_at_zero_uniforms_without_coupling_takes_the_first_decay_channe
     ar = np.arange(a.size)
     gs = dense_decay_entries(before, engine.decay)
     entry = np.where(ket, gs[ar, source, PARTNER[source]], gs[ar, PARTNER[source], source])
-    scale = 1.0 + no_hop_total(before, engine)
+    scale = 1.0 + no_hop_total(open_channels(before, engine)[0])
     expected = np.where(moves, -scale * np.sign(entry), scale)
     assert np.allclose(engine.weight / before["weight"], expected, rtol=1e-12, atol=0)
 
 
-def test_hop_rule_below_one_never_hops(monkeypatch):
+def test_hop_rule_below_one_never_hops():
     # u = 1 - 2**-53 lies above every channel: no hop, and every weight is
-    # scaled by its real no-hop factor 1 + total
-    before, engine = pinned_hop_step(monkeypatch, 0.24, 1.0 - 2.0**-53)
-    assert engine.summary.n_hops == 0 and engine.summary.n_frustrated == 0
+    # scaled by its real no-hop factor 1 + total over its open channels
+    before, engine = pinned_hop_step(0.24, 1.0 - 2.0**-53)
+    channels, closed = open_channels(before, engine)
+    assert engine.summary.n_hops == 0
+    assert engine.summary.n_frustrated == np.count_nonzero(closed["ket"] | closed["bra"]) > 0
     assert np.array_equal(engine.alpha, before["alpha"])
     assert np.array_equal(engine.alpha_prime, before["alpha_prime"])
     assert np.array_equal(spread_rows(engine, engine._p), before["p"])
     ratio = engine.weight / before["weight"]
-    assert np.allclose(ratio, 1.0 + no_hop_total(before, engine), rtol=1e-12, atol=0)
-    assert np.all(ratio > 1.0)
+    assert np.allclose(ratio, 1.0 + no_hop_total(channels), rtol=1e-12, atol=0)
+    assert np.all(ratio >= 1.0) and np.any(ratio > 1.0)
 
 
-@pytest.mark.xfail(strict=True, reason="D3: the nonadiabatic trace rises above 1 at gamma = 0")
+def test_hop_stage_never_takes_a_closed_uphill_row():
+    # a member with p_k^2 < 4 M (2 r_k) lacks the energy to jump up its
+    # block's gap: whatever its uniform, a label whose uphill row is closed
+    # moves, if at all, only by decay, which leaves the momenta as they were
+    for uniform in np.linspace(0.0, 1.0, 16, endpoint=False):
+        before, engine = pinned_hop_step(0.24, uniform)
+        _, closed = open_channels(before, engine)
+        assert closed["ket"].any() and closed["bra"].any()
+        p_after = spread_rows(engine, engine._p)
+        for side, label in (("ket", engine.alpha), ("bra", engine.alpha_prime)):
+            moved = closed[side] & (label != before["alpha" if side == "ket" else "alpha_prime"])
+            assert np.array_equal(p_after[:, moved], before["p"][:, moved])
+
+
+def test_hop_stage_keeps_the_exact_one_step_law():
+    # SSTP samples 1 - dt J: after one stage a member's expected weight is w
+    # on the no-hop branch and -a w on each open channel, with the jumped
+    # momentum, and a closed channel adds nothing.  A member's outcome
+    # depends only on its own uniform, so the expectation is a finite sum:
+    # the stage runs once per outcome, each member's uniform at the midpoint
+    # of that outcome's interval, [C_{i-1}, C_i) / (1 + total) for its i-th
+    # open channel (C the running sum of |a|) and [total, 1 + total) /
+    # (1 + total) for no hop, and each result counts by its interval length
+    engine = staged_engine(0.24)
+    before, bp = hop_stage_input(engine), engine.bp
+    n = before["weight"].size
+    channels, closed = open_channels(before, engine)
+    total = no_hop_total(channels)
+    ends = [np.cumsum([0.0] + [abs(a) for *_, a in open_] + [1.0]) / (1.0 + t) for open_, t in zip(channels, total)]
+    got = [{} for _ in range(n)]  # (alpha, alpha', momenta moved) -> [expected weight, momenta]
+    for i in range(max(map(len, channels)) + 1):
+        engine = staged_engine(0.24)
+        outcome = [min(i, len(e) - 2) for e in ends]
+        run_hop_stage(engine, np.array([(e[o] + e[o + 1]) / 2 for e, o in zip(ends, outcome)]))
+        p_after = spread_rows(engine, engine._p)
+        for m in np.flatnonzero([i == o for o in outcome]):
+            key = (engine.alpha[m], engine.alpha_prime[m], bool(np.any(p_after[:, m] != before["p"][:, m])))
+            entry = got[m].setdefault(key, [0.0, p_after[:, m]])
+            entry[0] += (ends[m][i + 1] - ends[m][i]) * engine.weight[m]
+    # the law from the oracle: couplings and decay entries of its frames, and
+    # the oscillator-space momentum jump along the coupling
+    couplings = oscillator_couplings(bp, before["frames"])
+    energies = np.concatenate([block.energies for block in before["frames"]])
+    P = np.array([before["p"][0] + before["p"][1], before["p"][0] - before["p"][1]]) / 2
+    kinds = set()
+    for m in range(n):
+        a, b, w = before["alpha"][m], before["alpha_prime"][m], before["weight"][m]
+        want = {(a, b, False): (w, before["p"][:, m])}
+        for side, s, kind, amp in channels[m]:
+            kinds.add((kind, side, s % 2))
+            labels = (PARTNER[s], b) if side == "ket" else (a, PARTNER[s])
+            p_new = before["p"][:, m]
+            if kind == "coupling":
+                gap = energies[PARTNER[s], m] - energies[s, m]
+                d = couplings[s, PARTNER[s]][m : m + 1]
+                ok, P_new = momentum_jump_2d(P[:, m : m + 1], d, np.array([gap]), bp.mass)
+                assert ok.all()
+                p_new = np.array([P_new[0, 0] + P_new[1, 0], P_new[0, 0] - P_new[1, 0]])
+            want[(*labels, kind == "coupling")] = (-amp * w, p_new)
+        assert set(got[m]) == set(want), m
+        for key, (weight, p) in want.items():
+            assert got[m][key][0] == pytest.approx(weight, rel=1e-12, abs=0), (m, key)
+            assert np.allclose(got[m][key][1], p, rtol=1e-12, atol=1e-12), (m, key)
+    # coupling both ways on both sides, decay from both slots on both sides,
+    # and members that met a closed uphill row
+    assert kinds == {(kind, side, up) for kind in ("coupling", "decay") for side in ("ket", "bra") for up in (0, 1)}
+    assert closed["ket"].any() and closed["bra"].any()
+
+
 def test_nonadiabatic_conserves_the_trace_at_zero_decay():
     # identity decay at gamma = 0 conserves the trace exactly for any dynamics
     gamma0 = decay_operator(DecayKind.IDENTITY_UNIFORM, 0.0)
@@ -831,7 +924,7 @@ def test_simulate_thread_invariance_nonadiabatic(monkeypatch):
     )
     series1, summary1 = simulate(sp, PAPER_BP, decay, config, threads=1)
     series4, summary4 = simulate(sp, PAPER_BP, decay, config, threads=4)
-    assert summary1.n_hops > 0 and summary1.n_frustrated > 0
+    assert summary1.n_hops > 0
     assert (summary1.n_hops, summary1.n_frustrated) == (summary4.n_hops, summary4.n_frustrated)
     for r1, r4 in zip(series1.rows, series4.rows):
         assert np.array_equal(r1.density.elements, r4.density.elements)
