@@ -12,9 +12,9 @@ momentum-jump rule, so that a member's expected weight after the stage
 follows the first-order transition operator 1 - dt J exactly (Mac Kernan,
 Ciccotti and Kapral, JCP 116, 2346 (2002)).  That rule is stated only in
 ``EnsembleState._hop_stage`` and ``_momentum_jump``, and which transitions
-exist only in ``_transition_channels``: the engine fixes their table at
-set-up and reads it both for the slots a label can reach and in the hop
-stage.
+exist, in which order, only in ``_transition_channels``: the engine reads
+it at set-up for the slots a label can reach, and the hop stage follows its
+order.
 
 ``EnsembleState`` propagates all members of a run of samples at once on the
 closed-form block frames of ``nhqc.adiabatic``.  Block A depends on the bath
@@ -43,7 +43,7 @@ difference of the labels' block means plus their signed half gaps, the
 bath potential V_bath cancelling in it, so the engine never builds V_bath.
 Its velocity-Verlet step evaluates the force once: the force (as the half
 kick) is cached with each member's frequency, and these rows are rebuilt
-after every drift and after every hop stage that draws a transition.  The
+after every drift, and by a hop stage for the members that hop.  The
 adiabatic step restated for a single member on the generic eigensolver
 route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no
 nonadiabatic counterpart.
@@ -487,14 +487,6 @@ class EnsembleState:
         pairs.sort(key=lambda pair: (group[pair], (pair[0] == pair[1]) == (group[pair] == 2)))
         counts = [list(group.values()).count(g) for g in range(3)]
         self._cols = (range(counts[0] + counts[1]), range(counts[0], len(pairs)))
-        # the hop stage's table: each transition with the members [lo, hi) of
-        # the columns that store its block, the only ones that can hold its
-        # source label; a channel that no column can take is left out
-        self._channels = [
-            (side, s, kind, cols.start * self.n_local, cols.stop * self.n_local)
-            for side, s, kind in channels
-            if (cols := self._cols[s // 2])
-        ]
         labels = self._labels = tuple(held[pair] for pair in pairs)
         al = np.array([p for p, _ in pairs], dtype=np.int64)
         ap = np.array([q for _, q in pairs], dtype=np.int64)
@@ -539,6 +531,20 @@ class EnsembleState:
             rows = np.tile(np.arange(self.n_local) + sample_start % CHUNK_SAMPLES, len(pairs))
             self._hop_offset = rows * 16 + self.alpha * 4 + self.alpha_prime
             self._hop_draws = int(self._hop_offset.max()) + 1
+            # the hop stage's rows, laid out as q: signed coupling and decay
+            # amplitudes; |a| of the coupling from an even (upper) label and
+            # from an odd one, 0 where closed, and of the decay, twice; where
+            # that uphill row is closed (row 1); and 2 r.  A side reads its
+            # entries at ``_index``: label parity * size + row.  The coupled
+            # blocks' rows form one span, None where no channel can open
+            size = self.q.size
+            self._amp, self._mag, self._gap = np.zeros((2, size)), np.zeros((4, size)), np.empty(size)
+            self._closed = np.zeros((2, size), dtype=bool)
+            base = [cols.start * self.n_local - start for cols, start in zip(self._cols, (0, sizes[0]))]
+            self._slot_index = np.array([s % 2 * size - base[s // 2] for s in range(4)])
+            self._block_rows = (slice(0, sizes[0]), slice(sizes[0], size))
+            coupled = [r for r, block, k in zip(self._block_rows, blocks0, sizes) if k and block.half_gap is not None]
+            self._coupled = slice(coupled[0].start, coupled[-1].stop) if coupled else None
         # rates depend on R where the operator mixes block A's slots and a
         # column stores block A; an uncoupled block A's sz_A is a constant
         self._rate, self._slope = slot_gamma_diag(decay)
@@ -555,13 +561,16 @@ class EnsembleState:
         # hold an off-diagonal pair
         live = [k for k, column in enumerate(labels) if any(a != b for a, b in column)]
         self._live = range(live[0], live[-1] + 1) if live else range(0)
-        # per-pair coefficients: per column (K, 1) in adiabatic mode, per
-        # member (K, n) in nonadiabatic mode, where hops rewrite them
+        # per-pair coefficients: per column (K, 1) in adiabatic mode; per
+        # member (K, n) in nonadiabatic mode, where hops rewrite them from a
+        # table by pair code alpha * 4 + alpha'
         if adiabatic:
             self._coef = self._label_coefficients(al[:, None], ap[:, None])
         else:
-            shape = (len(pairs), self.n_local)
-            self._coef = self._label_coefficients(self.alpha.reshape(shape), self.alpha_prime.reshape(shape))
+            self._pair_coef = self._label_coefficients(np.arange(16) // 4, np.arange(16) % 4)
+            self._coef = {key: np.empty((len(pairs), self.n_local)) for key in self._pair_coef}
+            self._index = np.empty((2, n), dtype=np.intp)
+            self._relabel(np.arange(n))
         self._omega_spare = np.empty((len(self._live), self.n_local))
         self._omega = np.empty_like(self._omega_spare)
         self._refresh_frames()
@@ -586,11 +595,14 @@ class EnsembleState:
         return coef
 
     def _relabel(self, members: np.ndarray) -> None:
-        """Rewrite the per-member coefficients of ``members`` (nonadiabatic
-        mode), whose labels a transition changed."""
-        fresh = self._label_coefficients(self.alpha[members], self.alpha_prime[members])
-        for key, value in fresh.items():
-            self._coef[key].reshape(-1)[members] = value
+        """Rewrite the per-member coefficients and hop-stage indices of
+        ``members`` (nonadiabatic mode), whose labels a transition changed."""
+        ket, bra = self.alpha[members], self.alpha_prime[members]
+        codes = ket * 4 + bra
+        for key, table in self._pair_coef.items():
+            self._coef[key].reshape(-1)[members] = table[codes]
+        for index, labels in zip(self._index, (ket, bra)):
+            index[members] = members + self._slot_index[labels]
 
     def _refresh_frames(self) -> None:
         self._blocks = tuple(slot_frames(self.sp, self.bp, k, q) if q.size else None for k, q in enumerate(self._q))
@@ -620,6 +632,23 @@ class EnsembleState:
                 term = self._scratch[: upper.size].reshape(upper.shape)
                 np.multiply(coef["g", k][lo:hi], upper, out=term)
                 omega[lo - live.start : hi - live.start] += term
+
+    def _refresh_members(self, members: np.ndarray) -> None:
+        """``_refresh_pair_caches`` for the sorted ``members`` alone, in its
+        arithmetic and order, in place: the other members' caches stand."""
+        n, coef, dt, omega = self.n_local, self._coef, self.config.dt, self._omega.reshape(-1)
+        ranges = [r for columns in (self._live, *self._cols) for r in (columns.start * n, columns.stop * n)]
+        ends = np.searchsorted(members, ranges).tolist()  # of the live members and of each block's
+        on = members[ends[0] : ends[1]]
+        omega[on - ranges[0]] = coef["mu"].reshape(-1)[on]
+        for k, (block, start, lo, hi) in enumerate(zip(self._blocks, ranges[2::2], ends[2::2], ends[3::2])):
+            if block is None:
+                continue
+            j = members[lo:hi] - start
+            cn_sz = coef["cn", k].reshape(-1)[members[lo:hi]] * (block.sz[j] if np.ndim(block.sz) else block.sz)
+            self._kick_rows[k][j] = (self._q[k][j] * -self._restore + cn_sz) * (0.5 * dt)
+            on = members[max(lo, ends[0]) : min(hi, ends[1])]
+            omega[on - ranges[0]] += coef["g", k].reshape(-1)[on] * block.upper[on - start]
 
     # -- time stepping ----------------------------------------------------
 
@@ -666,73 +695,74 @@ class EnsembleState:
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
 
-        The transitions are the rows (side, s, kind, lo, hi) of the set-up
-        table ``_channels``; only the members [lo, hi) can hold the source
-        label s, whose block k = s // 2 they store.  Each amplitude a is a
-        closed form in block k's half gap r, so the stage builds no frame
-        vector and no energy row: dt (p_k / M) ``slot_coupling`` for the
-        derivative coupling, negated from the lower to the upper slot, and
-        for every decay channel, on block A, dt (u^T Gamma u)[s, s ^ 1] =
-        dt gamma x (-y) = -dt gamma w / (2 r).  One table, channels x
-        members, holds |a| where the side's label, as the stage found it,
-        equals s, else 0; an uphill coupling row (s odd) is also closed (0)
-        where p_k^2 - 4 M (2 r) < 0, the radicand of ``_momentum_jump``.
-        ``total`` is its column sum.  Only a member whose uniform times
-        1 + total falls below ``total`` hops, on the first channel where the
-        running sum of its column exceeds that product, with the real factor
-        -(1 + total) a / |a| and, on a coupling, the jump across the gap
-        -+2r; every other member gets the no-hop factor 1 + total, so its
-        expected weight is w with no hop and -a w on each open channel.
-        """
-        if not self._channels:
+        The transitions and their order are those of ``_transition_channels``:
+        a member opens at most a coupling and a block-A decay channel per
+        side, from the side's label s to s ^ 1.  Each amplitude a is a closed
+        form in block k = s // 2's half gap r (no frame vector, no energy
+        row): dt (p_k / M) ``slot_coupling``, negated from the lower to the
+        upper slot, and for decay, on block A, dt (u^T Gamma u)[s, s ^ 1] =
+        dt gamma x (-y) = -dt gamma w / (2 r).  Their |a| rows are formed by
+        row of q, an uphill coupling (s odd) closed (0) where
+        p_k^2 - 4 M (2 r) < 0, the radicand of ``_momentum_jump``, and each
+        side gathers its member's entries (``_index``).  ``total``, a member's
+        sum of |a|, is their sum in channel order bit for bit: the couplings
+        commute and the decay entries are equal.  A member hops only if its
+        uniform times 1 + total falls below ``total``, on the first channel in
+        that order whose running sum exceeds that product, with the factor
+        -(1 + total) a / |a| and, on a coupling, the jump across the gap -+2r;
+        every other member gets 1 + total: its expected weight is w with no
+        hop and -a w on each open channel.  One pass in that order resolves
+        the hits; only their pair caches are rebuilt."""
+        if self._coupled is None:
             return
-        labels = {"ket": self.alpha, "bra": self.alpha_prime}
-        amps = {}  # (signed, absolute) amplitude rows by (kind, block)
-        closed = {}  # by block: where its uphill coupling row is closed
-        frustrated = np.zeros(self.weight.size, dtype=bool)
-        table = np.zeros((len(self._channels), self.weight.size))
-        for row, (side, s, kind, lo, hi) in zip(table, self._channels):
-            k = s // 2
-            if (kind, k) not in amps:
-                block = self._blocks[k]
-                if kind == "coupling":
-                    p = self._p[k]
-                    amp = dt * (p / self.bp.mass * slot_coupling(self.bp, block))
-                    closed[k] = (p * p - 4.0 * self.bp.mass * (2.0 * block.half_gap) < 0.0) & (amp != 0.0)
-                else:
-                    amp = (-0.5 * dt * self.decay.strength * block.w) / block.half_gap
-                amps[kind, k] = amp, np.abs(amp)
-            held = labels[side][lo:hi] == s
-            if kind == "coupling" and s % 2:
-                met = held & closed[k]
-                frustrated[lo:hi] |= met
-                held ^= met
-            np.copyto(row[lo:hi], amps[kind, k][1], where=held)
-        self.summary.n_frustrated += int(np.count_nonzero(frustrated))
-        total = table.sum(axis=0)
+        mass, size, (ket, bra) = self.bp.mass, self.q.size, self._index
+        amp, mag, closed, gap, span = self._amp, self._mag, self._closed, self._gap, self._coupled
+        a = np.divide(self.p[span], mass, out=amp[0, span])
+        for block, rows in zip(self._blocks, self._block_rows):
+            if block is not None and block.half_gap is not None:
+                amp[0, rows] *= slot_coupling(self.bp, block)
+                np.multiply(block.half_gap, 2.0, out=gap[rows])
+        a *= dt
+        np.abs(a, out=mag[0, span])
+        np.less(np.square(self.p[span]) - 4.0 * mass * gap[span], 0.0, out=closed[1, span])
+        closed[1, span] &= a != 0.0
+        mag[1, span] = mag[0, span]
+        np.putmask(mag[1, span], closed[1, span], 0.0)
+        coupling = [mag[:2].reshape(-1)[i] for i in (ket, bra)]
+        total = coupling[0] + coupling[1]
+        if self._rates_vary:
+            block, rows = self._blocks[0], self._block_rows[0]
+            np.divide(-0.5 * dt * self.decay.strength * block.w, block.half_gap, out=amp[1, rows])
+            mag[2, rows] = mag[3, rows] = np.abs(amp[1, rows])
+            decay = mag[2:].reshape(-1)
+            total += decay[ket]
+            total += decay[bra]
+        self.summary.n_frustrated += int(np.count_nonzero(closed.reshape(-1)[ket] | closed.reshape(-1)[bra]))
         scale = 1.0 + total
         u = self._hop_uniforms() * scale
         hit = np.flatnonzero(u < total)  # False for NaN: no hop
         self.weight *= scale  # the no-hop factor; a hop also takes the sign of -a
         if not hit.size:
             return
-        choice = np.argmax(u[hit] < np.cumsum(table[:, hit], axis=0), axis=0)
-        for c in np.unique(choice):
-            side, s, kind, lo, _ = self._channels[c]
-            idx = hit[choice == c]
-            j, k = idx - lo, s // 2
-            amp = amps[kind, k][0][j]
-            if kind == "coupling":
-                amp = -amp if s % 2 else amp
-                r = self._blocks[k].half_gap[j]
-                self._p[k][j] = _momentum_jump(self._p[k][j], 2.0 * r if s % 2 else -(2.0 * r), self.bp.mass)
-            self.weight[idx[amp > 0]] *= -1.0
-            labels[side][idx] = s ^ 1
+        # each hit member's running sums in channel order, the lower label's
+        # side first within each kind (ket on a tie); it takes the first
+        # channel whose sum exceeds u: 0, 1 a coupling, 2, 3 a decay
+        labels = self.alpha[hit], self.alpha_prime[hit]
+        first, ck, cb, u = labels[0] <= labels[1], coupling[0][hit], coupling[1][hit], u[hit]
+        sums = [np.where(first, ck, cb), ck + cb]
+        if self._rates_vary:
+            sums.append(sums[1] + np.where(first, decay[ket[hit]], decay[bra[hit]]))
+        choice = sum(u >= running for running in sums)
+        on_ket = (choice % 2 == 0) == first
+        kind, rows, up = choice // 2, np.where(on_ket, ket[hit], bra[hit]) % size, np.where(on_ket, *labels) % 2 == 1
+        self.weight[hit[(amp[kind, rows] > 0) != (up & (kind == 0))]] *= -1.0  # where the a taken is > 0
+        jumps, gaps = rows[kind == 0], gap[rows[kind == 0]]
+        self.p[jumps] = _momentum_jump(self.p[jumps], np.where(up[kind == 0], gaps, -gaps), mass)
+        self.alpha[hit[on_ket]] ^= 1
+        self.alpha_prime[hit[~on_ket]] ^= 1
         self.summary.n_hops += int(hit.size)
-        # the step's own refresh rebuilds the pair caches for the new labels;
-        # ``advance`` has read the spare buffers it swaps in by now
         self._relabel(hit)
-        self._refresh_pair_caches()
+        self._refresh_members(hit)
 
     # -- views -------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import SLOT_SZ, slot_frames, slot_vectors
+from nhqc.adiabatic import SLOT_SZ, slot_coupling, slot_frames, slot_vectors
 from nhqc.model import (
     PHI,
     PSI,
@@ -590,7 +590,8 @@ def staged_engine(c):
     config = SimConfig(n_steps=1, seed=7, n_samples=40, initial_state=PSI, mode="nonadiabatic")
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     engine = sampled_engine(sp, BathParams(c=c, beta=0.1), decay, config)
-    assert all(block.half_gap is not None for block in engine._blocks) and len(engine._channels) == 8 + 4
+    assert all(block.half_gap is not None for block in engine._blocks)
+    assert len(_transition_channels(decay, engine._blocks)) == 8 + 4
     # psi's ten pairs: three in block A, four across the blocks, three in block B
     assert engine._cols == (range(7), range(3, 10))
     members = np.arange(engine.weight.size)
@@ -772,6 +773,72 @@ def test_hop_rule_below_one_never_hops():
     ratio = engine.weight / before["weight"]
     assert np.allclose(ratio, 1.0 + no_hop_total(channels), rtol=1e-12, atol=0)
     assert np.all(ratio >= 1.0) and np.any(ratio > 1.0)
+
+
+def channel_table(engine):
+    """The hop stage's amplitudes as one (channels x members) table, from
+    the engine's own closed forms and rows as the stage finds them: each
+    channel of ``_transition_channels`` in its order holds |a| where the
+    side's label is its source s, and 0 elsewhere and where an uphill
+    coupling is closed.  Returns the table and whether any entry was closed."""
+    n, dt, mass = engine.n_local, engine.config.dt, engine.bp.mass
+    labels = {"ket": engine.alpha, "bra": engine.alpha_prime}
+    channels = _transition_channels(engine.decay, engine._blocks)
+    table, any_closed = np.zeros((len(channels), engine.weight.size)), False
+    for row, (side, s, kind) in zip(table, channels):
+        block, p, columns = engine._blocks[s // 2], engine._p[s // 2], engine._cols[s // 2]
+        held = labels[side][columns.start * n : columns.stop * n] == s
+        if kind == "coupling":
+            amp = dt * (p / mass * slot_coupling(engine.bp, block))
+            if s % 2:
+                closed = held & (p * p - 4.0 * mass * (2.0 * block.half_gap) < 0.0) & (amp != 0.0)
+                any_closed |= bool(closed.any())
+                held &= ~closed
+        else:
+            amp = (-0.5 * dt * engine.decay.strength * block.w) / block.half_gap
+        row[columns.start * n : columns.stop * n] = np.where(held, np.abs(amp), 0.0)
+    return table, any_closed
+
+
+def test_no_hop_factor_is_the_channel_table_sum_bit_for_bit():
+    # u = 1 - 2**-53 hops no member, and every weight takes the no-hop
+    # factor 1 + total, total the column sum of the channel table, which
+    # adds its rows in channel order: the stage's sum over each member's own
+    # two labels must equal it exactly
+    engine = staged_engine(0.24)
+    table, any_closed = channel_table(engine)
+    weight = engine.weight.copy()
+    run_hop_stage(engine, np.full(weight.size, 1.0 - 2.0**-53))
+    assert engine.summary.n_hops == 0 and any_closed
+    assert np.count_nonzero(table, axis=0).max() == 4  # a coupling and a decay channel per side
+    assert np.array_equal(engine.weight, weight * (1.0 + table.sum(axis=0)))
+
+
+@pytest.mark.parametrize("jy", [-0.6, -1.0])
+def test_hop_stage_refreshes_the_members_that_hop_bit_for_bit(jy):
+    # the stage rebuilds the half kick and the Bohr frequency of the members
+    # that hop, in place; a relabel of every member and a full refresh must
+    # then change nothing.  jy = -0.6: the staged engine at u = 0, where most
+    # members hop; jy = -1.0: block A uncoupled, so the (0, 0) column never
+    # moves and the live columns start after column 0
+    if jy == -0.6:
+        _, engine = pinned_hop_step(0.24, 0.0)
+    else:
+        config = SimConfig(n_steps=3, seed=5, n_samples=32, initial_state=PSI, mode="nonadiabatic")
+        engine = sampled_engine(PAPER_SP, BathParams(c=1.5, beta=0.1), decay_operator(DecayKind.PROJECTOR_EE, 0.1), config)
+        engine.advance(2)
+        assert engine._live.start > 0
+        run_hop_stage(engine, np.zeros(engine.weight.size))
+    assert 2 * engine.summary.n_hops > engine.weight.size
+    kick, omega = engine._kick.copy(), engine._omega.copy()
+    shape = engine.alpha.reshape(-1, engine.n_local).shape
+    fresh = engine._label_coefficients(engine.alpha.reshape(shape), engine.alpha_prime.reshape(shape))
+    assert fresh.keys() == engine._coef.keys()
+    for key, value in fresh.items():
+        assert np.array_equal(engine._coef[key], value), key
+    engine._relabel(np.arange(engine.weight.size))
+    engine._refresh_pair_caches()
+    assert np.array_equal(engine._kick, kick) and np.array_equal(engine._omega, omega)
 
 
 def test_hop_stage_never_takes_a_closed_uphill_row():
