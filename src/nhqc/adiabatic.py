@@ -30,21 +30,25 @@ its block's upper vector (x, y) as ``SLOT_PARTS[s]`` states, and its
 Only what every step reads is computed eagerly: delta and the half gap, from
 which the engine forms its Bohr frequencies as mean differences plus signed
 half gaps, and in nonadiabatic mode its hop amplitudes and jump gaps.  The
-<sigma_z> row is built on first read, once per block, where the force or a
-decay rate reads it; the energies and the frame-vector components x, y are
-built only where an output or a check reads them.  The decay expectations
-and the derivative coupling need no frame vector: ``slot_gamma_diag`` and
+<sigma_z> row is built on first read, once per block, where the force, a
+decay rate or an output reads it, and so is the <sigma_x> row w / r
+(``sx``): each outer product of a block's two slots is linear in
+(1, sz, sx), so the frame-vector components x, y are built only for
+products across the blocks (``vector_at``), at set-up and in checks, and
+the energies only where a check reads them.  The decay expectations and the
+derivative coupling need no frame vector: ``slot_gamma_diag`` and
 ``slot_coupling`` state them in closed form.
 
 The half gap is formed with one square root in a single n-long buffer, not
 with ``np.hypot``, whose scalar libm call cost six times as much (0.44
 against 0.07 ms for 49 152 points on a 2-vCPU Xeon).  It agrees with
 ``hypot`` to within one ulp while |delta| stays below about 1e154.  Beyond
-that delta^2 overflows: r is inf, so the block's energies are +-inf, its
-<sigma_z> row reads 0 (NaN where delta itself overflowed, which then
-reaches the force of every member in that configuration) and its frame
-vectors are NaN; ``nhqc run`` reports the resulting non-finite curve as an
-invariant violation.
+that delta^2 overflows: r is inf, so the block's energies are +-inf and
+its Bohr frequencies inf, its <sigma_z> and <sigma_x> rows read 0 (NaN
+where delta itself overflowed, which then reaches the force of every
+member in that configuration) and its frame vectors are not finite;
+``nhqc run`` reports the resulting non-finite curve as an invariant
+violation.
 
 The generic eigensolver route (``nhqc.oracle.build_frame``) cross-checks
 these frames in the test suite: it solves the two blocks of the dense h(R)
@@ -130,19 +134,34 @@ class Block:
         return 1.0 if self.half_gap is None else self.delta / self.half_gap
 
     @cached_property
+    def sx(self) -> np.ndarray | float:
+        """The upper slot's <sigma_x> in the block's basis, w / r, or 0.0 when
+        uncoupled; built on first read and then kept."""
+        return 0.0 if self.half_gap is None else self.w / self.half_gap
+
+    @cached_property
     def vector(self) -> tuple:
-        """(x, y) of the upper slot on ``rows`` (the lower slot is (-y, x)),
-        built on first read and then kept.  The upper eigenvector is prop.
-        to (r + delta, w), which never vanishes for w != 0, hence a smooth
-        gauge; an uncoupled block keeps the bare states, scalars 1 and 0."""
+        """``vector_at`` every configuration, built on first read and then kept."""
+        return self.vector_at(slice(None))
+
+    def vector_at(self, configs: slice) -> tuple:
+        """(x, y) of the upper slot on ``rows`` at the configurations
+        ``configs``, fresh arrays; the lower slot is (-y, x).  The upper
+        eigenvector is prop. to (r + delta, w), which never vanishes for
+        w != 0, hence a smooth gauge.  Where delta < 0, r + delta cancels, so
+        there it is formed as the same direction (|w|, sign(w) (r + |delta|)),
+        since (r + delta)(r - delta) = w^2: x^2 = (1 + sz) / 2,
+        y^2 = (1 - sz) / 2 and x y = sx / 2 then hold within a few ulps at
+        any |delta| / |w|.  An uncoupled block keeps the bare states, scalars
+        1 and 0."""
         if self.half_gap is None:
             return 1.0, 0.0
-        lead = self.half_gap + self.delta
-        norm = lead * lead
-        norm += self.w * self.w
-        np.sqrt(norm, out=norm)
-        lead /= norm
-        return lead, np.divide(self.w, norm, out=norm)
+        delta = self.delta[configs]
+        t = np.abs(delta) + self.half_gap[configs]
+        below = delta < 0
+        lead, tail = np.where(below, abs(self.w), t), np.where(below, np.copysign(t, self.w), self.w)
+        norm = np.sqrt(lead * lead + tail * tail)
+        return lead / norm, tail / norm
 
 
 def slot_frames(sp: SpinChainParams, bp: BathParams, k: int, q: np.ndarray) -> Block:

@@ -345,9 +345,9 @@ def dense_sample_matrices(snapshot: EnsembleSnapshot) -> np.ndarray:
     hold several labels is split into one piece per label some member
     holds, zero elsewhere, and a term whose two components are both scalars
     is dropped where their product is 0.  What this checks on its own:
-    which entries each pair reaches, the pieces, the signs, the products,
-    the fold and the order of every sum, against the engine's plan and
-    shared products.
+    which entries each pair reaches, the pieces, the signs, the products and
+    the fold, against the engine's plan of (1, sz, sx) forms; the two sums
+    round differently and agree to a few ulps of each sample's sum of |f|.
     """
     n = snapshot.n_samples
     weight, phase = (v.reshape(-1, n) for v in (snapshot.weight, snapshot.phase))

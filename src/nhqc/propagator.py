@@ -58,9 +58,12 @@ otherwise.
 
 Each output reduces the members to real coordinates of per-sample matrices
 in a buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
-writing only the entries its members can reach; the dense member sum it
-must equal bit for bit is ``nhqc.oracle.dense_sample_matrices``.  Both
-weight each member by ``member_factor``, w exp(-i phi - Lambda): one real
+writing only the entries its members can reach.  A pair within one block
+reduces from the block's rows sz, which the step's force has built, and
+sx = w / r, in which each outer product of its slots is linear; only a pair
+across the blocks reads frame-vector components.  It agrees with the dense
+frame-vector sum ``nhqc.oracle.dense_sample_matrices`` to a few ulps.  Both
+weight each member by ``member_factor``, w exp(-i phi - Lambda): one libm
 exp per column where the decay integral is per column, and e^{-i phi} from
 a table and short polynomials rather than numpy's complex exp, which calls
 the scalar libm cosine and sine for every element.  The weights are real.
@@ -165,8 +168,9 @@ def member_factor(weight: np.ndarray, phase: np.ndarray, decay: np.ndarray) -> n
     times e^{-i phase} from ``_phasor``, which lies within 2.3e-16 of
     numpy's complex exp; a column with a phase that is not finite, or beyond
     the table's exact reduction, takes numpy's complex exp, so a non-finite
-    phase gives a non-finite factor."""
-    scale = weight * np.exp(-decay)
+    phase gives a non-finite factor.  A per-column integral takes libm's
+    exp, whose bytes do not depend on numpy's SIMD level, short of overflow."""
+    scale = weight * (math.exp(-decay[0]) if decay.shape == (1,) and decay[0] > -700.0 else np.exp(-decay))
     if phase[0] == 0.0 and not phase.any():  # one read rules out most columns
         return scale
     if np.abs(phase).max() <= _PHASE_LIMIT:  # False for NaN
@@ -242,47 +246,48 @@ def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> np.ndarra
     return np.copysign(np.sqrt(p * p - 4.0 * mass * delta_e), p)
 
 
-def _pair_terms(a: int, b: int, vanishing: frozenset) -> list[tuple[int, int, tuple, bool]]:
-    """The terms u_a[p] * u_b[q] of label pair (a, b) in (p, q) order, as
-    (upper-triangle entry row * 4 + col, sign, product key, below), less
-    those with a component in ``vanishing``.  A term whose entry lies below
-    the diagonal is folded onto the transposed entry, where its conjugate is
-    added (``below``).  A component is keyed (block, 0 for x or 1 for y);
-    the key of a product is its two components in sorted order, so x * y
-    and y * x, equal bit for bit, share it."""
-    terms = []
-    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        (sa, i), (sb, j) = SLOT_PARTS[a][p], SLOT_PARTS[b][q]
-        u, v = (a // 2, i), (b // 2, j)
-        if u not in vanishing and v not in vanishing:
+def _reduction_plan(labels: tuple, constants: dict) -> tuple:
+    """The live upper-triangle entries, ascending, and the terms of each
+    column and label pair of ``labels`` (the pairs each column can hold,
+    fixed at set-up, so an engine forms its plan once) as (row, part, sign,
+    key) on the ``ElementRows`` rows: sign times the real (0) or imaginary
+    (1) part of the pair's piece times the product of the key's rows.
+
+    X's term u_a[p] u_b[q] at (r, c) adds its value to X + X^dagger there
+    when r < c, its conjugate at (c, r) when r > c, and 2 Re of it on the
+    diagonal.  Within one block it is a form in the block's rows ``sz`` and
+    ``sx`` (x^2 = (1 + sz) / 2, y^2 = (1 - sz) / 2, x y = sx / 2), and a
+    coordinate's forms add up to 0, +-1, +-sz, +-sx or +-(1 +- sz).  Only a
+    cross-block term reads x and y, keyed by its factors (block, "x" or "y")
+    in sorted order.  The factors in ``constants``, an uncoupled block's
+    scalars, are folded in: a term that vanishes there is left out, and a
+    constant other than +-1 (the 2 of 1 + sz) ends its key."""
+
+    def pair_terms(a: int, b: int) -> list:
+        sums: dict = {}  # (entry, part) -> {key: coefficient}, in the order met
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            (sa, i), (sb, j), k = SLOT_PARTS[a][p], SLOT_PARTS[b][q], a // 2
+            if k != b // 2:
+                form = {tuple(sorted(((k, "xy"[i]), (b // 2, "xy"[j])))): 1.0}
+            else:  # x x, y y, or x y
+                form = {(): 0.5, ((k, "sz"),): 0.5 - i} if i == j else {((k, "sx"),): 0.5}
             r, c = SLOT_ROWS[a][p], SLOT_ROWS[b][q]
-            terms.append((min(r, c) * 4 + max(r, c), sa * sb, tuple(sorted((u, v))), r > c))
-    return terms
+            e = min(r, c) * 4 + max(r, c)
+            for at, fold in ({(e, 0): 2.0} if r == c else {(e, 0): 1.0, (e, 1): (-1.0) ** (r > c)}).items():
+                row = sums.setdefault(at, {})
+                for key, v in form.items():
+                    kept = tuple(factor for factor in key if factor not in constants)
+                    row[kept] = row.get(kept, 0.0) + sa * sb * fold * v * math.prod(constants.get(f, 1.0) for f in key)
+        return [(at, key, v) for at, row in sums.items() for key, v in row.items() if v]
 
-
-def _reduction_plan(labels: tuple, vanishing: frozenset) -> tuple:
-    """The terms of the member sum for columns that can hold the label
-    pairs ``labels`` (a tuple of pairs per column).  The pairs a column can
-    hold are fixed at set-up (``EnsembleState``: the slots its two labels
-    reach), so an engine forms its plan once.
-
-    Returns the live upper-triangle entries in ascending order and the terms
-    of each column and pair as (row, part, sign, product key) on the
-    ``ElementRows`` rows: a term of X adds its value's real part (0) to its
-    entry's real row and, off the diagonal, its imaginary part (1), negated
-    where folded from below, to the entry's imaginary row.
-    """
-    terms = [[_pair_terms(*pair, vanishing) for pair in pairs] for pairs in labels]
-    index = tuple(sorted({t[0] for column in terms for pair in column for t in pair}))
+    terms = [[pair_terms(*pair) for pair in pairs] for pairs in labels]
+    index = tuple(sorted({at[0] for column in terms for pair in column for at, _, _ in pair}))
     order = [(e, 0) for e in index] + [(e, 1) for e in index if e % 5]  # (entry, part) per row
 
-    def coordinates(e: int, sign: int, key: tuple, below: bool) -> list:
-        parts = (0, 1) if e % 5 else (0,)
-        return [(order.index((e, part)), part, -sign if part and below else sign, key) for part in parts]
+    def term(at: tuple, key: tuple, v: float) -> tuple:
+        return order.index(at), at[1], 1 if v > 0 else -1, key if abs(v) == 1 else key + (abs(v),)
 
-    return index, tuple(
-        tuple(tuple(c for term in pair for c in coordinates(*term)) for pair in column) for column in terms
-    )
+    return index, tuple(tuple(tuple(term(*t) for t in pair) for pair in column) for column in terms)
 
 
 @dataclass
@@ -324,23 +329,23 @@ class EnsembleSnapshot:
         of their live upper-triangle entries.
 
         Each sample's matrix is X + X^dagger, X summing every member's
-        factor (``member_factor``, which the dense reference shares)
-        back-rotated with its own current frame.  A term of X on entry
-        (r, c) adds its value there when r <= c, else its conjugate at
-        (c, r); a diagonal entry sums only real parts and ends doubled.  A
-        real factor adds nothing to an imaginary row.
+        factor f (``member_factor``) times u_a u_b^T in its own current
+        frame, term by term as ``plan`` states.  A pair within one block
+        reads the block's ``sz`` row, which the step's force has built, and
+        its ``sx`` row: a diagonal pair adds Re f (1 +- sz) to the block's
+        diagonal entries and +-Re f sx to its coherence's real part; an
+        off-diagonal pair adds -+Re f sx to the diagonal entries, Re f sz to
+        the coherence's real part and +-Im f, by the pair's order, to its
+        imaginary part.  Only a cross-block pair reads x and y, built on the
+        columns that store both blocks alone (``Block.vector_at``).
 
-        Only the entries that the pairs of ``column_labels`` reach are live:
-        a term with an uncoupled block's scalar 0 component is left out, and
-        so is the piece of a pair that no member of its column holds at this
-        output.  Each live coordinate sums its terms from +0 in member-column
-        order, and a coordinate that gets no term is +0.  A column's terms
-        share the products of two frame components and the parts of those
-        products times the column factor, each formed once; a term whose
-        slot components carry a minus sign (``SLOT_PARTS``) is subtracted.
-        Negation is exact and a sum started at +0 keeps no sign of zero, so
-        every coordinate equals the real or imaginary part of the dense sum
-        of ``nhqc.oracle.dense_sample_matrices`` bit for bit.
+        A piece of a pair that no member of its column holds at this output
+        is left out.  Each live coordinate sums its terms from +0 in
+        member-column order, a coordinate that gets no term is +0, and a
+        column forms each product of rows, and each part of a piece times
+        one, once.  Each coordinate lies within a few ulps of its sample's
+        sum of |f| of the frame-vector sum of
+        ``nhqc.oracle.dense_sample_matrices``, which shares ``member_factor``.
 
         The live rows fill the first rows of ``buffer`` in ``ElementRows``
         order, and the record returned holds a view of them: it is valid
@@ -348,16 +353,22 @@ class EnsembleSnapshot:
         """
         n = self.n_samples
         weight, phase = (v.reshape(-1, n) for v in (self.weight, self.phase))
-        # each stored block's x and y as rows of its member columns, keyed
-        # (block, 0 or 1); an uncoupled block's are the scalars 1 and 0, and
-        # a term with the scalar 0 vanishes identically
-        comps = {
-            (blk, i): c.reshape(-1, n) if isinstance(c, np.ndarray) else c
-            for blk, block in enumerate(self.blocks)
-            if block is not None
-            for i, c in enumerate(block.vector)
-        }
         offset = [columns.start for columns in self.block_columns]
+        both = range(offset[1], self.block_columns[0].stop)  # the columns that can hold a cross-block pair
+        frame = {}  # (block, name): the factor's rows by column, built on first read
+
+        def factor_row(k: int, factor):  # column k's row of one factor of a key; a constant is itself
+            if not isinstance(factor, tuple):
+                return factor
+            blk, name = factor
+            if factor not in frame and name in ("x", "y"):
+                start = (both.start - offset[blk]) * n
+                x, y = self.blocks[blk].vector_at(slice(start, start + len(both) * n))
+                frame[blk, "x"], frame[blk, "y"] = x.reshape(-1, n), y.reshape(-1, n)
+            elif factor not in frame:
+                frame[factor] = getattr(self.blocks[blk], name).reshape(-1, n)
+            return frame[factor][k - (both.start if name in ("x", "y") else offset[blk])]
+
         if any(len(pairs) > 1 for pairs in self.column_labels):
             codes = (self.alpha * 4 + self.alpha_prime).reshape(-1, n)
         index, plan = self.plan
@@ -365,13 +376,7 @@ class EnsembleSnapshot:
         started = [False] * len(rows)
         for k, pairs in enumerate(self.column_labels):
             factor = member_factor(weight[k], phase[k], self.decay[k])
-            # a column reads only the blocks its labels lie in, which it stores
-            column = {
-                key: c[k - offset[key[0]]] if isinstance(c, np.ndarray) else c
-                for key, c in comps.items()
-                if k in self.block_columns[key[0]]
-            }
-            products = {}
+            products = {}  # the product of each key's rows on this column
             for pair, terms in zip(pairs, plan[k]):
                 # a column whose members can hold several labels splits into
                 # one piece per label held, zero where a member holds another
@@ -383,22 +388,19 @@ class EnsembleSnapshot:
                         continue
                     f = np.where(held, factor, 0.0)
                 parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
-                values = {}  # a part of factor * product per (part, product key)
+                values = {}  # a part of the piece times a key's product, per (part, key)
                 for r, part, sign, key in terms:
                     if part == len(parts):  # a real factor adds no imaginary part
                         continue
                     if (part, key) not in values:
-                        if key not in products:
-                            products[key] = column[key[0]] * column[key[1]]
-                        values[part, key] = parts[part] * products[key]
+                        if key and key not in products:
+                            first, *rest = (factor_row(k, each) for each in key)
+                            products[key] = first * rest[0] if rest else first
+                        values[part, key] = parts[part] * products[key] if key else parts[part]
                     total = rows[r] if started[r] else 0.0
                     (np.add if sign > 0 else np.subtract)(total, values[part, key], out=rows[r])
                     started[r] = True
-        for r, row in enumerate(rows):
-            if not started[r]:
-                row.fill(0.0)
-            elif r < len(index) and index[r] % 5 == 0:  # a diagonal entry of X + X^dagger
-                row *= 2.0
+        rows[[r for r, done in enumerate(started) if not done]] = 0.0
         return ElementRows(index, rows)
 
 
@@ -501,13 +503,12 @@ class EnsembleState:
         n = self.weight.size
         self.phase = np.zeros(n)
         self.summary.n_members = self.n_local * sum(1 + (a != b) for a, b in pairs)
-        # the reduction's terms follow from the labels and the scalar 0
-        # components of uncoupled blocks; the coordinate buffer is this
-        # engine's own, so chunks reduce independently
-        vanishing = frozenset(
-            (k, i) for k, block in enumerate(blocks0) for i, c in enumerate(block.vector) if np.ndim(c) == 0 and c == 0
-        )
-        self._plan = _reduction_plan(labels, vanishing)
+        # the reduction's terms follow from the labels and the scalar rows
+        # of uncoupled blocks; the coordinate buffer is this engine's own,
+        # so chunks reduce independently
+        fixed = [(k, b) for k, b in enumerate(blocks0) if b.half_gap is None]
+        constants = {(k, name): v for k, b in fixed for name, v in zip(("x", "y", "sz", "sx"), (*b.vector, b.sz, b.sx))}
+        self._plan = _reduction_plan(labels, constants)
         self._buffer = np.empty((16, self.n_local))
 
         # normal-mode rows of the stored blocks, every column starting from

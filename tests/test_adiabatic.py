@@ -292,6 +292,37 @@ def test_sz_rows_equal_the_frame_vectors_within_a_few_ulp(case):
     assert np.max(np.abs(slot_sigma_z(frames.blocks) - eight)) <= FEW_ULP
 
 
+@pytest.mark.parametrize("jy", [-0.6, -1.0, 1.0])  # both coupled, block A uncoupled, block B uncoupled
+@pytest.mark.parametrize("sign", [1.0, -1.0])  # both signs of the off-diagonal w
+def test_slot_outer_products_are_linear_in_sz_and_sx(sign, jy):
+    # within a block u_a u_b^T is a fixed form in (1, sz, sx), from
+    # x^2 = (1 + sz) / 2, y^2 = (1 - sz) / 2 and x y = sx / 2: the reduction
+    # reads these rows instead of x and y.  jz = 0, c = 1 and R2 = 0 make
+    # delta = -R1, so |delta| / |w| runs from 1e-8 to 1e8 with both signs,
+    # and delta = 0
+    r1 = np.logspace(-8, 8, 1601)
+    sp = SpinChainParams(jx=-sign, jy=jy * sign, jz=0.0)
+    r1 = np.concatenate([r1, -r1, [0.0]])
+    frames = frames_at(sp, BathParams(c=1.0, beta=0.1), np.array([r1, np.zeros_like(r1)]))
+    comps = slot_vectors(frames.blocks)
+    for k, block in enumerate(frames.blocks):
+        s, c = block.sz, block.sx
+        up, lo = 2 * k, 2 * k + 1
+        forms = {
+            (up, up): ((1 + s, c), (c, 1 - s)),
+            (lo, lo): ((1 - s, -c), (-c, 1 + s)),
+            (up, lo): ((-c, 1 + s), (s - 1, c)),
+            (lo, up): ((-c, s - 1), (1 + s, c)),
+        }
+        for (a, b), form in forms.items():
+            for p, q in np.ndindex(2, 2):
+                product, expected = comps[a][p] * comps[b][q], 0.5 * form[p][q]
+                if block.half_gap is None:  # the scalars 1 and 0, exactly
+                    assert (s, c) == (1.0, 0.0) and product == expected
+                else:
+                    assert np.max(np.abs(product - expected)) <= FEW_ULP
+
+
 @pytest.mark.parametrize("sp", [PAPER_SP, SpinChainParams(0.7, -0.4, 0.3)])
 def test_slot_frames_match_build_frame(sp):
     rng = np.random.default_rng(31)
