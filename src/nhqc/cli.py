@@ -175,7 +175,8 @@ PRESET_SEED = 20107
 
 
 def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, threads: int = 1) -> int:
-    """Run one of the reference sweeps and emit its data and plot script.
+    """Run one of the reference sweeps and emit its data and the plot scripts
+    of every preset that runs the same curves: fig1 and fig2, or fig3 and fig4.
 
     Sweeps use the reference couplings (jx = jy = -1, jz = 0.5, c = 0.24,
     beta = 0.1, dt = 0.01) over t in [0, 10], one row every 20 steps; with
@@ -216,10 +217,10 @@ def preset(name: str, out_dir, seed: int | None = None, samples: int = 50_000, t
         files.append(str(path))
         labels.append(f"gamma={g:g}")
         print(f"wrote {path} ({summary.wall_time:.1f} s)")
-    script = emit_plot_script(files, name, labels=labels)
-    script_path = out / f"{name}.gp"
-    script_path.write_text(script)
-    print(f"wrote {script_path}")
+    for figure in (other for other, settings in PRESETS.items() if settings == PRESETS[name]):
+        script_path = out / f"{figure}.gp"
+        script_path.write_text(emit_plot_script(files, figure, labels=labels))
+        print(f"wrote {script_path}")
     return 0
 
 

@@ -119,8 +119,10 @@ class DecaySpec:
 
     @property
     def positive_semidefinite(self) -> bool:
-        """True when all eigenvalues are >= -1e-12 (reported, never enforced)."""
-        return bool(np.min(np.linalg.eigvalsh(self.matrix)) >= -1e-12)
+        """Whether every eigenvalue is >= -1e-12, which gates the rising-trace
+        check of ``nhqc.cli.check_run_invariants``: the least is ``strength``
+        for the identity and min(strength, 0) for the projector."""
+        return bool(self.strength >= -1e-12)
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,9 @@ def decay_operator(kind: DecayKind | str, gamma: float = 0.0) -> DecaySpec:
     """One of the two reference decay operators at strength gamma.
 
     ``IDENTITY_UNIFORM`` drains every state at the same rate; ``PROJECTOR_EE``
-    drains only the doubly excited state.  A negative gamma is accepted;
-    positivity is reported via ``DecaySpec.positive_semidefinite`` but not
-    required.
+    drains only the doubly excited state.  A negative gamma is accepted; the
+    operator is then not positive semidefinite
+    (``DecaySpec.positive_semidefinite``), and a run skips its rising-trace
+    check.
     """
     return DecaySpec(kind, gamma)

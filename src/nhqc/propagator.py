@@ -1,11 +1,15 @@
 """Sequential short-time propagation of the pair-trajectory ensemble.
 
 Each starting bath point spawns one member per nonzero initial adiabatic
-element (alpha, alpha') with alpha <= alpha', one per unordered pair.  A
-member advects classically on the mean of its two adiabatic surfaces while
-accumulating the frequency integral of its phase factor and the damping
-integral of its decay factor (trapezoid over each step, consistent with
-the second-order step splitting).  In nonadiabatic mode a single stochastic
+element (alpha, alpha') with alpha <= alpha', one per unordered pair.  Both
+preparations are pure and real, so set-up forms each element as the product
+a_alpha a_alpha' of the slot amplitudes a_s = <s; R|ket> of the preparation's
+ket (``nhqc.sampler.initial_ket``), each from the slot's two frame-vector
+components on its basis rows (``slot_vectors``).  A member advects
+classically on the mean of its two adiabatic surfaces while accumulating
+the frequency integral of its phase factor and the damping integral of its
+decay factor (trapezoid over each step, consistent with the second-order
+step splitting).  In nonadiabatic mode a single stochastic
 transition per member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
 momentum-jump rule, so that a member's expected weight after the stage
@@ -96,7 +100,7 @@ from .adiabatic import (
 )
 from .model import CONFIG_KEYS, BathParams, DecayKind, DecaySpec, SimConfig, SpinChainParams
 from .observables import ElementRows, MomentAccumulator, TimeRecord, TimeSeries
-from .sampler import CHUNK_SAMPLES, block_stream, initial_subsystem, sample_bath_point
+from .sampler import CHUNK_SAMPLES, block_stream, initial_ket, sample_bath_point
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -197,19 +201,6 @@ class RunSummary:
         self.n_members += other.n_members
         self.n_hops += other.n_hops
         self.n_frustrated += other.n_frustrated
-
-
-def _slot_entry(comps: tuple, m: np.ndarray, s: int, t: int, n: int) -> np.ndarray:
-    """Entry (s, t) of u^T m u for slot components ``comps``, shape (n,):
-    the terms (u_is * m[i, j]) * u_jt of numpy's unoptimized einsum
-    "nip,ij,njq->npq" in its order, less those with m[i, j] == 0 or i, j off
-    ``SLOT_ROWS``, so equal to it bit for bit."""
-    out = np.zeros(n, dtype=np.result_type(float, m))
-    for p, i in enumerate(SLOT_ROWS[s]):
-        for q, j in enumerate(SLOT_ROWS[t]):
-            if m[i, j] != 0:
-                out += (comps[s][p] * m[i, j]) * comps[t][q]
-    return out
 
 
 def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
@@ -452,19 +443,19 @@ class EnsembleState:
         self._step_index = 0
         self.summary = RunSummary()
 
+        # each slot's amplitude <s|ket> from its two components on its rows,
+        # an uncoupled block's scalars broadcast; pair (p, q) starts at
+        # amp[p] amp[q], its element of |ket><ket| in the slot frames
         blocks0 = tuple(slot_frames(sp, bp, k, q0[k]) for k in range(2))
-        comps0 = slot_vectors(blocks0)
-        rho0 = initial_subsystem(config.initial_state)
-        elements0 = np.empty((4, 4, self.n_local))
-        for p in range(4):
-            for q in range(p, 4):
-                elements0[p, q] = _slot_entry(comps0, rho0, p, q, self.n_local)
+        ket, amp = initial_ket(config.initial_state), np.empty((4, self.n_local))
+        for s, (u, (i, j)) in enumerate(zip(slot_vectors(blocks0), SLOT_ROWS)):
+            amp[s] = u[0] * ket[i] + u[1] * ket[j]
 
         adiabatic = self.mode == "adiabatic"
         # a pair p <= q is carried by every sample of the block once its
         # element exceeds SPAWN_TOL in any of them, so each sample holds the
         # same K members; they are stored column by column (member k * n + s)
-        pairs = [(p, q) for p in range(4) for q in range(p, 4) if np.any(np.abs(elements0[p, q]) > SPAWN_TOL)]
+        pairs = [(p, q) for p in range(4) for q in range(p, 4) if np.any(np.abs(amp[p] * amp[q]) > SPAWN_TOL)]
         if not pairs:
             # a normalized state always spawns a pair unless its elements
             # overflowed to NaN; an empty ensemble would read trace 0
@@ -494,10 +485,10 @@ class EnsembleState:
         ap = np.array([q for _, q in pairs], dtype=np.int64)
         self.alpha = np.repeat(al, self.n_local)
         self.alpha_prime = np.repeat(ap, self.n_local)
-        # the initial elements of both preparations are real, and so are
-        # all hop factors.  The partners are implicit (see the class
-        # docstring): X + X^dagger counts a diagonal member twice
-        weight = elements0[al, ap]
+        # the amplitudes of both preparations are real, and so are all hop
+        # factors.  The partners are implicit (see the class docstring):
+        # X + X^dagger counts a diagonal member twice
+        weight = amp[al] * amp[ap]
         weight[al == ap] *= 0.5
         self.weight = weight.ravel()
         n = self.weight.size

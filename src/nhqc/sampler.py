@@ -1,5 +1,9 @@
 """Initial-condition sampling: thermal Wigner bath points and subsystem states.
 
+Each preparation is stated once, as a real ket (``initial_ket``) whose slot
+amplitudes start the engine's members; ``initial_subsystem`` is its density
+matrix, for the references (criterion 3's RK4, the tests' reference routes).
+
 Random numbers come from counter-based Philox streams, one per fixed block
 of CHUNK_SAMPLES consecutive samples, so a sample's draws depend only on the
 seed and its index, never on how the work is split across chunks or workers.
@@ -15,6 +19,7 @@ __all__ = [
     "CHUNK_SAMPLES",
     "bath_sigmas",
     "block_stream",
+    "initial_ket",
     "initial_subsystem",
     "sample_bath_point",
 ]
@@ -65,16 +70,18 @@ def sample_bath_point(bp: BathParams, seed: int, start: int, n: int) -> tuple[np
     return sigma_r * z[:, :2].T, sigma_p * z[:, 2:].T
 
 
-def initial_subsystem(state: str) -> np.ndarray:
-    """Initial subsystem density matrix |phi><phi| or |psi><psi|, real.
-
-    phi = |eg> and psi = (|ee> - |eg>)/sqrt(2), the two preparations paired
-    with the uniform and projector decay operators respectively.
-    """
+def initial_ket(state: str) -> np.ndarray:
+    """Preparation phi = |eg> or psi = (|ee> - |eg>)/sqrt(2) as a real ket on
+    |ee>, |eg>, |ge>, |gg>, paired with the uniform and the projector decay
+    operator respectively."""
     if state == PHI:
-        ket = np.array([0.0, 1.0, 0.0, 0.0])
-    elif state == PSI:
-        ket = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
-    else:
-        raise ValueError(f"unknown initial state {state!r}")
+        return np.array([0.0, 1.0, 0.0, 0.0])
+    if state == PSI:
+        return np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
+    raise ValueError(f"unknown initial state {state!r}")
+
+
+def initial_subsystem(state: str) -> np.ndarray:
+    """Initial subsystem density matrix |ket><ket| of ``initial_ket``, real."""
+    ket = initial_ket(state)
     return np.outer(ket, ket)

@@ -6,6 +6,7 @@ import pytest
 
 from nhqc.cli import ConfigError, check_run_invariants, main, parse_config, preset
 from nhqc.model import BathParams, DecayKind, SimConfig, decay_operator
+from nhqc.observables import emit_plot_script
 from nhqc.propagator import simulate
 
 from engines import diagonal_series
@@ -293,9 +294,14 @@ def test_preset_writes_curves_and_script(tmp_path, capsys):
         "fig3_gamma0.01.csv",
         "fig3_gamma0.1.csv",
     ]
-    script = (out / "fig3.gp").read_text()
-    assert "using 1:2:3" in script
-    assert "every" not in script  # each written row is plotted
+    # fig4 plots the same curves, so this run writes its script too
+    assert sorted(p.name for p in out.glob("*.gp")) == ["fig3.gp", "fig4.gp"]
+    labels = ["gamma=0.001", "gamma=0.01", "gamma=0.1"]
+    for figure in ("fig3", "fig4"):
+        script = (out / f"{figure}.gp").read_text()
+        assert script == emit_plot_script([str(p) for p in csvs], figure, labels=labels)
+        assert "every" not in script  # each written row is plotted
+    assert "using 1:2:3" in (out / "fig3.gp").read_text()
     from nhqc.observables import read_csv
 
     for path in csvs:
@@ -311,6 +317,7 @@ def test_preset_is_pure_function_of_name_and_seed(tmp_path):
     out2 = tmp_path / "p2"
     main(["preset", "fig1", "--out", str(out1), "--samples", "6", "--seed", "5"])
     main(["preset", "fig1", "--out", str(out2), "--samples", "6", "--seed", "5"])
+    assert sorted(p.name for p in out1.glob("*.gp")) == ["fig1.gp", "fig2.gp"]
     for a, b in zip(sorted(out1.glob("*.csv")), sorted(out2.glob("*.csv"))):
         assert a.read_bytes() == b.read_bytes()
 

@@ -106,9 +106,14 @@ def test_decay_operator_projector():
 
 
 def test_decay_operators_positive_semidefinite_property():
-    for kind, g in ((DecayKind.IDENTITY_UNIFORM, 0.7), (DecayKind.PROJECTOR_EE, 0.01)):
-        spec = decay_operator(kind, g)
-        assert np.min(np.linalg.eigvalsh(spec.matrix)) >= -1e-12
+    # the closed form reads the same as the least eigenvalue of the matrix,
+    # on both sides of the -1e-12 tolerance
+    for kind in DecayKind:
+        for g in (0.7, 0.01, 0.0, -1e-13, -1e-12, -2e-12, -0.3):
+            spec = decay_operator(kind, g)
+            assert spec.positive_semidefinite is bool(np.min(np.linalg.eigvalsh(spec.matrix)) >= -1e-12), (kind, g)
+        assert decay_operator(kind, 0.7).positive_semidefinite
+        assert not decay_operator(kind, -0.3).positive_semidefinite
 
 
 def test_phase_point_validation():

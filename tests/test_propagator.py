@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhqc.adiabatic import SLOT_SZ, Block, slot_coupling, slot_frames, slot_vectors
+from nhqc.adiabatic import SLOT_SZ, Block, slot_coupling, slot_frames
 from nhqc.model import (
     PHI,
     PSI,
@@ -27,9 +27,9 @@ from nhqc.oracle import (
 from nhqc.propagator import (
     CHUNK_SAMPLES,
     HOP_STREAM_TAG,
+    SPAWN_TOL,
     EnsembleState,
     _momentum_jump,
-    _slot_entry,
     _transition_channels,
     member_factor,
     simulate,
@@ -537,33 +537,34 @@ def test_engine_rejects_bad_starting_rows(q0, p0, start, fault):
         EnsembleState(PAPER_SP, PAPER_BP, GAMMA0, config, q0, p0, start)
 
 
-def sandwich_operands():
-    """Matrices the slot sandwich must reproduce: the two preparations, the
-    two decay operators, and a dense complex pure state and Hermitian matrix
-    whose every entry is nonzero."""
-    rng = np.random.default_rng(8)
-    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return {
-        "phi": initial_subsystem(PHI),
-        "psi": initial_subsystem(PSI),
-        "identity": decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5).matrix,
-        "projector": decay_operator(DecayKind.PROJECTOR_EE, 0.1).matrix,
-        "dense pure state": np.outer(ket, ket.conj()) / np.vdot(ket, ket).real,
-        "dense hermitian": a @ a.conj().T,
-    }
+# psi's initial weights may differ from the dense sandwich by this many
+# ulps: each is the product of two rounded amplitudes, u_p c times u_q c,
+# where the sandwich rounds c^2 and two products
+SETUP_ULPS = 6
 
 
+@pytest.mark.parametrize("state", [PHI, PSI])
 @pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
-def test_slot_sandwich_equals_the_einsum_bit_for_bit(jy):
+def test_initial_weights_equal_the_dense_sandwich(jy, state):
+    # each pair the engine spawns starts at its element of u^T rho0 u over
+    # the dense frame matrices, halved on the diagonal, and it spawns
+    # exactly the pairs whose element exceeds SPAWN_TOL in some sample
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
-    R, _ = sample_bath_point(PAPER_BP, 21, 0, 500)
-    blocks = frames_at(sp, PAPER_BP, R).blocks
-    u, comps = frame_matrices(blocks), slot_vectors(blocks)
-    for name, m in sandwich_operands().items():
-        expected = np.einsum("nip,ij,njq->npq", u, m, u)
-        entries = [[_slot_entry(comps, m, s, t, 500) for t in range(4)] for s in range(4)]
-        assert np.array_equal(np.transpose(entries, (2, 0, 1)), expected), name
+    config = SimConfig(n_steps=1, seed=21, n_samples=500, initial_state=state)
+    n = config.n_samples
+    engine = sampled_engine(sp, PAPER_BP, GAMMA0, config)
+    R, _ = sample_bath_point(PAPER_BP, config.seed, 0, n)
+    u = frame_matrices(frames_at(sp, PAPER_BP, R).blocks)
+    expected = np.einsum("nip,ij,njq->pqn", u, initial_subsystem(state), u)
+    spawned = [(p, q) for p in range(4) for q in range(p, 4) if np.any(np.abs(expected[p, q]) > SPAWN_TOL)]
+    labels = list(zip(engine.alpha[::n].tolist(), engine.alpha_prime[::n].tolist()))
+    assert sorted(labels) == spawned
+    for (p, q), weight in zip(labels, engine.weight.reshape(-1, n)):
+        want = expected[p, q] * (0.5 if p == q else 1.0)
+        if state == PHI:
+            assert np.array_equal(weight, want), (p, q)
+        else:
+            assert np.all(np.abs(weight - want) <= SETUP_ULPS * np.spacing(np.abs(want))), (p, q)
 
 
 def test_transition_channels():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhqc.model import PHI, PSI, BathParams, SimConfig, SpinChainParams, decay_operator
-from nhqc.sampler import CHUNK_SAMPLES, bath_sigmas, initial_subsystem, sample_bath_point
+from nhqc.sampler import CHUNK_SAMPLES, bath_sigmas, initial_ket, initial_subsystem, sample_bath_point
 
 from engines import sampled_engine
 
@@ -90,7 +90,11 @@ def test_initial_subsystem_psi():
 
 @pytest.mark.parametrize("state", [PHI, PSI])
 def test_initial_subsystem_is_pure(state):
+    # the outer product of the real ket the engine starts its members from
+    ket = initial_ket(state)
+    assert ket.dtype == float and np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-15)
     rho = initial_subsystem(state)
+    assert np.array_equal(rho, np.outer(ket, ket))
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(rho @ rho - rho)) < 1e-14
 
