@@ -23,6 +23,7 @@ from .model import (
 from .observables import write_csv
 from .oracle import (
     analytic_energies,
+    decay_matrix,
     frames_at,
     slot_sigma_z,
     solve_quantum,
@@ -121,8 +122,7 @@ def criterion_3() -> CriterionResult:
     for kind, gamma in (("identity", 0.5), ("projector_ee", 0.1)):
         for state in (PHI, PSI):
             series, _ = _cached_run(kind, gamma, state, samples, stride=10, c=0.0)
-            decay = decay_operator(kind, gamma)
-            states = solve_quantum(initial_subsystem(state), h_s, decay.matrix, 0.01, 1000)
+            states = solve_quantum(initial_subsystem(state), h_s, decay_matrix(decay_operator(kind, gamma)), 0.01, 1000)
             for row, k in zip(series.rows, range(0, 1001, 10)):
                 dev = np.max(np.abs(row.density.elements - states[k].rho))
                 worst = max(worst, float(dev))

@@ -190,6 +190,13 @@ def slot_gamma_diag(decay: DecaySpec) -> tuple[np.ndarray, np.ndarray]:
     gamma times its |ee> weight: x^2 = (1 + sz_A) / 2 in block A's upper
     slot and y^2 = (1 - sz_A) / 2 in its lower slot, since x^2 + y^2 = 1
     and x^2 - y^2 = delta / r, and 0 in block B, which does not span |ee>.
+
+    The same rows give the operator's only off-diagonal element between
+    slots, block A's u_0^T Gamma u_1 = -slope_0 w / r (the projector's
+    gamma x (-y), with 2 x y = w / r; 0 for the identity), which the hop
+    stage reads as its decay amplitude.  Block B's is 0 for both operators,
+    and a coupled block's two slots share one constant rate, so a transition
+    within it never changes a member's constant rates.
     """
     g = decay.strength
     if decay.kind is DecayKind.IDENTITY_UNIFORM:

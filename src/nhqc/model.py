@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,6 @@ __all__ = [
 # Pauli z expectation per basis state, first and second spin.
 SZ1_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 SZ2_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def _require_finite(name: str, value: np.ndarray) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,8 @@ class BathParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        _require_finite("c", np.asarray(self.c))
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c!r}")
 
 
 class DecayKind(enum.Enum):
@@ -97,11 +93,12 @@ _DECAY_WORDS = tuple(kind.value for kind in DecayKind)
 class DecaySpec:
     """Hermitian decay operator of the subsystem (adimensional): ``strength``
     times the identity, or times the projector on |ee>.  ``kind`` may be
-    given as its word; ``matrix`` is built from the two."""
+    given as its word.  The engine reads the operator in closed form
+    (``nhqc.adiabatic.slot_gamma_diag``); its dense matrix is the
+    references' (``nhqc.oracle.decay_matrix``)."""
 
     kind: DecayKind
     strength: float
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -110,12 +107,6 @@ class DecaySpec:
             raise ValueError(f"gamma_kind must be one of {_DECAY_WORDS}, got {self.kind!r}") from None
         if not np.isfinite(self.strength):
             raise ValueError(f"gamma must be finite, got {self.strength!r}")
-        if self.kind is DecayKind.IDENTITY_UNIFORM:
-            m = self.strength * np.eye(4, dtype=complex)
-        else:
-            m = np.zeros((4, 4), dtype=complex)
-            m[0, 0] = self.strength
-        object.__setattr__(self, "matrix", m)
 
     @property
     def positive_semidefinite(self) -> bool:

@@ -7,6 +7,11 @@
   (LAPACK), after checking that nothing lies outside them, and returns the
   levels in slot order and the engine's gauge; Hellmann-Feynman forces,
   derivative couplings and decay matrices follow from its frames.
+* ``decay_matrix``, the dense decay operator Gamma, which the engine never
+  builds (it reads the closed form ``slot_gamma_diag``), for the RK4 route,
+  the eigensolver route and the tests; and ``transition_channels``, which
+  nonadiabatic transitions can be nonzero for a pair of blocks, in the hop
+  stage's order, stated from the frames' coupling and Gamma's entries.
 * ``frames_at``, the engine's closed-form blocks solved together at
   oscillator coordinates R (block A on R1 + R2, block B on R1 - R2) with
   V_bath added back: the (4, n) slot energies and (n, 2) derivative
@@ -25,7 +30,7 @@
 * ``sstp_step``, the single-member short-time step on that route: a plain
   restatement of the engine's adiabatic step (the SSTP scheme of Mac Kernan,
   Ciccotti and Kapral, JCP 116, 2346 (2002)).  It is adiabatic only; the
-  engine's nonadiabatic transition stage is stated once, in
+  rule of the engine's nonadiabatic transition stage is stated once, in
   ``nhqc.propagator``.
 
 Apart from the slot layout (which ``build_frame`` reads too), the member
@@ -47,6 +52,7 @@ from .model import (
     SZ1_DIAG,
     SZ2_DIAG,
     BathParams,
+    DecayKind,
     DecaySpec,
     SpinChainParams,
     bath_potential,
@@ -66,6 +72,7 @@ __all__ = [
     "analytic_energies",
     "build_frame",
     "classical_step",
+    "decay_matrix",
     "dense_sample_matrices",
     "dressed_hamiltonian",
     "frame_matrices",
@@ -81,6 +88,7 @@ __all__ = [
     "sstp_step",
     "trace_law_identity",
     "trace_law_projector",
+    "transition_channels",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -256,9 +264,35 @@ def nonadiabatic_coupling(bp: BathParams, frame: AdiabaticFrame, alpha: int, bet
     return element / gap
 
 
+def decay_matrix(decay: DecaySpec) -> np.ndarray:
+    """The decay operator as a dense complex 4x4 matrix Gamma: ``strength``
+    times the identity, or times the projector on |ee>."""
+    rows = range(4) if decay.kind is DecayKind.IDENTITY_UNIFORM else [0]
+    gamma = np.zeros((4, 4), dtype=complex)
+    gamma[rows, rows] = decay.strength
+    return gamma
+
+
 def gamma_in_adiabatic(decay: DecaySpec, frame: AdiabaticFrame) -> np.ndarray:
     """The decay operator in the frame, V^dagger Gamma V, shape (4, 4)."""
-    return frame.vectors.conj().T @ decay.matrix @ frame.vectors
+    return frame.vectors.conj().T @ decay_matrix(decay) @ frame.vectors
+
+
+def transition_channels(decay: DecaySpec, blocks: tuple) -> list[tuple[str, int, str]]:
+    """Every nonadiabatic transition (side, s, kind) that can be nonzero for
+    a pair of blocks (A, B), in the order of the engine's hop stage, each
+    from the side's label s to the other slot s ^ 1 of its block: each
+    coupled block's derivative coupling, upper to lower slot, then back,
+    ket before bra; then, in the same order, the decay channels of each
+    coupled block on whose two basis rows Gamma (``decay_matrix``, diagonal
+    for both operators) has unequal entries.  There the slots' off-diagonal
+    element u_upper^T Gamma u_lower = x y (Gamma_jj - Gamma_ii), with
+    2 x y = w / r != 0, is nonzero at every configuration: only the
+    projector at gamma != 0, in block A when it is coupled."""
+    coupled = [s for s in range(4) if blocks[s // 2].half_gap is not None]
+    gamma = np.diag(decay_matrix(decay)).real
+    kinds = {"coupling": coupled, "decay": [s for s in coupled if gamma[SLOT_ROWS[s][0]] != gamma[SLOT_ROWS[s][1]]]}
+    return [(side, s, kind) for kind, slots in kinds.items() for s in slots for side in ("ket", "bra")]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ transition per member per step is sampled from the derivative-coupling and
 off-diagonal-decay channels, with importance reweighting and the
 momentum-jump rule, so that a member's expected weight after the stage
 follows the first-order transition operator 1 - dt J exactly (Mac Kernan,
-Ciccotti and Kapral, JCP 116, 2346 (2002)).  That rule is stated only in
-``EnsembleState._hop_stage`` and ``_momentum_jump``, and which transitions
-exist, in which order, only in ``_transition_channels``: the engine reads
-it at set-up for the slots a label can reach, and the hop stage follows its
-order.
+Ciccotti and Kapral, JCP 116, 2346 (2002)).  The engine states that rule,
+and which transitions exist in which order, only in
+``EnsembleState._hop_stage`` and ``_momentum_jump``; every transition moves
+a label to the other slot of its coupled block.  The tests read the
+channels from ``nhqc.oracle.transition_channels``, stated independently.
 
 ``EnsembleState`` propagates all members of a run of samples at once on the
 closed-form block frames of ``nhqc.adiabatic``.  Block A depends on the bath
@@ -31,7 +31,7 @@ their rows and reduces it into a time series.
 
 A member column (every sample's k-th pair) can hold every pair of the slots
 its two labels reach, fixed at set-up: labels move only in nonadiabatic
-mode, along the transitions of ``_transition_channels``.  Those pairs fix
+mode, each within its block where that block is coupled.  Those pairs fix
 the blocks a column stores (those of its labels), whether its phase moves
 (some pair is off-diagonal) and the reduction's terms.  Columns are ordered
 block-A-only, both, then block-B-only, so each block's rows are one
@@ -52,13 +52,16 @@ adiabatic step restated for a single member on the generic eigensolver
 route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no
 nonadiabatic counterpart.
 
-A member decays at its two labels' rates, each a constant plus a multiple
-of block A's <sigma_z> sz_A (``slot_gamma_diag``), both fixed per pair at
-set-up: a step adds dt times the constant and, where rates depend on R, the
-trapezoid of the multiple on block A's member columns.  With constant rates
-every member of an adiabatic column adds the same rate at every step, so
-the engine keeps one decay integral per column, shape (K, 1), and (K, n)
-otherwise.
+The engine reads the decay operator only through ``slot_gamma_diag``, in
+both modes.  A member decays at its two labels' rates, each a constant plus
+a multiple of block A's <sigma_z> sz_A, both fixed per pair at set-up: a
+step adds dt times the constant and, where the multiple is nonzero and
+block A is coupled and stored, the trapezoid of the multiple on block A's
+member columns.  The constant rates of a coupled block's two slots are
+equal, so a hop never changes them: every member of a column adds the same
+constant at every step, and where rates do not depend on R the engine
+keeps one decay integral per column, shape (K, 1), in both modes, and
+(K, n) otherwise.
 
 Each output reduces the members to real coordinates of per-sample matrices
 in a buffer the engine allocates once (``EnsembleSnapshot.sample_matrices``),
@@ -203,28 +206,6 @@ class RunSummary:
         self.n_frustrated += other.n_frustrated
 
 
-def _decay_mixes(decay: DecaySpec, blocks: tuple[Block, Block]) -> bool:
-    """Whether the decay operator tells apart the two slots of a coupled
-    block, whose frames mix its basis states: only the projector at
-    gamma != 0 does, in block A when it is coupled.  Exactly then block A's
-    decay rates depend on the bath configuration, through sz_A, and decay
-    channels open between its slots."""
-    return decay.kind is DecayKind.PROJECTOR_EE and decay.strength != 0 and blocks[0].half_gap is not None
-
-
-def _transition_channels(decay: DecaySpec, blocks: tuple[Block, Block]) -> list[tuple[str, int, str]]:
-    """Every transition (side, s, kind) that can be nonzero, in hop-stage
-    order, each from the side's label s to s ^ 1: each coupled block's
-    derivative coupling, upper to lower slot, then back, ket before bra;
-    then, in the same order, block A's decay channels if ``_decay_mixes``."""
-    channels = [
-        (side, s, "coupling") for s in range(4) if blocks[s // 2].half_gap is not None for side in ("ket", "bra")
-    ]
-    if _decay_mixes(decay, blocks):
-        channels += [(side, s, "decay") for s in (0, 1) for side in ("ket", "bra")]
-    return channels
-
-
 def _momentum_jump(p: np.ndarray, delta_e: np.ndarray, mass: float) -> np.ndarray:
     """The normal momenta p (k,) of the hopping block shifted to absorb the
     energy gaps delta_e (k,), which the hop stage lets only a member whose
@@ -288,13 +269,13 @@ class EnsembleSnapshot:
     Members are stored column by column: every sample holds the same K
     members, and member ``k * n_samples + s`` is the k-th pair of local
     sample s.  ``decay`` holds the decay integrals by column, shape (K, 1)
-    where every member of a column carries the same one (adiabatic mode
-    with configuration-independent rates), else (K, n_samples).  The arrays
-    are views of the engine's own, which later steps overwrite in place;
-    ``buffer`` is the engine's (16, n_samples) real coordinate buffer, which
-    every ``sample_matrices`` call of that engine overwrites.  ``blocks``
-    holds the frames of blocks A and B (None where no column stores the
-    block), solved on the member columns ``block_columns[k]``,
+    where every member of a column carries the same one (rates that do not
+    depend on the bath configuration, in either mode), else (K, n_samples).
+    The arrays are views of the engine's own, which later steps overwrite in
+    place; ``buffer`` is the engine's (16, n_samples) real coordinate
+    buffer, which every ``sample_matrices`` call of that engine overwrites.
+    ``blocks`` holds the frames of blocks A and B (None where no column
+    stores the block), solved on the member columns ``block_columns[k]``,
     ``len(block_columns[k]) * n_samples`` rows in column order.
     ``column_labels`` holds the (alpha, alpha') pairs each column's members
     can hold, in ascending order of their codes alpha * 4 + alpha', and
@@ -463,12 +444,10 @@ class EnsembleState:
                 f"trace at t = 0 is 0: samples [{sample_start}, {stop}) "
                 "spawn no pair (non-finite initial frames)"
             )
-        # the slots a label can move to: none in adiabatic mode; in
-        # nonadiabatic mode the targets of its transitions, each the other
-        # slot of its block.  Every channel runs both ways, so a diagonal
+        # the slots a label can reach: its own, and in nonadiabatic mode the
+        # other slot of its block where that block is coupled, so a diagonal
         # column that cannot move sorts to an end
-        channels = [] if adiabatic else _transition_channels(decay, blocks0)
-        reach = [{s} | {u ^ 1 for _, u, _ in channels if u == s} for s in range(4)]
+        reach = [{s} if adiabatic or blocks0[s // 2].half_gap is None else {s, s ^ 1} for s in range(4)]
         # a column can hold every pair of the slots its labels reach, and
         # stores the blocks of its labels: its group is block A only (0),
         # both (1) or block B only (2).  Columns run in group order, block A
@@ -537,16 +516,18 @@ class EnsembleState:
             self._block_rows = (slice(0, sizes[0]), slice(sizes[0], size))
             coupled = [r for r, block, k in zip(self._block_rows, blocks0, sizes) if k and block.half_gap is not None]
             self._coupled = slice(coupled[0].start, coupled[-1].stop) if coupled else None
-        # rates depend on R where the operator mixes block A's slots and a
-        # column stores block A; an uncoupled block A's sz_A is a constant
+        # rates depend on R where sz_A has a nonzero coefficient and block A
+        # is coupled and stored; an uncoupled block A's sz_A is a constant.
+        # Otherwise every member of a column adds the same rates, in either
+        # mode, and the column holds one decay integral (K, 1)
         self._rate, self._slope = slot_gamma_diag(decay)
-        self._rates_vary = _decay_mixes(decay, blocks0) and len(self._cols[0]) > 0
+        self._rates_vary = bool(self._slope[0] != 0) and blocks0[0].half_gap is not None and len(self._cols[0]) > 0
         if blocks0[0].half_gap is None:
             self._rate = self._rate + self._slope * blocks0[0].sz
-        # decay integrals by column: with constant rates every member of an
-        # adiabatic column adds the same ones, so the column holds one (K, 1)
-        per_column = adiabatic and not self._rates_vary
-        self.decay_acc = np.zeros((len(pairs), 1 if per_column else self.n_local))
+        self.decay_acc = np.zeros((len(pairs), self.n_local if self._rates_vary else 1))
+        # a hop keeps a label in its coupled block, whose two slots share
+        # one constant rate, so each column adds one dt_rate per step
+        self._dt_rate = config.dt * (self._rate[al] + self._rate[ap])[:, None]
         self._restore = bp.mass * bp.omega**2
 
         # the columns whose Bohr frequency can be nonzero: those that can
@@ -574,11 +555,10 @@ class EnsembleState:
         """The per-pair coefficients of labels a, b (any matching shapes):
         ``("cn", k)`` = c n_k for block k's force, ``("g", k)`` = the signs of
         block k's half gap in the Bohr frequency, ``"mu"`` = the difference
-        of the labels' block means, ``"dt_rate"`` = dt times the sum of the
-        labels' constant decay rates and, where rates depend on R,
-        ``"slope"`` = dt / 2 times the sum of their sz_A coefficients."""
+        of the labels' block means and, where rates depend on R, ``"slope"``
+        = dt / 2 times the sum of their sz_A coefficients."""
         means = np.array([block_constants(self.sp, s // 2)[0] for s in range(4)])
-        coef = {"mu": means[a] - means[b], "dt_rate": self.config.dt * (self._rate[a] + self._rate[b])}
+        coef = {"mu": means[a] - means[b]}
         for k in range(2):
             coef["cn", k] = self.bp.c * (SLOT_SIGN[k][a] + SLOT_SIGN[k][b])
             coef["g", k] = SLOT_SIGN[k][a] - SLOT_SIGN[k][b]
@@ -663,7 +643,7 @@ class EnsembleState:
             omega_old += self._omega
             omega_old *= half_dt
             phase += omega_old
-            self.decay_acc += self._coef["dt_rate"]
+            self.decay_acc += self._dt_rate
             if self._rates_vary:  # the trapezoid of the sz_A term, on block A's columns
                 term = self._scratch[: block_a.delta.size].reshape(-1, n)
                 np.add(block_a.sz.reshape(-1, n), self._blocks[0].sz.reshape(-1, n), out=term)
@@ -687,13 +667,16 @@ class EnsembleState:
     def _hop_stage(self, dt: float) -> None:
         """Sample at most one transition per member.
 
-        The transitions and their order are those of ``_transition_channels``:
-        a member opens at most a coupling and a block-A decay channel per
-        side, from the side's label s to s ^ 1.  Each amplitude a is a closed
-        form in block k = s // 2's half gap r (no frame vector, no energy
-        row): dt (p_k / M) ``slot_coupling``, negated from the lower to the
-        upper slot, and for decay, on block A, dt (u^T Gamma u)[s, s ^ 1] =
-        dt gamma x (-y) = -dt gamma w / (2 r).  Their |a| rows are formed by
+        The transitions, from the side's label s to s ^ 1 in a coupled block,
+        run in this order: each coupled block's derivative coupling, upper
+        to lower slot, then back, ket before bra; then, where rates depend on
+        R, block A's decay channels in the same order.  A member opens at
+        most a coupling and a decay channel per side.  Each amplitude a is a
+        closed form in block k = s // 2's half gap r (no frame vector, no
+        energy row): dt (p_k / M) ``slot_coupling``, negated from the lower
+        to the upper slot, and for decay, on block A, dt times the
+        off-diagonal element -slope_0 w / r of ``slot_gamma_diag``, the same
+        both ways.  Their |a| rows are formed by
         row of q, an uphill coupling (s odd) closed (0) where
         p_k^2 - 4 M (2 r) < 0, the radicand of ``_momentum_jump``, and each
         side gathers its member's entries (``_index``).  ``total``, a member's
@@ -724,7 +707,7 @@ class EnsembleState:
         total = coupling[0] + coupling[1]
         if self._rates_vary:
             block, rows = self._blocks[0], self._block_rows[0]
-            np.divide(-0.5 * dt * self.decay.strength * block.w, block.half_gap, out=amp[1, rows])
+            np.divide(-dt * self._slope[0] * block.w, block.half_gap, out=amp[1, rows])
             mag[2, rows] = mag[3, rows] = np.abs(amp[1, rows])
             decay = mag[2:].reshape(-1)
             total += decay[ket]

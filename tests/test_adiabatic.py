@@ -7,6 +7,7 @@ from nhqc.oracle import (
     DegeneratePairError,
     analytic_energies,
     build_frame,
+    decay_matrix,
     dressed_hamiltonian,
     frame_matrices,
     frames_at,
@@ -187,7 +188,7 @@ def test_gamma_projector_diagonal_in_adiabatic_basis():
 def test_gamma_in_adiabatic_is_the_hermitian_sandwich(spec):
     frame = build_frame(COUPLED_SP, PAPER_BP, np.array([1.1, 0.4]))
     gad = gamma_in_adiabatic(spec, frame)
-    direct = frame.vectors.conj().T @ spec.matrix @ frame.vectors
+    direct = frame.vectors.conj().T @ decay_matrix(spec) @ frame.vectors
     assert np.max(np.abs(gad - direct)) < 1e-12
     assert np.max(np.abs(gad - gad.conj().T)) < 1e-12
 
@@ -408,7 +409,14 @@ def test_slot_gamma_diag_matches_generic(sp, spec):
     frames = frames_at(sp, PAPER_BP, R.T)
     constant, coefficient = slot_gamma_diag(spec)
     gd = constant[:, None] + coefficient[:, None] * np.broadcast_to(frames.blocks[0].sz, len(R))
-    u = frame_matrices(frames.blocks)
+    u, gamma = frame_matrices(frames.blocks), decay_matrix(spec).real
+    block_a = frames.blocks[0]
     for i in range(R.shape[0]):
-        direct = np.real(np.einsum("ia,ij,ja->a", u[i], spec.matrix, u[i]))
-        assert np.max(np.abs(gd[:, i] - direct)) < 1e-12
+        direct = np.einsum("ip,ij,jq->pq", u[i], gamma, u[i])
+        assert np.max(np.abs(gd[:, i] - np.diag(direct))) < 1e-12
+        # the only off-diagonal element between slots is block A's,
+        # -slope_0 w / r (sx = w / r), which the hop stage reads
+        off = np.zeros((4, 4))
+        if block_a.half_gap is not None:
+            off[0, 1] = off[1, 0] = -coefficient[0] * block_a.sx[i]
+        assert np.max(np.abs(direct - np.diag(np.diag(direct)) - off)) < 1e-12

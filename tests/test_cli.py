@@ -363,6 +363,17 @@ def test_run_command_rejects_a_non_finite_curve(tmp_path, monkeypatch, capsys):
     assert err.startswith("invariant violation:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("mode", ["adiabatic", "nonadiabatic"])
+def test_run_command_rejects_a_decay_integral_that_overflows(tmp_path, capsys, mode):
+    # gamma = -1e6 lowers phi's per-column decay integral by 2e4 a step, in
+    # both modes: its factor overflows to inf, which the check reports,
+    # where libm's exp would raise an OverflowError
+    code, outputs = run_cli(tmp_path, small_run_lines(gamma=-1e6, mode=mode), mode)
+    assert code == 1 and outputs == []
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("invariant violation:") and "non-finite" in last
+
+
 def test_run_command_rejects_a_partly_overflowed_start(tmp_path, capsys):
     # c = 1e308 overflows psi's block-B frames at t = 0: only its |ee> half
     # spawns members, and the trace starts at 1/2
@@ -434,6 +445,16 @@ def test_check_run_invariants_rejects_a_rising_trace_only_under_a_psd_decay(rise
     series, decay = diagonal_series([0.0, 0.1], [1.0, 1.0 + rise]), decay_operator(kind, gamma)
     if rejected:
         with pytest.raises(ValueError, match="trace increased under a positive semidefinite decay operator"):
+            check_run_invariants(series, decay)
+    else:
+        check_run_invariants(series, decay)
+
+
+@pytest.mark.parametrize("offset, rejected", [(1e-9, True), (-1e-9, True), (1e-13, False), (-1e-13, False)])
+def test_check_run_invariants_requires_a_unit_trace_at_t0_within_1e_12(offset, rejected):
+    series, decay = diagonal_series([0.0, 0.1], [1.0 + offset] * 2), decay_operator("identity", 0.5)
+    if rejected:
+        with pytest.raises(ValueError, match="trace at t = 0 is .* not 1 within 1e-12"):
             check_run_invariants(series, decay)
     else:
         check_run_invariants(series, decay)

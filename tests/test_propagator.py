@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,11 +21,13 @@ from nhqc.oracle import (
     PhasePoint,
     build_frame,
     classical_step,
+    decay_matrix,
     dense_sample_matrices,
     frame_matrices,
     frames_at,
     oscillator_couplings,
     sstp_step,
+    transition_channels,
 )
 from nhqc.propagator import (
     CHUNK_SAMPLES,
@@ -30,7 +35,6 @@ from nhqc.propagator import (
     SPAWN_TOL,
     EnsembleState,
     _momentum_jump,
-    _transition_channels,
     member_factor,
     simulate,
 )
@@ -368,6 +372,9 @@ def two_force_verlet(engine, n_steps):
         (-0.6, 0.24, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic"),
         # rates constant in R, and hops that rewrite every coefficient but the rate
         (-0.6, 1.5, PHI, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic"),
+        # both blocks hop under constant rates, which the engine holds per
+        # column: a hop must leave each member's constant rates as they were
+        (-0.6, 1.5, PSI, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic"),
         (-0.6, 1.5, PSI, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic"),
         # block A uncoupled: the (0, 0) column never moves, so the live
         # columns, whose frequencies hops rewrite, start after column 0
@@ -403,11 +410,15 @@ def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, deca
         # block A coupled and |ee>, |gg> decaying at different rates: the
         # rates follow each member's frame
         (-0.6, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "adiabatic", False),
-        # constant rates, but a member's labels, and so its rates, can move
-        (-1.0, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic", False),
+        # a member's labels can move, but only within a coupled block, whose
+        # two slots share one constant rate
+        (-1.0, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic", True),
+        (-0.6, decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5), "nonadiabatic", True),
+        (-1.0, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic", True),
+        (-0.6, decay_operator(DecayKind.PROJECTOR_EE, 0.1), "nonadiabatic", False),
     ],
 )
-def test_decay_integrals_are_per_column_only_for_constant_adiabatic_rates(jy, decay, mode, per_column):
+def test_decay_integrals_are_per_column_only_for_constant_rates(jy, decay, mode, per_column):
     sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
     config = SimConfig(n_steps=10, seed=5, n_samples=16, initial_state=PSI, mode=mode)
     engine = sampled_engine(sp, PAPER_BP, decay, config)
@@ -575,17 +586,46 @@ def test_transition_channels():
     projector = decay_operator(DecayKind.PROJECTOR_EE, 0.1)
     # each coupled block's derivative coupling, upper to lower slot and back
     coupling = {k: [(side, s, "coupling") for s in (2 * k, 2 * k + 1) for side in ("ket", "bra")] for k in range(2)}
-    assert _transition_channels(identity, frames_ab) == coupling[0] + coupling[1]
-    assert _transition_channels(projector, frames_b) == coupling[1]
+    assert transition_channels(identity, frames_ab) == coupling[0] + coupling[1]
+    assert transition_channels(projector, frames_b) == coupling[1]
     # then block A's decay channels, in the same order
-    assert _transition_channels(projector, frames_ab) == coupling[0] + coupling[1] + [
+    assert transition_channels(projector, frames_ab) == coupling[0] + coupling[1] + [
         ("ket", 0, "decay"), ("bra", 0, "decay"), ("ket", 1, "decay"), ("bra", 1, "decay")
     ]
     # the projector's decay channels open at any gamma != 0, and only then
     negative = decay_operator(DecayKind.PROJECTOR_EE, -0.1)
-    assert _transition_channels(negative, frames_ab) == _transition_channels(projector, frames_ab)
+    assert transition_channels(negative, frames_ab) == transition_channels(projector, frames_ab)
     closed = decay_operator(DecayKind.PROJECTOR_EE, 0.0)
-    assert _transition_channels(closed, frames_ab) == coupling[0] + coupling[1]
+    assert transition_channels(closed, frames_ab) == coupling[0] + coupling[1]
+
+
+@pytest.mark.parametrize(
+    "decay",
+    [
+        decay_operator(DecayKind.IDENTITY_UNIFORM, 0.5),
+        decay_operator(DecayKind.PROJECTOR_EE, 0.1),
+        decay_operator(DecayKind.PROJECTOR_EE, 0.0),
+    ],
+    ids=["identity", "projector", "projector-zero"],
+)
+@pytest.mark.parametrize("jy", [-1.0, -0.6, 1.0])  # block A uncoupled, both coupled, block B uncoupled
+@pytest.mark.parametrize("state", [PHI, PSI])
+def test_columns_hold_the_pairs_the_oracle_channels_reach(state, jy, decay):
+    # a label reaches its own slot and the targets of the oracle's channels
+    # from it, and a column can hold every pair of the slots its two starting
+    # labels reach; in adiabatic mode a column holds its own pair alone
+    sp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5)
+    config = SimConfig(n_steps=1, seed=21, n_samples=16, initial_state=state, mode="nonadiabatic")
+    engine = sampled_engine(sp, PAPER_BP, decay, config)
+    R, _ = sample_bath_point(PAPER_BP, config.seed, 0, config.n_samples)
+    channels = transition_channels(decay, frames_at(sp, PAPER_BP, R).blocks)
+    reach = [{s} | {s ^ 1 for _, source, _ in channels if source == s} for s in range(4)]
+    starts = list(zip(engine.alpha[:: config.n_samples].tolist(), engine.alpha_prime[:: config.n_samples].tolist()))
+    assert engine.snapshot().column_labels == tuple(
+        tuple(sorted((x, y) for x in reach[a] for y in reach[b])) for a, b in starts
+    )
+    adiabatic = sampled_engine(sp, PAPER_BP, decay, replace(config, mode="adiabatic"))
+    assert adiabatic.snapshot().column_labels == tuple((pair,) for pair in starts)
 
 
 def spread_rows(engine, rows):
@@ -610,7 +650,7 @@ def staged_engine(c):
     sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
     engine = sampled_engine(sp, BathParams(c=c, beta=0.1), decay, config)
     assert all(block.half_gap is not None for block in engine._blocks)
-    assert len(_transition_channels(decay, engine._blocks)) == 8 + 4
+    assert len(transition_channels(decay, engine._blocks)) == 8 + 4
     # psi's ten pairs: three in block A, four across the blocks, three in block B
     assert engine._cols == (range(7), range(3, 10))
     members = np.arange(engine.weight.size)
@@ -658,7 +698,7 @@ def pinned_hop_step(c, uniform):
 def dense_decay_entries(before, decay):
     """u^T Gamma u per member from the oracle's dense frame matrices, shape (n, 4, 4)."""
     u = frame_matrices(before["frames"])
-    return np.einsum("nip,ij,njq->npq", u, decay.matrix.real, u)
+    return np.einsum("nip,ij,njq->npq", u, decay_matrix(decay).real, u)
 
 
 def oscillator_velocity(before, engine):
@@ -797,12 +837,13 @@ def test_hop_rule_below_one_never_hops():
 def channel_table(engine):
     """The hop stage's amplitudes as one (channels x members) table, from
     the engine's own closed forms and rows as the stage finds them: each
-    channel of ``_transition_channels`` in its order holds |a| where the
-    side's label is its source s, and 0 elsewhere and where an uphill
-    coupling is closed.  Returns the table and whether any entry was closed."""
+    channel of ``nhqc.oracle.transition_channels`` in its order holds |a|
+    where the side's label is its source s, and 0 elsewhere and where an
+    uphill coupling is closed.  Returns the table and whether any entry was
+    closed."""
     n, dt, mass = engine.n_local, engine.config.dt, engine.bp.mass
     labels = {"ket": engine.alpha, "bra": engine.alpha_prime}
-    channels = _transition_channels(engine.decay, engine._blocks)
+    channels = transition_channels(engine.decay, engine._blocks)
     table, any_closed = np.zeros((len(channels), engine.weight.size)), False
     for row, (side, s, kind) in zip(table, channels):
         block, p, columns = engine._blocks[s // 2], engine._p[s // 2], engine._cols[s // 2]
@@ -1017,6 +1058,36 @@ def test_simulate_thread_invariance_nonadiabatic(monkeypatch):
         assert np.array_equal(r1.density.stderr, r4.density.stderr)
 
 
+@pytest.mark.parametrize("mass,omega", [(2.0, 1.0), (1.0, 0.7), (2.0, 0.7)])
+def test_a_run_at_any_mass_and_frequency_equals_its_unit_image(mass, omega):
+    # with R = R' / sqrt(M omega), P = P' sqrt(M omega) and t = t' / omega,
+    # the model at (M, omega) is the one at unit mass and frequency with
+    # every energy divided by omega: c' = c / (omega sqrt(M omega)),
+    # j' = j / omega, gamma' = gamma / omega, beta' = beta omega and
+    # dt' = omega dt.  Each output then equals its image's at t' = omega t
+    # to rounding, the thermal widths and every hop decision included
+    sp = SpinChainParams(jx=-1.0, jy=-0.6, jz=0.5)
+    bp = BathParams(mass=mass, omega=omega, c=0.9, beta=0.3)
+    image_sp = SpinChainParams(jx=sp.jx / omega, jy=sp.jy / omega, jz=sp.jz / omega)
+    image_bp = BathParams(c=bp.c / (omega * math.sqrt(mass * omega)), beta=bp.beta * omega)
+    runs = [
+        (PHI, "identity", 0.5, "adiabatic"),
+        (PSI, "projector_ee", 0.1, "adiabatic"),
+        (PSI, "projector_ee", 0.1, "nonadiabatic"),
+        (PHI, "identity", 0.5, "nonadiabatic"),
+    ]
+    for state, kind, gamma, mode in runs:
+        config = SimConfig(n_steps=40, seed=13, dt=0.02, n_samples=64, initial_state=state, mode=mode, output_stride=10)
+        series, summary = simulate(sp, bp, decay_operator(kind, gamma), config)
+        image_config = replace(config, dt=omega * config.dt)
+        image, image_summary = simulate(image_sp, image_bp, decay_operator(kind, gamma / omega), image_config)
+        assert image_summary.n_hops == summary.n_hops and (summary.n_hops > 0) == (mode == "nonadiabatic")
+        for row, unit in zip(series.rows, image.rows, strict=True):
+            assert unit.t == pytest.approx(omega * row.t, rel=1e-12)
+            assert np.max(np.abs(row.density.elements - unit.density.elements)) <= 1e-12, (state, mode, row.t)
+            assert np.max(np.abs(row.density.stderr - unit.density.stderr)) <= 1e-12, (state, mode, row.t)
+
+
 def test_simulate_chunking_invariance(monkeypatch):
     # the pooled moments from many chunks must match a single-chunk run
     import nhqc.propagator as prop
@@ -1127,6 +1198,15 @@ def test_member_factor_matches_numpy_exp_with_weights_and_decay():
     # an identically zero phase takes the real factor
     zero = np.zeros(n)
     assert np.array_equal(member_factor(weight, zero, zero), weight * np.exp(-zero))
+
+
+def test_a_per_column_decay_past_libm_exp_gives_an_infinite_factor():
+    # libm's exp overflows, and raises, past 709.78: an integral at or below
+    # -700 takes numpy's exp, whose inf the run's invariant check reports
+    weight, phase = np.array([1.0, -2.0]), np.zeros(2)
+    assert np.array_equal(member_factor(weight, phase, np.array([-699.0])), weight * math.exp(699.0))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(member_factor(weight, phase, np.array([-800.0])), [np.inf, -np.inf])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
