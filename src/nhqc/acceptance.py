@@ -36,6 +36,7 @@ from .sampler import bath_sigmas, initial_subsystem, sample_bath_point
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{k}" for k in range(1, 8)]
 
 ACCEPT_SEED = 20160914
+ACCEPT_STEPS = 1000  # every cached run spans t = 10 at dt = 0.01
 
 _CACHE: dict = {}
 
@@ -48,12 +49,12 @@ class CriterionResult:
     detail: str
 
 
-def _cached_run(kind, gamma, state, samples, steps=1000, stride=1, c=0.24):
-    key = (kind, gamma, state, samples, steps, stride, c)
+def _cached_run(kind, gamma, state, samples, stride=1, c=0.24):
+    key = (kind, gamma, state, samples, stride, c)
     if key not in _CACHE:
         bp = replace(REFERENCE_BP, c=c)
         config = SimConfig(
-            n_steps=steps,
+            n_steps=ACCEPT_STEPS,
             seed=ACCEPT_SEED,
             dt=0.01,
             n_samples=samples,
@@ -122,8 +123,8 @@ def criterion_3() -> CriterionResult:
     for kind, gamma in (("identity", 0.5), ("projector_ee", 0.1)):
         for state in (PHI, PSI):
             series, _ = _cached_run(kind, gamma, state, samples, stride=10, c=0.0)
-            states = solve_quantum(initial_subsystem(state), h_s, decay_matrix(decay_operator(kind, gamma)), 0.01, 1000)
-            for row, k in zip(series.rows, range(0, 1001, 10)):
+            states = solve_quantum(initial_subsystem(state), h_s, decay_matrix(decay_operator(kind, gamma)), 0.01, ACCEPT_STEPS)
+            for row, k in zip(series.rows, range(0, ACCEPT_STEPS + 1, 10)):
                 dev = np.max(np.abs(row.density.elements - states[k].rho))
                 worst = max(worst, float(dev))
     return CriterionResult(

@@ -47,7 +47,7 @@ difference of the labels' block means plus their signed half gaps, the
 bath potential V_bath cancelling in it, so the engine never builds V_bath.
 Its velocity-Verlet step evaluates the force once: the force (as the half
 kick) is cached with each member's frequency, and these rows are rebuilt
-after every drift, and by a hop stage for the members that hop.  The
+after every drift and after every hop stage that moves a label.  The
 adiabatic step restated for a single member on the generic eigensolver
 route is ``nhqc.oracle.sstp_step``, its cross-check; the oracle has no
 nonadiabatic counterpart.
@@ -534,6 +534,10 @@ class EnsembleState:
         # hold an off-diagonal pair
         live = [k for k, column in enumerate(labels) if any(a != b for a, b in column)]
         self._live = range(live[0], live[-1] + 1) if live else range(0)
+        # a hop keeps each label in its block, so the difference of the
+        # labels' block means is fixed per live column in both modes
+        means = np.array([block_constants(sp, s // 2)[0] for s in range(4)])
+        self._mu = (means[al] - means[ap])[self._live.start : self._live.stop, None]
         # per-pair coefficients: per column (K, 1) in adiabatic mode; per
         # member (K, n) in nonadiabatic mode, where hops rewrite them from a
         # table by pair code alpha * 4 + alpha'
@@ -554,11 +558,9 @@ class EnsembleState:
     def _label_coefficients(self, a: np.ndarray, b: np.ndarray) -> dict:
         """The per-pair coefficients of labels a, b (any matching shapes):
         ``("cn", k)`` = c n_k for block k's force, ``("g", k)`` = the signs of
-        block k's half gap in the Bohr frequency, ``"mu"`` = the difference
-        of the labels' block means and, where rates depend on R, ``"slope"``
-        = dt / 2 times the sum of their sz_A coefficients."""
-        means = np.array([block_constants(self.sp, s // 2)[0] for s in range(4)])
-        coef = {"mu": means[a] - means[b]}
+        block k's half gap in the Bohr frequency and, where rates depend on
+        R, ``"slope"`` = dt / 2 times the sum of their sz_A coefficients."""
+        coef = {}
         for k in range(2):
             coef["cn", k] = self.bp.c * (SLOT_SIGN[k][a] + SLOT_SIGN[k][b])
             coef["g", k] = SLOT_SIGN[k][a] - SLOT_SIGN[k][b]
@@ -581,13 +583,14 @@ class EnsembleState:
 
     def _refresh_pair_caches(self) -> None:
         """Half kick and Bohr frequency of every member on the current
-        frames, in one pass over the stored blocks, the latter into a fresh
-        buffer: the previous one stays readable as the step's starting
-        value."""
+        frames and labels, in one pass over the stored blocks, the latter
+        into a fresh buffer: the previous one stays readable as the step's
+        starting value.  The hop stage's refresh comes after the step's
+        phase has read both buffers."""
         n, coef, dt, live = self.n_local, self._coef, self.config.dt, self._live
         omega, self._omega_spare = self._omega_spare, self._omega
         self._omega = omega
-        np.copyto(omega, coef["mu"][live.start : live.stop])
+        np.copyto(omega, self._mu)
         for k, (block, columns) in enumerate(zip(self._blocks, self._cols)):
             if block is None:
                 continue
@@ -604,23 +607,6 @@ class EnsembleState:
                 term = self._scratch[: upper.size].reshape(upper.shape)
                 np.multiply(coef["g", k][lo:hi], upper, out=term)
                 omega[lo - live.start : hi - live.start] += term
-
-    def _refresh_members(self, members: np.ndarray) -> None:
-        """``_refresh_pair_caches`` for the sorted ``members`` alone, in its
-        arithmetic and order, in place: the other members' caches stand."""
-        n, coef, dt, omega = self.n_local, self._coef, self.config.dt, self._omega.reshape(-1)
-        ranges = [r for columns in (self._live, *self._cols) for r in (columns.start * n, columns.stop * n)]
-        ends = np.searchsorted(members, ranges).tolist()  # of the live members and of each block's
-        on = members[ends[0] : ends[1]]
-        omega[on - ranges[0]] = coef["mu"].reshape(-1)[on]
-        for k, (block, start, lo, hi) in enumerate(zip(self._blocks, ranges[2::2], ends[2::2], ends[3::2])):
-            if block is None:
-                continue
-            j = members[lo:hi] - start
-            cn_sz = coef["cn", k].reshape(-1)[members[lo:hi]] * (block.sz[j] if np.ndim(block.sz) else block.sz)
-            self._kick_rows[k][j] = (self._q[k][j] * -self._restore + cn_sz) * (0.5 * dt)
-            on = members[max(lo, ends[0]) : min(hi, ends[1])]
-            omega[on - ranges[0]] += coef["g", k].reshape(-1)[on] * block.upper[on - start]
 
     # -- time stepping ----------------------------------------------------
 
@@ -687,7 +673,8 @@ class EnsembleState:
         -(1 + total) a / |a| and, on a coupling, the jump across the gap -+2r;
         every other member gets 1 + total: its expected weight is w with no
         hop and -a w on each open channel.  One pass in that order resolves
-        the hits; only their pair caches are rebuilt."""
+        the hits, whose coefficients are then rewritten and the pair caches
+        of every member rebuilt."""
         if self._coupled is None:
             return
         mass, size, (ket, bra) = self.bp.mass, self.q.size, self._index
@@ -737,7 +724,7 @@ class EnsembleState:
         self.alpha_prime[hit[~on_ket]] ^= 1
         self.summary.n_hops += int(hit.size)
         self._relabel(hit)
-        self._refresh_members(hit)
+        self._refresh_pair_caches()
 
     # -- views -------------------------------------------------------------
 

@@ -5,8 +5,8 @@ The grid is both modes x jx in {-1, -0.6} x {identity at gamma = 0.5,
 projector_ee at gamma = 0.1} x {phi, psi} x c in {0, 0.24}, with the
 reference jy, jz and beta, at 300 samples, 40 steps, output stride 10 and
 seed 3.  Each run records, per output time, the 16 complex elements, their
-16 standard errors and the trace's standard error, plus the run's member
-and hop counts.  ``test_output_grid.py`` reruns it.
+16 standard errors and the trace's standard error, plus the run's member,
+hop and frustration counts.  ``test_output_grid.py`` reruns it.
 
 A change that moves any value regenerates the table, and states the largest
 change per column in CHANGES.md.  ``--diff`` prints those numbers against
@@ -31,6 +31,7 @@ SETTINGS = {"jy": REFERENCE_SP.jy, "jz": REFERENCE_SP.jz, "beta": REFERENCE_BP.b
             "samples": 300, "steps": 40, "output_stride": 10, "seed": 3}
 DECAYS = (("identity", 0.5), ("projector_ee", 0.1))
 COLUMNS = ("re", "im", "stderr", "trace_stderr")
+COUNTS = ("n_members", "n_hops", "n_frustrated")
 
 
 def grid() -> list[dict]:
@@ -66,19 +67,19 @@ def run(point: dict) -> dict:
         }
         for row in series.rows
     ]
-    return {**point, "n_members": summary.n_members, "n_hops": summary.n_hops, "rows": rows}
+    return {**point, **{key: getattr(summary, key) for key in COUNTS}, "rows": rows}
 
 
 def diff() -> None:
     """Print, for each run whose values or counts differ from the committed
     table, the largest |change| per column, how many values changed only
-    their sign of zero, and any change in its member or hop counts; then
+    their sign of zero, and any change in its counts; then
     the largest |change| per column over all runs."""
     largest = dict.fromkeys(COLUMNS, 0.0)
     moved = 0
     for point, want in zip(grid(), json.loads(TABLE.read_text())["runs"]):
         got = run(point)
-        changes = [f"{key} {want[key]} -> {got[key]}" for key in ("n_members", "n_hops") if got[key] != want[key]]
+        changes = [f"{key} {want[key]} -> {got[key]}" for key in COUNTS if got[key] != want[key]]
         zero_signs = 0
         for column in COLUMNS:
             new, old = (np.array([row[column] for row in rows], dtype=float) for rows in (got["rows"], want["rows"]))

@@ -65,6 +65,13 @@ def test_parse_config_fig3_fragment(tmp_path):
     assert config.initial_state == "psi"
 
 
+def test_parse_config_words_are_case_insensitive():
+    lines = [ln for ln in PAPER_LINES if not ln.startswith(("gamma_kind", "initial_state"))]
+    _, _, decay, config = parse_config(lines + ["gamma_kind = Projector_EE", "mode = NonAdiabatic", "initial_state = PSI"])
+    assert decay.kind is DecayKind.PROJECTOR_EE
+    assert (config.mode, config.initial_state) == ("nonadiabatic", "psi")
+
+
 def test_parse_config_rejects_zero_dt(tmp_path):
     with pytest.raises(ConfigError, match="dt"):
         parse_config(write_config(tmp_path, PAPER_LINES + ["dt = 0"]))

@@ -135,6 +135,11 @@ def test_sim_config_validation():
         SimConfig(n_steps=10, seed=1, output_stride=3)
     with pytest.raises(ValueError):
         SimConfig(n_steps=10, seed=1, mode="diabatic")
+    # the seed is any unsigned 64-bit integer
+    assert SimConfig(n_steps=10, seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SimConfig(n_steps=10, seed=seed)
 
 
 def test_reduced_density_validation():

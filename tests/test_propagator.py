@@ -382,8 +382,8 @@ def two_force_verlet(engine, n_steps):
     ],
 )
 def test_advance_equals_the_two_force_verlet_step_bit_for_bit(jy, c, state, decay, mode):
-    # one cached force per step, refreshed only for the members that hop,
-    # reproduces the step that evaluates the force twice
+    # one cached force per step, refreshed after the drift and after each
+    # hop stage, reproduces the step that evaluates the force twice
     sp, bp = SpinChainParams(jx=-1.0, jy=jy, jz=0.5), BathParams(c=c, beta=0.1)
     config = SimConfig(n_steps=60, seed=5, n_samples=32, initial_state=state, mode=mode)
     engine, reference = (sampled_engine(sp, bp, decay, config) for _ in range(2))
@@ -875,12 +875,13 @@ def test_no_hop_factor_is_the_channel_table_sum_bit_for_bit():
 
 
 @pytest.mark.parametrize("jy", [-0.6, -1.0])
-def test_hop_stage_refreshes_the_members_that_hop_bit_for_bit(jy):
-    # the stage rebuilds the half kick and the Bohr frequency of the members
-    # that hop, in place; a relabel of every member and a full refresh must
-    # then change nothing.  jy = -0.6: the staged engine at u = 0, where most
-    # members hop; jy = -1.0: block A uncoupled, so the (0, 0) column never
-    # moves and the live columns start after column 0
+def test_hop_stage_leaves_the_pair_caches_of_a_fresh_relabel_bit_for_bit(jy):
+    # the stage leaves every member's coefficients, half kick and Bohr
+    # frequency equal to those that a fresh relabel of every member and a
+    # refresh on its current labels and frames give.  jy = -0.6: the staged
+    # engine at u = 0, where most members hop; jy = -1.0: block A uncoupled,
+    # so the (0, 0) column never moves and the live columns start after
+    # column 0
     if jy == -0.6:
         _, engine = pinned_hop_step(0.24, 0.0)
     else:
